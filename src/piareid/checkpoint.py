@@ -3,8 +3,11 @@
 Layout (all integers little-endian):
 
     magic      8 bytes  b"PIACKPT1"
-    config     u32 byte length, then that many UTF-8 bytes
-               (a ``key = value`` block sufficient to rebuild the model)
+    config     u32 byte length, then that many UTF-8 bytes: the
+               ``model.ModelConfig`` as ``kvconfig`` text, one
+               ``name = value`` line per field in declaration order
+               (``model.model_config_text``); reading it back requires
+               every field and rejects unknown keys
     fingerprint u32 length + hex sha256 of the config block
     count      u32 number of tensor records
     record     u32 name length + name bytes
@@ -13,12 +16,15 @@ Layout (all integers little-endian):
 
 Tensor records cover model parameters, batch-norm running buffers, and the
 prototype bank (prototypes, init flags as 0/1, alpha, iteration).  Equal
-states serialize to equal bytes.
+states serialize to equal bytes.  A malformed file raises ``CheckpointError``;
+so does a record that is missing or whose shape differs from what the
+configured model and bank expect.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -55,13 +61,19 @@ def collect_arrays(state: model.ModelState, bank: bpl.PrototypeBank | None) -> d
     for name, buf in state.named_buffers().items():
         arrays[name] = buf
     if bank is not None:
-        arrays["bank.protos_v"] = bank.protos_v
-        arrays["bank.protos_i"] = bank.protos_i
-        arrays["bank.initialized_v"] = bank.initialized_v.astype(np.float64)
-        arrays["bank.initialized_i"] = bank.initialized_i.astype(np.float64)
-        arrays["bank.alpha"] = np.asarray(bank.alpha)
-        arrays["bank.iteration"] = np.asarray(float(bank.iteration))
+        arrays.update(_bank_arrays(bank))
     return arrays
+
+
+def _bank_arrays(bank: bpl.PrototypeBank) -> dict[str, np.ndarray]:
+    return {
+        "bank.protos_v": bank.protos_v,
+        "bank.protos_i": bank.protos_i,
+        "bank.initialized_v": bank.initialized_v.astype(np.float64),
+        "bank.initialized_i": bank.initialized_i.astype(np.float64),
+        "bank.alpha": np.asarray(bank.alpha),
+        "bank.iteration": np.asarray(float(bank.iteration)),
+    }
 
 
 def serialize(config_text: str, arrays: dict[str, np.ndarray]) -> bytes:
@@ -122,9 +134,12 @@ def deserialize(blob: bytes) -> LoadedCheckpoint:
         name = take_blob().decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
-        arrays[name] = data
+        # math.prod: numpy's product of u64 dims wraps around silently
+        chunk = take(8 * math.prod(shape))
+        try:
+            arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise CheckpointError(f"record {name}: unusable shape {shape}") from None
     if pos != len(view):
         raise CheckpointError(f"{len(view) - pos} trailing bytes after records")
     return LoadedCheckpoint(config_text, fingerprint, arrays)
@@ -134,31 +149,32 @@ def load_raw(path) -> LoadedCheckpoint:
     return deserialize(Path(path).read_bytes())
 
 
+def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) -> np.ndarray:
+    """A copy of record ``name``, which must have the shape of ``like``."""
+    if name not in loaded.arrays:
+        raise CheckpointError(f"checkpoint missing {kind} {name}")
+    stored = loaded.arrays[name]
+    if stored.shape != like.shape:
+        raise CheckpointError(f"{kind} {name}: stored shape {stored.shape} != model {like.shape}")
+    return stored.copy()
+
+
 def restore(loaded: LoadedCheckpoint, cfg: model.ModelConfig) -> tuple[model.ModelState, bpl.PrototypeBank | None]:
     """Rebuild a model (and bank, if present) from loaded arrays."""
     state = model.build_model(cfg)
     for name, tens in state.named_parameters().items():
-        if name not in loaded.arrays:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        stored = loaded.arrays[name]
-        if stored.shape != tens.data.shape:
-            raise CheckpointError(
-                f"parameter {name}: stored shape {stored.shape} != model {tens.data.shape}"
-            )
-        tens.data = stored.copy()
+        tens.data = _stored(loaded, "parameter", name, tens.data)
     for name, buf in state.named_buffers().items():
-        if name not in loaded.arrays:
-            raise CheckpointError(f"checkpoint missing buffer {name}")
-        buf[:] = loaded.arrays[name]
-    if "bank.protos_v" not in loaded.arrays:
+        buf[:] = _stored(loaded, "buffer", name, buf)
+    if not any(name.startswith("bank.") for name in loaded.arrays):
         return state, None
-    protos_v = loaded.arrays["bank.protos_v"]
-    bank = bpl.PrototypeBank(
-        protos_v=protos_v.copy(),
-        protos_i=loaded.arrays["bank.protos_i"].copy(),
-        initialized_v=loaded.arrays["bank.initialized_v"] != 0.0,
-        initialized_i=loaded.arrays["bank.initialized_i"] != 0.0,
-        alpha=float(loaded.arrays["bank.alpha"]),
-        iteration=int(loaded.arrays["bank.iteration"]),
+    empty = bpl.PrototypeBank.create(cfg.num_identities, cfg.embedding_dim)
+    bank = {name: _stored(loaded, "bank record", name, like) for name, like in _bank_arrays(empty).items()}
+    return state, bpl.PrototypeBank(
+        protos_v=bank["bank.protos_v"],
+        protos_i=bank["bank.protos_i"],
+        initialized_v=bank["bank.initialized_v"] != 0.0,
+        initialized_i=bank["bank.initialized_i"] != 0.0,
+        alpha=float(bank["bank.alpha"]),
+        iteration=int(bank["bank.iteration"]),
     )
-    return state, bank

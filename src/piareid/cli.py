@@ -1,10 +1,15 @@
 """Command-line front end for dataset generation, training, and evaluation.
 
 Subcommands: ``gen-data``, ``train``, ``eval``, ``gradcheck``, and
-``dump-attention``.  Every command resolves a flat run configuration from
-defaults, an optional ``--config`` file, and per-field command-line
+``dump-attention``.  Every command resolves a flat ``config.RunConfig``
+from defaults, an optional ``--config`` file, and per-field command-line
 overrides (later sources win), writes the fully resolved configuration
-next to its outputs, and is deterministic given that file.
+next to its outputs as ``run_config.txt``, and is deterministic given that
+file.  There is one ``--field-name`` flag per ``RunConfig`` field (the
+dataset fields of ``synthbench.GenConfig``, the training and architecture
+fields of ``trainer.TrainConfig``, and the paths), plus ``--stage2-start``
+for ``stage2_start_epoch``.  ``eval`` and ``dump-attention`` rebuild the
+model from the checkpoint's own config block, not from the run config.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 I/O error.
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +168,7 @@ def _load_checkpoint(cfg: cfgmod.RunConfig):
 def _cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     if args.out is not None:
-        cfg = cfgmod.replace_fields(cfg, {"data_dir": args.out})
+        cfg = replace(cfg, data_dir=args.out)
     cfg = _validated(cfg)
     target = Path(cfg.data_dir)
     try:
@@ -181,7 +186,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     if args.out is not None:
-        cfg = cfgmod.replace_fields(cfg, {"out_dir": args.out})
+        cfg = replace(cfg, out_dir=args.out)
     cfg = _validated(cfg)
     manifest = _load_manifest(cfg)
     out_dir = Path(cfg.out_dir)

@@ -1,23 +1,28 @@
 """Flat run configuration: one file, one namespace, every knob.
 
-A run is described by a single flat ``key = value`` file covering dataset
-generation, model architecture, training, ablation switches, and output
-paths.  Command-line overrides win over the file, which wins over the
-defaults.  Every command writes the fully resolved configuration next to
-its outputs so a run can be reproduced bit-exactly from that file alone.
+Each field is declared once, with its default, in the module that owns it:
+``synthbench.GenConfig`` holds the dataset-generation fields and
+``trainer.TrainConfig`` the schedule, loss, ablation and architecture fields.
+``RunConfig`` inherits both, so ``seed``, ``image_height`` and
+``image_width``, which both declare with equal defaults, are one field here;
+it adds only the three paths.  ``gen_config()`` and ``train_config()``
+project it back onto its parents.
+
+A run is described by a single flat ``key = value`` file in the format of
+``kvconfig``, which reads and writes every config.  Command-line overrides
+win over the file, which wins over the defaults.  Every command writes the
+fully resolved configuration next to its outputs so a run can be reproduced
+bit-exactly from that file alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
+from . import kvconfig
 from . import synthbench
 from . import trainer
-
-
-class ConfigError(ValueError):
-    """Raised for unparseable or invalid run configurations."""
-
+from .kvconfig import ConfigError, format_text as format_config, parse_pairs as parse_config_text
 
 #: Ablation presets, named after the component each one adds.  Each preset
 #: fixes the four loss/branch switches; everything else stays configurable.
@@ -31,96 +36,18 @@ ABLATION_PRESETS: dict[str, dict[str, bool]] = {
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # dataset generation
-    n_identities: int = 48
-    images_per_identity_per_modality: int = 12
-    outfits_per_identity: int = 2
-    clothing_modality_coupling: str = synthbench.COUPLING_COUPLED
-    noise_level: float = 0.02
-    split_ratio: str = "2:1"
+class RunConfig(trainer.TrainConfig, synthbench.GenConfig):
+    """The dataset and training fields of a run, plus where its files go."""
 
-    # shared between generation and training
-    seed: int = 0
-    image_height: int = 64
-    image_width: int = 32
-
-    # architecture
-    widths: tuple[int, ...] = (16, 32, 32)
-    strides: tuple[int, ...] = (4, 2, 1)
-    kernel_size: int = 3
-    attention_kernel_size: int = 7
-    pooling_mode: str = "gap_gmp"
-    use_final_bn: bool = True
-
-    # training schedule and optimizer
-    epochs: int = 30
-    stage2_start_epoch: int = 18
-    base_lr: float = trainer.DEFAULT_BASE_LR
-    lr_decay: float = trainer.DEFAULT_LR_DECAY
-    lr_decay_period_epochs: int = 10
-    ids_per_batch: int = 8
-    instances_per_modality: int = 4
-    lambda_orth: float = trainer.DEFAULT_LAMBDA_ORTH
-    lambda_inter: float = trainer.DEFAULT_LAMBDA_INTER
-    tau: float = 1.0 / 16.0
-    alpha: float = 0.9
-    flip_probability: float = 0.5
-    eval_every: int = 1
-
-    # ablation switches
-    use_dbdl: bool = True
-    use_orth: bool = True
-    use_intra: bool = True
-    use_inter: bool = True
-
-    # paths
     data_dir: str = "data"
     out_dir: str = "run"
     checkpoint: str = ""
 
     def gen_config(self) -> synthbench.GenConfig:
-        return synthbench.GenConfig(
-            n_identities=self.n_identities,
-            images_per_identity_per_modality=self.images_per_identity_per_modality,
-            image_height=self.image_height,
-            image_width=self.image_width,
-            outfits_per_identity=self.outfits_per_identity,
-            clothing_modality_coupling=self.clothing_modality_coupling,
-            noise_level=self.noise_level,
-            split_ratio=self.split_ratio,
-            seed=self.seed,
-        )
+        return kvconfig.project(self, synthbench.GenConfig)
 
     def train_config(self) -> trainer.TrainConfig:
-        return trainer.TrainConfig(
-            epochs=self.epochs,
-            stage2_start_epoch=self.stage2_start_epoch,
-            base_lr=self.base_lr,
-            lr_decay=self.lr_decay,
-            lr_decay_period_epochs=self.lr_decay_period_epochs,
-            ids_per_batch=self.ids_per_batch,
-            instances_per_modality=self.instances_per_modality,
-            lambda_orth=self.lambda_orth,
-            lambda_inter=self.lambda_inter,
-            tau=self.tau,
-            alpha=self.alpha,
-            flip_probability=self.flip_probability,
-            use_dbdl=self.use_dbdl,
-            use_orth=self.use_orth,
-            use_intra=self.use_intra,
-            use_inter=self.use_inter,
-            eval_every=self.eval_every,
-            seed=self.seed,
-            image_height=self.image_height,
-            image_width=self.image_width,
-            widths=self.widths,
-            strides=self.strides,
-            kernel_size=self.kernel_size,
-            attention_kernel_size=self.attention_kernel_size,
-            pooling_mode=self.pooling_mode,
-            use_final_bn=self.use_final_bn,
-        )
+        return kvconfig.project(self, trainer.TrainConfig)
 
     def validate(self) -> None:
         try:
@@ -133,106 +60,7 @@ class RunConfig:
         if preset not in ABLATION_PRESETS:
             known = ", ".join(sorted(ABLATION_PRESETS))
             raise ConfigError(f"unknown ablation preset {preset!r} (choose from {known})")
-        return replace_fields(self, ABLATION_PRESETS[preset])
-
-
-def replace_fields(cfg: RunConfig, values: dict) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, **values)
-
-
-# ---------------------------------------------------------------------------
-# text round-trip
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def format_config(cfg: RunConfig) -> str:
-    """The fully resolved configuration as ``key = value`` lines."""
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_bool(field: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{field}: expected a boolean, got {raw!r}")
-
-
-def _parse_int_tuple(field: str, raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{field}: expected comma-separated integers, got {raw!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{field}: expected comma-separated integers, got {raw!r}") from None
-
-
-def _coerce(field_name: str, field_type, raw: str):
-    raw = raw.strip()
-    if field_type is bool:
-        return _parse_bool(field_name, raw)
-    if field_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{field_name}: expected an integer, got {raw!r}") from None
-    if field_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{field_name}: expected a number, got {raw!r}") from None
-    if field_type is str:
-        return raw
-    return _parse_int_tuple(field_name, raw)
-
-
-_FIELD_TYPES = {
-    "n_identities": int, "images_per_identity_per_modality": int,
-    "outfits_per_identity": int, "clothing_modality_coupling": str,
-    "noise_level": float, "split_ratio": str,
-    "seed": int, "image_height": int, "image_width": int,
-    "widths": tuple, "strides": tuple, "kernel_size": int,
-    "attention_kernel_size": int, "pooling_mode": str, "use_final_bn": bool,
-    "epochs": int, "stage2_start_epoch": int, "base_lr": float,
-    "lr_decay": float, "lr_decay_period_epochs": int, "ids_per_batch": int,
-    "instances_per_modality": int, "lambda_orth": float, "lambda_inter": float,
-    "tau": float, "alpha": float, "flip_probability": float, "eval_every": int,
-    "use_dbdl": bool, "use_orth": bool, "use_intra": bool, "use_inter": bool,
-    "data_dir": str, "out_dir": str, "checkpoint": str,
-}
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """``key = value`` lines with ``#`` comments into a raw string mapping."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in raw:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-    return raw
+        return replace(self, **ABLATION_PRESETS[preset])
 
 
 def build_config(file_text: str | None = None,
@@ -243,10 +71,4 @@ def build_config(file_text: str | None = None,
         merged.update(parse_config_text(file_text))
     if overrides:
         merged.update(overrides)
-
-    values = {}
-    for key, raw in merged.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = _coerce(key, _FIELD_TYPES[key], raw)
-    return RunConfig(**values)
+    return kvconfig.from_pairs(RunConfig, merged)

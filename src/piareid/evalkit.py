@@ -99,25 +99,22 @@ def _batches_of(manifest: Manifest, row_indices: list[int]):
 
 @dataclass
 class FeatureTable:
-    """Identity embeddings (and optional clothing embeddings) of the test split."""
+    """Identity embeddings of the test split, and its clothing embeddings
+    when the model has the dual branch."""
     row_indices: list[int]
     features: np.ndarray             # [n, D], not yet normalized
-    clothing_features: np.ndarray | None = None
+    clothing_features: np.ndarray | None
 
     def rows_of(self, picked: list[int]) -> np.ndarray:
         position = {row: i for i, row in enumerate(self.row_indices)}
         return self.features[[position[r] for r in picked]]
 
 
-def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
-                       *, with_clothing: bool = False) -> FeatureTable:
+def test_feature_table(manifest: Manifest, state: model_mod.ModelState) -> FeatureTable:
     rows = manifest.rows_for_split(SPLIT_TEST)
     if not rows:
         raise ProtocolError("manifest has no test rows")
-    if with_clothing:
-        f, f_c = model_mod.extract_branch_embeddings(state, _batches_of(manifest, rows))
-        return FeatureTable(rows, f, f_c)
-    return FeatureTable(rows, model_mod.extract_embeddings(state, _batches_of(manifest, rows)))
+    return FeatureTable(rows, *model_mod.extract_embeddings(state, _batches_of(manifest, rows)))
 
 
 def protocol_from_table(manifest: Manifest, table: FeatureTable,
@@ -147,12 +144,6 @@ def protocol_from_table(manifest: Manifest, table: FeatureTable,
         gallery_identities=gallery_ids,
         dropped_queries=dropped,
     )
-
-
-def build_protocol(manifest: Manifest, state: model_mod.ModelState,
-                   direction: str) -> RetrievalSet:
-    """Test-split features arranged as query/gallery for one direction."""
-    return protocol_from_table(manifest, test_feature_table(manifest, state), direction)
 
 
 def distance_matrix(retrieval: RetrievalSet) -> np.ndarray:
@@ -232,15 +223,8 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
     )
 
 
-def evaluate(manifest: Manifest, state: model_mod.ModelState, direction: str) -> EvalReport:
-    return report_from_set(build_protocol(manifest, state, direction))
-
-
-def evaluate_both(manifest: Manifest, state: model_mod.ModelState,
-                  table: FeatureTable | None = None) -> dict[str, EvalReport]:
-    """Both retrieval directions from a single feature extraction pass."""
-    if table is None:
-        table = test_feature_table(manifest, state)
+def evaluate_both(manifest: Manifest, table: FeatureTable) -> dict[str, EvalReport]:
+    """Both retrieval directions from one feature table."""
     return {
         direction: report_from_set(protocol_from_table(manifest, table, direction))
         for direction in DIRECTIONS

@@ -10,6 +10,7 @@ import numpy as np
 from . import dbdl
 from . import diffcore as dc
 from . import encoder
+from . import kvconfig
 from .diffcore import Tensor
 
 
@@ -105,64 +106,13 @@ def build_model(cfg: ModelConfig) -> ModelState:
 
 
 def model_config_text(cfg: ModelConfig) -> str:
-    """Flat `key = value` rendering, sufficient to rebuild the model."""
-    lines = [
-        f"image_height = {cfg.image_height}",
-        f"image_width = {cfg.image_width}",
-        "widths = " + ",".join(str(w) for w in cfg.widths),
-        "strides = " + ",".join(str(s) for s in cfg.strides),
-        f"kernel_size = {cfg.kernel_size}",
-        f"attention_kernel_size = {cfg.attention_kernel_size}",
-        f"pooling_mode = {cfg.pooling_mode}",
-        f"use_final_bn = {str(cfg.use_final_bn).lower()}",
-        f"use_dbdl = {str(cfg.use_dbdl).lower()}",
-        f"num_identities = {cfg.num_identities}",
-        f"num_clothing_classes = {cfg.num_clothing_classes}",
-        f"seed = {cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Flat ``key = value`` rendering, sufficient to rebuild the model."""
+    return kvconfig.format_text(cfg)
 
 
 def parse_model_config_text(text: str) -> ModelConfig:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"model config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-
-    def ints(key: str) -> tuple[int, ...]:
-        return tuple(int(part) for part in values.pop(key).split(","))
-
-    def boolean(key: str) -> bool:
-        raw = values.pop(key)
-        if raw not in ("true", "false"):
-            raise ValueError(f"model config key {key}: expected true/false, got {raw!r}")
-        return raw == "true"
-
-    try:
-        cfg = ModelConfig(
-            image_height=int(values.pop("image_height")),
-            image_width=int(values.pop("image_width")),
-            widths=ints("widths"),
-            strides=ints("strides"),
-            kernel_size=int(values.pop("kernel_size")),
-            attention_kernel_size=int(values.pop("attention_kernel_size")),
-            pooling_mode=values.pop("pooling_mode"),
-            use_final_bn=boolean("use_final_bn"),
-            use_dbdl=boolean("use_dbdl"),
-            num_identities=int(values.pop("num_identities")),
-            num_clothing_classes=int(values.pop("num_clothing_classes")),
-            seed=int(values.pop("seed")),
-        )
-    except KeyError as missing:
-        raise ValueError(f"model config missing key {missing.args[0]}") from None
-    if values:
-        raise ValueError(f"model config has unknown keys: {sorted(values)}")
-    return cfg
+    """The inverse of ``model_config_text``; every field must be present."""
+    return kvconfig.from_pairs(ModelConfig, kvconfig.parse_pairs(text), complete=True)
 
 
 def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
@@ -185,25 +135,17 @@ def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
     return f, f_c, masks
 
 
-def extract_embeddings(model: ModelState, pixel_batches) -> np.ndarray:
-    """Eval-mode identity embeddings for an iterable of [N,3,H,W] arrays."""
-    chunks = []
-    for batch in pixel_batches:
-        f, _, _ = forward_embeddings(model, dc.constant(batch), training=False)
-        chunks.append(f.data)
-    if not chunks:
-        dim = model.cfg.embedding_dim
-        return np.zeros((0, dim))
-    return np.concatenate(chunks, axis=0)
-
-
-def extract_branch_embeddings(model: ModelState, pixel_batches) -> tuple[np.ndarray, np.ndarray]:
-    """Eval-mode (f, f_c) pairs; requires the dual branch."""
-    if not model.cfg.use_dbdl:
-        raise ValueError("branch extraction needs the dual-branch configuration")
+def extract_embeddings(model: ModelState, pixel_batches) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eval-mode (f, f_c) for an iterable of [N,3,H,W] arrays; f_c is None
+    without the dual branch."""
     f_chunks, fc_chunks = [], []
     for batch in pixel_batches:
         f, f_c, _ = forward_embeddings(model, dc.constant(batch), training=False)
         f_chunks.append(f.data)
-        fc_chunks.append(f_c.data)
-    return np.concatenate(f_chunks, axis=0), np.concatenate(fc_chunks, axis=0)
+        if f_c is not None:
+            fc_chunks.append(f_c.data)
+
+    def stacked(chunks: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, model.cfg.embedding_dim))
+
+    return stacked(f_chunks), stacked(fc_chunks) if model.cfg.use_dbdl else None

@@ -323,16 +323,6 @@ class ManifestRow:
     split: str
 
 
-@dataclass
-class Sample:
-    pixels: np.ndarray  # [3, H, W] float64 in [0, 1]
-    identity: int
-    clothing: int
-    modality: str
-    split: str
-    path: str
-
-
 class Manifest:
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
         self.base_dir = Path(base_dir)
@@ -360,17 +350,6 @@ class Manifest:
             cached = raw.astype(np.float64).transpose(2, 0, 1) / 255.0
             self._pixel_cache[index] = cached
         return cached
-
-    def sample(self, index: int) -> Sample:
-        row = self.rows[index]
-        return Sample(
-            pixels=self.load_pixels(index),
-            identity=row.identity,
-            clothing=row.clothing,
-            modality=row.modality,
-            split=row.split,
-            path=row.path,
-        )
 
 
 def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:
@@ -428,8 +407,6 @@ def load_manifest(path) -> Manifest:
     fingerprint = ""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().splitlines()
-    if not lines:
-        raise ManifestError(f"{path}: empty manifest")
     data_lines: list[tuple[int, str]] = []
     for number, line in enumerate(lines, start=1):
         if line.startswith("#"):
@@ -438,6 +415,8 @@ def load_manifest(path) -> Manifest:
             continue
         if line.strip():
             data_lines.append((number, line))
+    if not data_lines:
+        raise ManifestError(f"{path}: empty manifest")
     header = next(csv.reader([data_lines[0][1]]))
     if header != MANIFEST_HEADER:
         raise ManifestError(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bpl, checkpoint, dbdl, encoder, evalkit
+from . import bpl, checkpoint, dbdl, encoder, evalkit, kvconfig
 from . import diffcore as dc
 from . import model as model_mod
 from .diffcore import Tensor
@@ -77,11 +77,11 @@ class TrainConfig:
     seed: int = 0
     image_height: int = 64
     image_width: int = 32
-    widths: tuple[int, ...] = (16, 32, 32)
-    strides: tuple[int, ...] = (4, 2, 1)
-    kernel_size: int = 3
-    attention_kernel_size: int = 7
-    pooling_mode: str = "gap_gmp"
+    widths: tuple[int, ...] = encoder.DEFAULT_WIDTHS
+    strides: tuple[int, ...] = encoder.DEFAULT_STRIDES
+    kernel_size: int = encoder.DEFAULT_KERNEL
+    attention_kernel_size: int = dbdl.DEFAULT_ATTENTION_KERNEL
+    pooling_mode: str = encoder.POOL_GAP_GMP
     use_final_bn: bool = True
 
     def validate(self) -> None:
@@ -123,20 +123,8 @@ class TrainConfig:
         return 2 * self.ids_per_batch * self.instances_per_modality
 
     def model_config(self, num_identities: int, num_clothing_classes: int) -> model_mod.ModelConfig:
-        return model_mod.ModelConfig(
-            image_height=self.image_height,
-            image_width=self.image_width,
-            widths=tuple(self.widths),
-            strides=tuple(self.strides),
-            kernel_size=self.kernel_size,
-            attention_kernel_size=self.attention_kernel_size,
-            pooling_mode=self.pooling_mode,
-            use_final_bn=self.use_final_bn,
-            use_dbdl=self.use_dbdl,
-            num_identities=num_identities,
-            num_clothing_classes=num_clothing_classes,
-            seed=self.seed,
-        )
+        return kvconfig.project(self, model_mod.ModelConfig, num_identities=num_identities,
+                                num_clothing_classes=num_clothing_classes)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -426,11 +414,6 @@ def _epoch_means(reports: list[LossReport]) -> dict[str, float]:
     return means
 
 
-def _validation_abs_cos(manifest: Manifest, state: model_mod.ModelState) -> float:
-    table = evalkit.test_feature_table(manifest, state, with_clothing=True)
-    return dbdl.mean_abs_cosine(table.features, table.clothing_features)
-
-
 def train(manifest: Manifest, cfg: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
     """Run the full two-stage schedule over the manifest's training split.
@@ -450,7 +433,10 @@ def train(manifest: Manifest, cfg: TrainConfig,
     adam = AdamState()
     rng = np.random.default_rng([cfg.seed, 1])
 
-    abs_cos_init = _validation_abs_cos(manifest, state) if cfg.use_dbdl else None
+    abs_cos_init = None
+    if cfg.use_dbdl:
+        table = evalkit.test_feature_table(manifest, state)
+        abs_cos_init = dbdl.mean_abs_cosine(table.features, table.clothing_features)
     abs_cos_stage1_end = None
     stage1_end_epoch = min(cfg.stage2_start_epoch, cfg.epochs) - 1
 
@@ -520,14 +506,18 @@ def train(manifest: Manifest, cfg: TrainConfig,
                 "prototype bank not fully initialized after the first "
                 "prototype-stage epoch; the sampler did not reach every identity"
             )
+        # one extraction pass serves both the stage-1-end probe and the eval
+        table = None
         if cfg.use_dbdl and epoch == stage1_end_epoch:
-            abs_cos_stage1_end = _validation_abs_cos(manifest, state)
+            table = evalkit.test_feature_table(manifest, state)
+            abs_cos_stage1_end = dbdl.mean_abs_cosine(table.features, table.clothing_features)
             record["val_abs_cos"] = abs_cos_stage1_end
         if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            table = evalkit.test_feature_table(manifest, state)
+            if table is None:
+                table = evalkit.test_feature_table(manifest, state)
             record["eval"] = {
                 direction: report.to_dict()
-                for direction, report in evalkit.evaluate_both(manifest, state, table).items()
+                for direction, report in evalkit.evaluate_both(manifest, table).items()
             }
         epoch_records.append(record)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,29 @@ class TestSerializeDeserialize:
             deserialize(bytes(blob))
 
 
+def _record(name: str, dims: tuple[int, ...]) -> bytes:
+    """A tensor record header with the given dims and no data."""
+    name_b = name.encode("utf-8")
+    return (struct.pack("<I", len(name_b)) + name_b + struct.pack("<B", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims))
+
+
+def with_records(*records: bytes) -> bytes:
+    """A checkpoint whose tensor section is exactly ``records``."""
+    return serialize("", {})[:-4] + struct.pack("<I", len(records)) + b"".join(records)
+
+
+class TestRecordShapes:
+    @pytest.mark.parametrize("dims", [(2**62, 2**62), (0, 2**63), (2**64 - 1,)])
+    def test_oversized_dims_rejected(self, dims):
+        with pytest.raises(CheckpointError):
+            deserialize(with_records(_record("w", dims)))
+
+    def test_valid_record_still_reads(self):
+        blob = with_records(_record("w", (2, 1)) + np.array([1.0, 2.0]).astype("<f8").tobytes())
+        assert np.array_equal(deserialize(blob).arrays["w"], [[1.0], [2.0]])
+
+
 class TestSaveRestore:
     def test_full_round_trip_bit_exact(self, tmp_path):
         state = small_state()
@@ -169,6 +194,18 @@ class TestSaveRestore:
         with pytest.raises(CheckpointError, match="shape"):
             restore(loaded, SMALL)
 
+    def test_missing_bank_record_rejected(self):
+        arrays = collect_arrays(small_state(), small_bank())
+        arrays.pop("bank.alpha")
+        with pytest.raises(CheckpointError, match="missing bank record bank.alpha"):
+            restore(deserialize(serialize("", arrays)), SMALL)
+
+    def test_bank_width_mismatch_rejected(self):
+        arrays = collect_arrays(small_state(), small_bank())
+        arrays["bank.protos_v"] = np.zeros((3, SMALL.embedding_dim + 1))
+        with pytest.raises(CheckpointError, match="bank.protos_v: stored shape"):
+            restore(deserialize(serialize("", arrays)), SMALL)
+
     def test_restore_copies_do_not_alias(self):
         state = small_state()
         loaded = deserialize(serialize("", collect_arrays(state, None)))
@@ -190,3 +227,18 @@ class TestConfigTextRoundTrip:
         assert rebuilt_cfg == SMALL
         restored, _ = restore(loaded, rebuilt_cfg)
         assert set(restored.named_parameters()) == set(state.named_parameters())
+
+    def test_config_block_golden_bytes(self):
+        # the header bytes of a default-model checkpoint; any change to the
+        # config block's format changes these and needs a new MAGIC
+        text = (
+            "image_height = 64\nimage_width = 32\nwidths = 16,32,32\n"
+            "strides = 4,2,1\nkernel_size = 3\nattention_kernel_size = 7\n"
+            "pooling_mode = gap_gmp\nuse_final_bn = true\nuse_dbdl = true\n"
+            "num_identities = 8\nnum_clothing_classes = 16\nseed = 0\n"
+        )
+        fingerprint = b"8fcd0b49f05c254e10f536df6dc8ae91deac3e0616a03e1574941582f9ed982c"
+        expected = (b"PIACKPT1" + struct.pack("<I", 224) + text.encode("ascii")
+                    + struct.pack("<I", 64) + fingerprint + struct.pack("<I", 0))
+        assert model.model_config_text(model.ModelConfig()) == text
+        assert serialize(model.model_config_text(model.ModelConfig()), {}) == expected

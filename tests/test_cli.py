@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from piareid import checkpoint as ckpt
 from piareid import cli, pnm
 from piareid.cli import (
     EXIT_CHECK_FAILURE,
@@ -128,6 +130,16 @@ class TestTrain:
         assert "stride" in capsys.readouterr().err
 
 
+class TestReproduce:
+    def test_rerun_from_resolved_config_is_byte_identical(self, workspace, tmp_path):
+        run = workspace / "run"
+        rerun = tmp_path / "rerun"
+        rc = main(["train", "--config", str(run / "run_config.txt"), "--out", str(rerun)])
+        assert rc == EXIT_OK
+        for name in ("checkpoint.bin", "train_log.jsonl"):
+            assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
+
+
 class TestEval:
     def test_reports_both_directions(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -183,6 +195,56 @@ class TestEval:
             "--out", str(tmp_path / "e"),
         ])
         assert rc == EXIT_IO_ERROR
+
+    def _eval_with(self, workspace, tmp_path, blob: bytes) -> int:
+        path = tmp_path / "edited.bin"
+        path.write_bytes(blob)
+        return main([
+            "eval",
+            "--config", str(workspace / "run" / "run_config.txt"),
+            "--checkpoint", str(path),
+            "--data-dir", str(workspace / "data"),
+            "--out", str(tmp_path / "e"),
+        ])
+
+    def _stored_arrays(self, workspace):
+        loaded = ckpt.load_raw(workspace / "run" / "checkpoint.bin")
+        return loaded.config_text, dict(loaded.arrays)
+
+    def test_oversized_record_dims(self, workspace, tmp_path, capsys):
+        text, _ = self._stored_arrays(workspace)
+        record = struct.pack("<I", 1) + b"w" + struct.pack("<BQQ", 2, 2**62, 2**62)
+        blob = ckpt.serialize(text, {})[:-4] + struct.pack("<I", 1) + record
+        assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_missing_bank_record(self, workspace, tmp_path, capsys):
+        text, arrays = self._stored_arrays(workspace)
+        del arrays["bank.iteration"]
+        blob = ckpt.serialize(text, arrays)
+        assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
+        assert "missing bank record bank.iteration" in capsys.readouterr().err
+
+    def test_bank_width_mismatch(self, workspace, tmp_path, capsys):
+        text, arrays = self._stored_arrays(workspace)
+        protos = arrays["bank.protos_i"]
+        arrays["bank.protos_i"] = np.zeros((protos.shape[0], protos.shape[1] + 1))
+        blob = ckpt.serialize(text, arrays)
+        assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
+        assert "bank.protos_i: stored shape" in capsys.readouterr().err
+
+    def test_comments_only_manifest(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_text("# fingerprint=abc\n")
+        rc = main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data-dir", str(data),
+            "--out", str(tmp_path / "e"),
+        ])
+        assert rc == EXIT_IO_ERROR
+        assert "empty manifest" in capsys.readouterr().err
 
     def test_untrained_model_scores_chance_level(self, tmp_path, capsys):
         # a 12-identity set splits 8 train / 4 test, so random features

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+from piareid import synthbench, trainer
+from piareid.model import ModelConfig
 from piareid.config import (
     ABLATION_PRESETS,
     ConfigError,
@@ -13,7 +15,6 @@ from piareid.config import (
     build_config,
     format_config,
     parse_config_text,
-    replace_fields,
 )
 
 
@@ -80,10 +81,9 @@ class TestBuildConfig:
 
 class TestFormatRoundTrip:
     def test_format_parse_round_trip(self):
-        cfg = replace_fields(
-            RunConfig(),
-            dict(epochs=11, base_lr=2.5e-3, widths=(4, 8), use_inter=False,
-                 data_dir="elsewhere"),
+        cfg = replace(
+            RunConfig(), epochs=11, base_lr=2.5e-3, widths=(4, 8), use_inter=False,
+            data_dir="elsewhere",
         )
         rebuilt = build_config(format_config(cfg))
         assert rebuilt == cfg
@@ -94,7 +94,7 @@ class TestFormatRoundTrip:
             assert any(line.startswith(f"{f.name} = ") for line in text.splitlines())
 
     def test_float_precision_survives(self):
-        cfg = replace_fields(RunConfig(), {"base_lr": 3.5e-4, "tau": 1.0 / 16.0})
+        cfg = replace(RunConfig(), base_lr=3.5e-4, tau=1.0 / 16.0)
         rebuilt = build_config(format_config(cfg))
         assert rebuilt.base_lr == 3.5e-4
         assert rebuilt.tau == 1.0 / 16.0
@@ -132,17 +132,15 @@ class TestValidate:
 
     def test_generation_errors_become_config_errors(self):
         with pytest.raises(ConfigError):
-            replace_fields(RunConfig(), {"n_identities": 1}).validate()
+            replace(RunConfig(), n_identities=1).validate()
 
     def test_training_errors_become_config_errors(self):
         with pytest.raises(ConfigError):
-            replace_fields(RunConfig(), {"base_lr": -1.0}).validate()
+            replace(RunConfig(), base_lr=-1.0).validate()
 
     def test_orth_without_dbdl_rejected(self):
         with pytest.raises(ConfigError):
-            replace_fields(
-                RunConfig(), {"use_dbdl": False, "use_orth": True}
-            ).validate()
+            replace(RunConfig(), use_dbdl=False, use_orth=True).validate()
 
 
 class TestDerivedConfigs:
@@ -153,13 +151,36 @@ class TestDerivedConfigs:
         assert gen.image_height == 64 and gen.image_width == 32
 
     def test_train_config_fields(self):
-        cfg = replace_fields(RunConfig(), {"epochs": 5, "tau": 0.25})
+        cfg = replace(RunConfig(), epochs=5, tau=0.25)
         train_cfg = cfg.train_config()
         assert train_cfg.epochs == 5
         assert train_cfg.tau == 0.25
         assert train_cfg.widths == (16, 32, 32)
 
     def test_seed_is_shared(self):
-        cfg = replace_fields(RunConfig(), {"seed": 17})
+        cfg = replace(RunConfig(), seed=17)
         assert cfg.gen_config().seed == 17
         assert cfg.train_config().seed == 17
+
+
+class TestFieldOwnership:
+    def test_shared_fields_have_equal_defaults(self):
+        gen = {f.name: f.default for f in fields(synthbench.GenConfig)}
+        shared = [f for f in fields(trainer.TrainConfig) if f.name in gen]
+        assert sorted(f.name for f in shared) == ["image_height", "image_width", "seed"]
+        for f in shared:
+            assert f.default == gen[f.name], f.name
+
+    def test_run_config_is_both_parents_plus_paths(self):
+        names = [f.name for f in fields(RunConfig)]
+        parents = {f.name for cls in (synthbench.GenConfig, trainer.TrainConfig)
+                   for f in fields(cls)}
+        assert len(names) == 35
+        assert set(names) == parents | {"data_dir", "out_dir", "checkpoint"}
+        assert RunConfig().gen_config() == synthbench.GenConfig()
+        assert RunConfig().train_config() == trainer.TrainConfig()
+
+    def test_default_model_config_matches_training_defaults(self):
+        assert trainer.TrainConfig().model_config(5, 7) == ModelConfig(
+            num_identities=5, num_clothing_classes=7
+        )

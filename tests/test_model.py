@@ -101,7 +101,7 @@ class TestConfigText:
             model.parse_model_config_text(trimmed)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
+        with pytest.raises(ValueError, match="unknown configuration key"):
             model.parse_model_config_text(model.model_config_text(SMALL) + "extra = 1\n")
 
 
@@ -169,29 +169,31 @@ class TestExtraction:
         batch = pixels(6)
         whole = model.extract_embeddings(state, [batch])
         split = model.extract_embeddings(state, [batch[:2], batch[2:]])
-        assert np.allclose(whole, split, atol=1e-12)
+        for joined, chunked in zip(whole, split):
+            assert np.allclose(joined, chunked, atol=1e-12)
 
     def test_matches_forward(self):
         state = model.build_model(SMALL)
         batch = pixels(3)
-        via_extract = model.extract_embeddings(state, [batch])
-        f, _, _ = model.forward_embeddings(state, dc.constant(batch), training=False)
+        via_extract, fc_via_extract = model.extract_embeddings(state, [batch])
+        f, f_c, _ = model.forward_embeddings(state, dc.constant(batch), training=False)
         assert np.array_equal(via_extract, f.data)
+        assert np.array_equal(fc_via_extract, f_c.data)
 
     def test_empty_iterable(self):
         state = model.build_model(SMALL)
-        out = model.extract_embeddings(state, [])
-        assert out.shape == (0, SMALL.embedding_dim)
+        f, f_c = model.extract_embeddings(state, [])
+        assert f.shape == f_c.shape == (0, SMALL.embedding_dim)
 
     def test_branch_extraction_pairs(self):
         state = model.build_model(SMALL)
-        batch = pixels(3)
-        f, f_c = model.extract_branch_embeddings(state, [batch])
+        f, f_c = model.extract_embeddings(state, [pixels(3)])
         assert f.shape == f_c.shape == (3, SMALL.embedding_dim)
 
-    def test_branch_extraction_requires_dual(self):
+    def test_single_branch_has_no_clothing_features(self):
         import dataclasses
 
         state = model.build_model(dataclasses.replace(SMALL, use_dbdl=False))
-        with pytest.raises(ValueError, match="dual-branch"):
-            model.extract_branch_embeddings(state, [pixels(1)])
+        f, f_c = model.extract_embeddings(state, [pixels(2)])
+        assert f.shape == (2, SMALL.embedding_dim)
+        assert f_c is None

@@ -250,6 +250,11 @@ class TestLoadManifestErrors:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path)
 
+    def test_comments_only(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("# fingerprint=abc\n# no rows\n")
+        with pytest.raises(ManifestError, match="empty manifest"):
+            load_manifest(tmp_path)
+
     def test_bad_column_count(self, tmp_path):
         (tmp_path / "manifest.csv").write_text(
             "path,identity,clothing,modality,split\nx.ppm,0,0,V\n"
