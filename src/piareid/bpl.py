@@ -14,7 +14,6 @@ denominator is restricted to the already-initialized identities.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,9 +70,6 @@ class PrototypeBank:
     @property
     def fully_initialized(self) -> bool:
         return bool(self.initialized_v.all() and self.initialized_i.all())
-
-    def snapshot(self) -> "PrototypeBank":
-        return copy.deepcopy(self)
 
     def _side(self, modality: str) -> tuple[np.ndarray, np.ndarray]:
         if modality == VISIBLE:

@@ -192,12 +192,6 @@ def _make_l2_normalize(rng):
     return (lambda params: op()), [x], ["x"]
 
 
-def _make_dot(rng):
-    a = dc.parameter(rng.normal(size=7))
-    b = dc.parameter(rng.normal(size=7))
-    return (lambda params: dc.dot(a, b)), [a, b], ["a", "b"]
-
-
 def _make_mean(rng):
     x = dc.parameter(rng.normal(size=(3, 4)))
     axis = [None, 0, 1][int(rng.integers(3))]
@@ -381,7 +375,6 @@ CATALOG: dict[str, Factory] = {
     "batch_norm": _make_batch_norm,
     "log_softmax": _make_log_softmax,
     "l2_normalize": _make_l2_normalize,
-    "dot": _make_dot,
     "mean": _make_mean,
     "sum": _make_sum,
     # losses

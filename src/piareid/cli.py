@@ -8,8 +8,10 @@ next to its outputs as ``run_config.txt``, and is deterministic given that
 file.  There is one ``--field-name`` flag per ``RunConfig`` field (the
 dataset fields of ``synthbench.GenConfig``, the training and architecture
 fields of ``trainer.TrainConfig``, and the paths), plus ``--stage2-start``
-for ``stage2_start_epoch``.  ``eval`` and ``dump-attention`` rebuild the
-model from the checkpoint's own config block, not from the run config.
+for ``stage2_start_epoch``.  ``--out`` sets the command's output path:
+``data_dir`` for ``gen-data`` and ``out_dir`` for the others.  ``eval``
+and ``dump-attention`` rebuild the model from the checkpoint's own config
+block, not from the run config.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 I/O error.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import checksuite
 from . import config as cfgmod
+from . import diffcore as dc
 from . import evalkit
 from . import model as mdl
 from . import pnm
@@ -110,6 +113,9 @@ def _resolve_config(args: argparse.Namespace) -> cfgmod.RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             overrides[f.name] = str(value)
+    if args.out is not None:
+        out_field = "data_dir" if args.command == "gen-data" else "out_dir"
+        overrides[out_field] = args.out
     try:
         cfg = cfgmod.build_config(file_text, overrides)
         if getattr(args, "ablation", None) is not None:
@@ -166,10 +172,7 @@ def _load_checkpoint(cfg: cfgmod.RunConfig):
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    if args.out is not None:
-        cfg = replace(cfg, data_dir=args.out)
-    cfg = _validated(cfg)
+    cfg = _validated(_resolve_config(args))
     target = Path(cfg.data_dir)
     try:
         manifest = synthbench.generate_dataset(cfg.gen_config(), target)
@@ -184,10 +187,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    cfg = _validated(cfg)
+    cfg = _validated(_resolve_config(args))
     manifest = _load_manifest(cfg)
     out_dir = Path(cfg.out_dir)
     _write_resolved(cfg, out_dir)
@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
     state, _ = _load_checkpoint(cfg)
     manifest = _load_manifest(cfg)
     directions = list(evalkit.DIRECTIONS) if args.direction == "both" else [args.direction]
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     try:
         table = evalkit.test_feature_table(manifest, state)
         reports = {
@@ -262,10 +262,11 @@ def _cmd_dump_attention(args) -> int:
     except pnm.PnmError as exc:
         raise _CliError(EXIT_IO_ERROR, f"invalid sample image: {exc}")
     batch = pixels.transpose(2, 0, 1)[None, :, :, :]
-    import piareid.diffcore as dc
-
-    _, _, masks = mdl.forward_embeddings(state, dc.constant(batch), training=False)
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+    try:
+        _, _, masks = mdl.forward_embeddings(state, dc.constant(batch), training=False)
+    except dc.ShapeMismatchError as exc:
+        raise _CliError(EXIT_IO_ERROR, f"sample does not fit the model: {exc}")
+    out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, mask in (("m_c", masks.clothing), ("m_id", masks.identity)):

@@ -67,10 +67,9 @@ def init_attention(rng: np.random.Generator,
 
 
 def clothing_mask(fmap: Tensor, attn: AttentionParams) -> Tensor:
-    """Spatial attention map in (0, 1), one channel, same H'xW' as the input."""
-    channel_axis = 0 if fmap.ndim == 3 else 1
+    """Spatial attention maps [N,1,H',W'] in (0, 1), same H'xW' as the input."""
     descriptor = dc.concat(
-        [dc.channel_max_pool(fmap), dc.channel_avg_pool(fmap)], axis=channel_axis
+        [dc.channel_max_pool(fmap), dc.channel_avg_pool(fmap)], axis=1
     )
     logits = dc.conv2d(
         descriptor, attn.weight, attn.bias, stride=1, padding=attn.kernel_size // 2

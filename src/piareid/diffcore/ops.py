@@ -6,8 +6,8 @@ when recording is active.  Backward rules receive the upstream gradient and
 return one gradient (or ``None``) per input, in input order.
 
 Conventions:
-  - spatial tensors are [C, H, W] or [N, C, H, W]; vector batches are [D]
-    or [N, D]
+  - spatial inputs are [N, C, H, W] and dense inputs are [N, D]; any other
+    rank raises ``ShapeMismatchError``
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 """
@@ -83,15 +83,9 @@ def _require_int(attrs: dict, key: str, kind: str, minimum: int) -> int:
     return value
 
 
-def _as_batched_map(x: np.ndarray, kind: str) -> tuple[np.ndarray, bool]:
-    """Promote [C,H,W] to [1,C,H,W]; reject other ranks."""
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeMismatchError(
-        f"{kind}: expected a 3-d or 4-d feature map, got shape {x.shape}"
-    )
+def _require_rank(x: np.ndarray, rank: int, layout: str, kind: str) -> None:
+    if x.ndim != rank:
+        raise ShapeMismatchError(f"{kind}: input must be {layout}, got shape {x.shape}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -244,12 +238,12 @@ def _conv2d():
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
         padding = _require_int(attrs, "padding", "conv2d", 0)
-        x4, squeezed = _as_batched_map(x, "conv2d")
+        _require_rank(x, 4, "[N, C, H, W]", "conv2d")
         if w.ndim != 4:
             raise ShapeMismatchError(
                 f"conv2d: weight must be [C_out, C_in, kh, kw], got {w.shape}"
             )
-        n, c_in, height, width = x4.shape
+        n, c_in, height, width = x.shape
         c_out, c_in_w, kh, kw = w.shape
         if c_in != c_in_w:
             raise ShapeMismatchError(
@@ -268,7 +262,7 @@ def _conv2d():
         h_out = (h_pad - kh) // stride + 1
         w_out = (w_pad - kw) // stride + 1
 
-        xp = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=np.float64)
         for i in range(kh):
             for j in range(kw):
@@ -289,13 +283,12 @@ def _conv2d():
             w_flat=w_flat,
             stride=stride,
             padding=padding,
-            squeezed=squeezed,
-            x_shape=x4.shape,
+            x_shape=x.shape,
             xp_shape=xp.shape,
             w_shape=w.shape,
             out_hw=(h_out, w_out),
         )
-        return out[0] if squeezed else out
+        return out
 
     def backward(ctx, grad):
         n, c_in, height, width = ctx["x_shape"]
@@ -303,10 +296,9 @@ def _conv2d():
         h_out, w_out = ctx["out_hw"]
         stride = ctx["stride"]
         padding = ctx["padding"]
-        grad4 = grad[None] if ctx["squeezed"] else grad
 
-        grad_b = grad4.sum(axis=(0, 2, 3))
-        grad_flat_out = grad4.reshape(n, c_out, h_out * w_out)
+        grad_b = grad.sum(axis=(0, 2, 3))
+        grad_flat_out = grad.reshape(n, c_out, h_out * w_out)
         grad_w = np.tensordot(grad_flat_out, ctx["flat"], axes=([0, 2], [0, 2]))
         grad_w = grad_w.reshape(ctx["w_shape"])
         grad_cols = np.tensordot(grad_flat_out, ctx["w_flat"], axes=([1], [0]))
@@ -326,7 +318,7 @@ def _conv2d():
             grad_x = grad_xp[:, :, padding : padding + height, padding : padding + width]
         else:
             grad_x = grad_xp
-        return [grad_x[0] if ctx["squeezed"] else grad_x, grad_w, grad_b]
+        return [grad_x, grad_w, grad_b]
 
     return forward, backward
 
@@ -340,16 +332,12 @@ def _conv2d():
 def _channel_avg_pool():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        x4, squeezed = _as_batched_map(x, "channel_avg_pool")
-        ctx["channels"] = x4.shape[1]
-        ctx["squeezed"] = squeezed
-        out = x4.mean(axis=1, keepdims=True)
-        return out[0] if squeezed else out
+        _require_rank(x, 4, "[N, C, H, W]", "channel_avg_pool")
+        ctx["channels"] = x.shape[1]
+        return x.mean(axis=1, keepdims=True)
 
     def backward(ctx, grad):
-        grad4 = grad[None] if ctx["squeezed"] else grad
-        spread = np.repeat(grad4 / ctx["channels"], ctx["channels"], axis=1)
-        return [spread[0] if ctx["squeezed"] else spread]
+        return [np.repeat(grad / ctx["channels"], ctx["channels"], axis=1)]
 
     return forward, backward
 
@@ -359,19 +347,16 @@ def _channel_avg_pool():
 def _channel_max_pool():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        x4, squeezed = _as_batched_map(x, "channel_max_pool")
-        argmax = x4.argmax(axis=1)  # first maximizer on ties
+        _require_rank(x, 4, "[N, C, H, W]", "channel_max_pool")
+        argmax = x.argmax(axis=1)  # first maximizer on ties
         ctx["argmax"] = argmax
-        ctx["shape"] = x4.shape
-        ctx["squeezed"] = squeezed
-        out = np.take_along_axis(x4, argmax[:, None], axis=1)
-        return out[0] if squeezed else out
+        ctx["shape"] = x.shape
+        return np.take_along_axis(x, argmax[:, None], axis=1)
 
     def backward(ctx, grad):
-        grad4 = grad[None] if ctx["squeezed"] else grad
         out = np.zeros(ctx["shape"], dtype=np.float64)
-        np.put_along_axis(out, ctx["argmax"][:, None], grad4, axis=1)
-        return [out[0] if ctx["squeezed"] else out]
+        np.put_along_axis(out, ctx["argmax"][:, None], grad, axis=1)
+        return [out]
 
     return forward, backward
 
@@ -381,19 +366,16 @@ def _channel_max_pool():
 def _global_avg_pool():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        x4, squeezed = _as_batched_map(x, "global_avg_pool")
-        ctx["hw"] = x4.shape[2:]
-        ctx["squeezed"] = squeezed
-        out = x4.mean(axis=(2, 3))
-        return out[0] if squeezed else out
+        _require_rank(x, 4, "[N, C, H, W]", "global_avg_pool")
+        ctx["hw"] = x.shape[2:]
+        return x.mean(axis=(2, 3))
 
     def backward(ctx, grad):
-        grad2 = grad[None] if ctx["squeezed"] else grad
         h, w = ctx["hw"]
         spread = np.broadcast_to(
-            grad2[:, :, None, None] / (h * w), grad2.shape + (h, w)
+            grad[:, :, None, None] / (h * w), grad.shape + (h, w)
         ).copy()
-        return [spread[0] if ctx["squeezed"] else spread]
+        return [spread]
 
     return forward, backward
 
@@ -403,23 +385,19 @@ def _global_avg_pool():
 def _global_max_pool():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        x4, squeezed = _as_batched_map(x, "global_max_pool")
-        n, c, h, w = x4.shape
-        flat = x4.reshape(n, c, h * w)
+        _require_rank(x, 4, "[N, C, H, W]", "global_max_pool")
+        n, c, h, w = x.shape
+        flat = x.reshape(n, c, h * w)
         argmax = flat.argmax(axis=2)  # first maximizer on ties
         ctx["argmax"] = argmax
-        ctx["shape"] = x4.shape
-        ctx["squeezed"] = squeezed
-        out = np.take_along_axis(flat, argmax[:, :, None], axis=2)[:, :, 0]
-        return out[0] if squeezed else out
+        ctx["shape"] = x.shape
+        return np.take_along_axis(flat, argmax[:, :, None], axis=2)[:, :, 0]
 
     def backward(ctx, grad):
-        grad2 = grad[None] if ctx["squeezed"] else grad
         n, c, h, w = ctx["shape"]
         flat = np.zeros((n, c, h * w), dtype=np.float64)
-        np.put_along_axis(flat, ctx["argmax"][:, :, None], grad2[:, :, None], axis=2)
-        out = flat.reshape(n, c, h, w)
-        return [out[0] if ctx["squeezed"] else out]
+        np.put_along_axis(flat, ctx["argmax"][:, :, None], grad[:, :, None], axis=2)
+        return [flat.reshape(n, c, h, w)]
 
     return forward, backward
 
@@ -481,49 +459,20 @@ def _linear():
             raise ShapeMismatchError(
                 f"linear: bias shape {b.shape} must be ({d_out},)"
             )
-        if x.ndim == 1:
-            squeezed = True
-            x2 = x[None]
-        elif x.ndim == 2:
-            squeezed = False
-            x2 = x
-        else:
-            raise ShapeMismatchError(f"linear: input must be 1-d or 2-d, got {x.shape}")
-        if x2.shape[1] != d_in:
+        _require_rank(x, 2, "[N, D]", "linear")
+        if x.shape[1] != d_in:
             raise ShapeMismatchError(
-                f"linear: input width {x2.shape[1]} does not match weight rows {d_in}"
+                f"linear: input width {x.shape[1]} does not match weight rows {d_in}"
             )
-        ctx["x2"] = x2
+        ctx["x"] = x
         ctx["w"] = w
-        ctx["squeezed"] = squeezed
-        out = x2 @ w + b
-        return out[0] if squeezed else out
+        return x @ w + b
 
     def backward(ctx, grad):
-        grad2 = grad[None] if ctx["squeezed"] else grad
-        grad_x = grad2 @ ctx["w"].T
-        grad_w = ctx["x2"].T @ grad2
-        grad_b = grad2.sum(axis=0)
-        return [grad_x[0] if ctx["squeezed"] else grad_x, grad_w, grad_b]
-
-    return forward, backward
-
-
-
-@register("dot")
-def _dot():
-    def forward(ctx, arrays, attrs):
-        a, b = arrays
-        if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-            raise ShapeMismatchError(
-                f"dot: expects two equal-length vectors, got {a.shape} and {b.shape}"
-            )
-        ctx["a"] = a
-        ctx["b"] = b
-        return np.asarray(a @ b)
-
-    def backward(ctx, grad):
-        return [grad * ctx["b"], grad * ctx["a"]]
+        grad_x = grad @ ctx["w"].T
+        grad_w = ctx["x"].T @ grad
+        grad_b = grad.sum(axis=0)
+        return [grad_x, grad_w, grad_b]
 
     return forward, backward
 
@@ -545,17 +494,8 @@ def _batch_norm():
             raise InvalidAttributeError("batch_norm: attribute 'state' is required")
         if not isinstance(training, (bool, np.bool_)):
             raise InvalidAttributeError("batch_norm: attribute 'training' must be a bool")
-        if x.ndim == 1:
-            squeezed = True
-            x2 = x[None]
-        elif x.ndim == 2:
-            squeezed = False
-            x2 = x
-        else:
-            raise ShapeMismatchError(
-                f"batch_norm: input must be [D] or [N, D], got {x.shape}"
-            )
-        dim = x2.shape[1]
+        _require_rank(x, 2, "[N, D]", "batch_norm")
+        dim = x.shape[1]
         for name, arr in (("gamma", gamma), ("beta", beta)):
             if arr.shape != (dim,):
                 raise ShapeMismatchError(
@@ -567,15 +507,15 @@ def _batch_norm():
             )
 
         if training:
-            mean = x2.mean(axis=0)
-            var = x2.var(axis=0)  # biased
+            mean = x.mean(axis=0)
+            var = x.var(axis=0)  # biased
             state.running_mean[:] = (1.0 - momentum) * state.running_mean + momentum * mean
             state.running_var[:] = (1.0 - momentum) * state.running_var + momentum * var
         else:
             mean = state.running_mean
             var = state.running_var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x2 - mean) * inv_std
+        x_hat = (x - mean) * inv_std
         out = gamma * x_hat + beta
 
         ctx.update(
@@ -583,27 +523,24 @@ def _batch_norm():
             inv_std=inv_std,
             gamma=gamma,
             training=bool(training),
-            n=x2.shape[0],
-            squeezed=squeezed,
         )
-        return out[0] if squeezed else out
+        return out
 
     def backward(ctx, grad):
-        grad2 = grad[None] if ctx["squeezed"] else grad
         x_hat = ctx["x_hat"]
         inv_std = ctx["inv_std"]
-        grad_gamma = (grad2 * x_hat).sum(axis=0)
-        grad_beta = grad2.sum(axis=0)
+        grad_gamma = (grad * x_hat).sum(axis=0)
+        grad_beta = grad.sum(axis=0)
         if ctx["training"]:
-            grad_xhat = grad2 * ctx["gamma"]
+            grad_xhat = grad * ctx["gamma"]
             grad_x = (
                 grad_xhat
                 - grad_xhat.mean(axis=0)
                 - x_hat * (grad_xhat * x_hat).mean(axis=0)
             ) * inv_std
         else:
-            grad_x = grad2 * ctx["gamma"] * inv_std
-        return [grad_x[0] if ctx["squeezed"] else grad_x, grad_gamma, grad_beta]
+            grad_x = grad * ctx["gamma"] * inv_std
+        return [grad_x, grad_gamma, grad_beta]
 
     return forward, backward
 
@@ -774,10 +711,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return apply("l2_normalize", [x], axis=axis)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    return apply("dot", [a, b])
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:

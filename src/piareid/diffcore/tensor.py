@@ -122,10 +122,6 @@ class Tape:
         if top is not self:  # pragma: no cover - defensive
             raise TapeError("tape context exited out of order")
 
-    def reset(self) -> None:
-        self.nodes.clear()
-        self.consumed = False
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -140,12 +136,12 @@ def backward(output: Tensor, tape: Tape) -> None:
     """Accumulate d(output)/d(leaf) into each leaf's ``grad``.
 
     ``output`` must be a scalar produced under ``tape``.  The tape is marked
-    consumed; replaying it without ``reset`` raises.
+    consumed; replaying it raises.
     """
     if not isinstance(tape, Tape):
         raise TapeError("backward needs the Tape that recorded the forward pass")
     if tape.consumed:
-        raise TapeError("tape already consumed; rebuild the forward pass or reset()")
+        raise TapeError("tape already consumed; rebuild the forward pass")
     if output.data.shape != ():
         raise TapeError(
             f"backward requires a scalar output, got shape {output.data.shape}"

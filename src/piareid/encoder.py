@@ -156,15 +156,15 @@ def embedding_dim(widths: tuple[int, ...], pooling_mode: str) -> int:
     raise EncoderConfigError(f"unknown pooling mode {pooling_mode!r}")
 
 
-def forward_backbone(pixels: Tensor, params: EncoderParams, *, training: bool) -> Tensor:
-    """Image batch [N,3,H,W] (or one image [3,H,W]) to feature map(s)."""
+def forward_backbone(pixels: Tensor, params: EncoderParams) -> Tensor:
+    """Image batch [N,3,H,W] to feature maps [N,C',H',W']."""
     expected_c = params.weights[0].shape[1]
     shape = pixels.shape
-    if len(shape) not in (3, 4):
+    if len(shape) != 4:
         raise dc.ShapeMismatchError(
-            f"backbone expects [3,H,W] or [N,3,H,W], got {shape}"
+            f"backbone expects [N,3,H,W], got {shape}"
         )
-    c, h, w = shape[-3], shape[-2], shape[-1]
+    _, c, h, w = shape
     if c != expected_c or (h, w) != params.input_hw:
         raise dc.ShapeMismatchError(
             f"backbone configured for {expected_c}x{params.input_hw[0]}"
@@ -178,7 +178,7 @@ def forward_backbone(pixels: Tensor, params: EncoderParams, *, training: bool) -
 
 def embed(fmap: Tensor, *, pooling_mode: str, bn: BatchNormState | None,
           training: bool) -> Tensor:
-    """Feature map(s) to embedding(s): pooled descriptor, then optional BN."""
+    """Feature maps to [N,D] embeddings: pooled descriptor, then optional BN."""
     if pooling_mode not in POOLING_MODES:
         raise EncoderConfigError(f"unknown pooling mode {pooling_mode!r}")
     pooled = dc.global_avg_pool(fmap)
@@ -212,5 +212,5 @@ def init_heads(rng: np.random.Generator, dim: int, num_identities: int,
 
 
 def classify(embedding: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Log class probabilities for one embedding or a batch of them."""
+    """Log class probabilities [N,K] for a batch of embeddings [N,D]."""
     return dc.log_softmax(dc.linear(embedding, weight, bias), axis=-1)

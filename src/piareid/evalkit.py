@@ -11,7 +11,7 @@ the gallery are dropped and counted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ DIRECTION_I2V = "i2v"
 DIRECTIONS = (DIRECTION_V2I, DIRECTION_I2V)
 
 EVAL_BATCH = 64
-CMC_REPORT_RANKS = (1, 5, 10, 20)
 
 
 class ProtocolError(ValueError):
@@ -58,22 +57,7 @@ class EvalReport:
     neg_dist_std: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "num_query": self.num_query,
-            "num_gallery": self.num_gallery,
-            "dropped_queries": self.dropped_queries,
-            "rank1": self.rank1,
-            "rank5": self.rank5,
-            "rank10": self.rank10,
-            "rank20": self.rank20,
-            "mean_ap": self.mean_ap,
-            "cmc": self.cmc,
-            "pos_dist_mean": self.pos_dist_mean,
-            "pos_dist_std": self.pos_dist_std,
-            "neg_dist_mean": self.neg_dist_mean,
-            "neg_dist_std": self.neg_dist_std,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"

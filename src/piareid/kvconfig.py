@@ -3,9 +3,11 @@
 One line per dataclass field, in declaration order: ``name = value``.
 Booleans are written ``true``/``false`` (``1``/``0`` and ``yes``/``no`` read
 too), integer tuples comma-separated, floats by ``repr`` so they read back
-exactly, and strings as they are.  ``#`` starts a comment.  A field's type
-comes from its dataclass annotation, so each field is declared once, in the
-dataclass that owns it.
+exactly, and strings as they are.  ``#`` starts a comment.  A string that
+holds ``#``, a line break or edge whitespace would not read back, so
+writing or reading one raises ``ConfigError``.  A field's type comes from
+its dataclass annotation, so each field is declared once, in the dataclass
+that owns it.
 
 This module imports nothing from the package, so every config-owning module
 can use it without an import cycle.
@@ -27,19 +29,33 @@ def project(src, cls, **extra):
     return cls(**taken, **extra)
 
 
-def _format_value(value) -> str:
+def _one_line(name: str, value: str) -> str:
+    """``value`` if a ``name = value`` line reads it back unchanged."""
+    if value != value.strip() or "#" in value or len(value.splitlines()) > 1:
+        raise ConfigError(
+            f"{name}: {value!r} cannot be written as one 'key = value' line "
+            f"(it holds '#', a line break or edge whitespace)"
+        )
+    return value
+
+
+def _format_value(name: str, value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        return _one_line(name, value)
     return str(value)
 
 
 def format_text(cfg) -> str:
     """Every field of ``cfg`` as a ``name = value`` line, in declaration order."""
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    lines = [
+        f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}" for f in fields(cfg)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -82,6 +98,8 @@ def _parse_int_tuple(name: str, raw: str) -> tuple[int, ...]:
 
 
 def _coerce(name: str, kind, raw: str):
+    if kind is str:
+        return _one_line(name, raw)
     raw = raw.strip()
     if kind is bool:
         return _parse_bool(name, raw)
@@ -95,8 +113,6 @@ def _coerce(name: str, kind, raw: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
-    if kind is str:
-        return raw
     # tuple[int, ...], the one remaining field type in use
     return _parse_int_tuple(name, raw)
 

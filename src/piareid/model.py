@@ -117,7 +117,7 @@ def parse_model_config_text(text: str) -> ModelConfig:
 
 def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
     """Pixels to (f, f_c, masks); f_c and masks are None without the dual branch."""
-    fmap = encoder.forward_backbone(pixels, model.backbone, training=training)
+    fmap = encoder.forward_backbone(pixels, model.backbone)
     if not model.cfg.use_dbdl:
         f = encoder.embed(
             fmap, pooling_mode=model.cfg.pooling_mode,

@@ -12,6 +12,7 @@ per iteration so a run's arithmetic can be re-verified from its own log.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,8 +90,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not 0 <= self.stage2_start_epoch:
             raise ValueError("stage2_start_epoch must be >= 0")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError("base_lr must be positive and finite")
         if not 0 < self.lr_decay <= 1:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.lr_decay_period_epochs < 1:
@@ -101,8 +102,11 @@ class TrainConfig:
             raise ValueError("instances_per_modality must be >= 1")
         if not 0 <= self.flip_probability <= 1:
             raise ValueError("flip_probability must be in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        for name in ("lambda_orth", "lambda_inter"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0 <= self.alpha < 1:
             raise ValueError("alpha must be in [0, 1)")
         if self.use_orth and not self.use_dbdl:

@@ -151,14 +151,6 @@ class TestBankLifecycle:
             gap = np.linalg.norm(bank.protos_v[0] - mean)
             assert gap == pytest.approx(start_gap * 0.9**step, rel=1e-9)
 
-    def test_snapshot_is_independent(self, rng):
-        bank = bpl.PrototypeBank.create(2, 2)
-        batch, _ = make_batch(rng, [0, 1], per_count=2, dim=2)
-        bpl.absorb_batch(bank, batch)
-        snap = bank.snapshot()
-        bank.protos_v += 1.0
-        assert not np.array_equal(snap.protos_v, bank.protos_v)
-
 
 class TestModalityBatch:
     def test_rejects_unbalanced_multisets(self, rng):

@@ -74,6 +74,16 @@ class TestGenData:
         rc = main(["gen-data", "--out", str(target)] + TINY_DATA)
         assert rc == EXIT_IO_ERROR
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--out", "a#b"), ("--out", "a\nb"), ("--out-dir", "a\rb"),
+    ])
+    def test_unwritable_path_is_config_error(self, tmp_path, capsys, flag, name):
+        # a path run_config.txt cannot read back is refused before any write
+        rc = main(["gen-data", flag, str(tmp_path / name)] + TINY_DATA)
+        assert rc == EXIT_CONFIG_ERROR
+        assert "cannot be written" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrain:
     def test_writes_outputs(self, workspace):
@@ -336,6 +346,20 @@ class TestDumpAttention:
             "--sample", str(tmp_path / "missing.ppm"),
         ])
         assert rc == EXIT_IO_ERROR
+
+    def test_wrong_size_sample(self, workspace, tmp_path, capsys):
+        sample = tmp_path / "small.ppm"
+        pnm.write_ppm(sample, np.zeros((10, 10, 3), dtype=np.uint8))
+        rc = main([
+            "dump-attention",
+            "--config", str(workspace / "run" / "run_config.txt"),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--out", str(tmp_path / "attn"),
+            "--sample", str(sample),
+        ])
+        assert rc == EXIT_IO_ERROR
+        assert "sample does not fit the model" in capsys.readouterr().err
+        assert not (tmp_path / "attn").exists()
 
 
 class TestConfigPrecedence:

@@ -142,6 +142,18 @@ class TestValidate:
         with pytest.raises(ConfigError):
             replace(RunConfig(), use_dbdl=False, use_orth=True).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        (name, value)
+        for name in ("base_lr", "tau", "lambda_orth", "lambda_inter")
+        for value in ("nan", "inf", "-inf", "-0.5")
+    ])
+    def test_non_finite_or_negative_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            build_config(None, {name: value}).validate()
+
+    def test_zero_loss_weights_are_valid(self):
+        build_config(None, {"lambda_orth": "0", "lambda_inter": "0"}).validate()
+
 
 class TestDerivedConfigs:
     def test_gen_config_fields(self):

@@ -46,7 +46,7 @@ class TestMasks:
 
     def test_mask_matches_per_pixel_oracle(self, rng, attn):
         fmap = rng.normal(size=(6, 5, 4))
-        got = dbdl.clothing_mask(dc.tensor(fmap), attn).data[0]
+        got = dbdl.clothing_mask(dc.tensor(fmap[None]), attn).data[0, 0]
         logits = attention_logits_oracle(fmap, attn.weight.data, attn.bias.data)
         np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-logits)), atol=1e-12)
 
@@ -253,7 +253,7 @@ class TestAttentionGradientFlow:
         y_id = rng.integers(0, 3, size=6)
         y_c = rng.integers(0, 6, size=6)
         with dc.Tape() as tape:
-            fmap = encoder.forward_backbone(pixels, enc, training=True)
+            fmap = encoder.forward_backbone(pixels, enc)
             masks = dbdl.build_masks(fmap, attn)
             f, f_c = dbdl.disentangle(
                 fmap, masks, pooling_mode="gap_gmp",

@@ -55,6 +55,22 @@ def rng():
     return np.random.default_rng(12345)
 
 
+# one unbatched sample per primitive that takes a batch: [C,H,W] or [D]
+ONE_SAMPLE_INPUTS = {
+    "conv2d": ((3, 6, 5), lambda x: dc.conv2d(
+        x, dc.tensor(np.zeros((2, 3, 3, 3))), dc.tensor(np.zeros(2)), padding=1)),
+    "channel_avg_pool": ((3, 6, 5), dc.channel_avg_pool),
+    "channel_max_pool": ((3, 6, 5), dc.channel_max_pool),
+    "global_avg_pool": ((3, 6, 5), dc.global_avg_pool),
+    "global_max_pool": ((3, 6, 5), dc.global_max_pool),
+    "linear": ((3,), lambda x: dc.linear(
+        x, dc.tensor(np.zeros((3, 4))), dc.tensor(np.zeros(4)))),
+    "batch_norm": ((3,), lambda x: dc.batch_norm(
+        x, dc.tensor(np.ones(3)), dc.tensor(np.zeros(3)),
+        state=TestBatchNorm.State(3), training=False)),
+}
+
+
 class TestForwardHandCases:
     def test_sigmoid_at_zero(self):
         out = dc.sigmoid(dc.tensor(0.0))
@@ -102,11 +118,6 @@ class TestForwardHandCases:
         dc.backward(loss, tape)
         np.testing.assert_allclose(x.grad, np.full((2, 3), 1.0 / 6.0), atol=0)
 
-    def test_dot(self):
-        out = dc.dot(dc.tensor([1.0, 2.0, 3.0]), dc.tensor([4.0, -1.0, 0.5]))
-        assert out.item() == pytest.approx(3.5)
-        assert out.shape == ()
-
     def test_l2_normalize_unit_result(self, rng):
         x = rng.normal(size=(3, 5))
         out = dc.l2_normalize(dc.tensor(x), axis=1).data
@@ -126,7 +137,7 @@ class TestForwardHandCases:
         np.testing.assert_array_equal(out.data, [-0.5, 1.0])
 
     def test_global_pools_on_constant_map(self):
-        x = dc.tensor(np.full((4, 3, 5), 2.5))
+        x = dc.tensor(np.full((2, 4, 3, 5), 2.5))
         np.testing.assert_allclose(dc.global_avg_pool(x).data, 2.5)
         np.testing.assert_allclose(dc.global_max_pool(x).data, 2.5)
 
@@ -134,9 +145,9 @@ class TestForwardHandCases:
         x4 = dc.tensor(rng.normal(size=(2, 6, 4, 3)))
         assert dc.channel_max_pool(x4).shape == (2, 1, 4, 3)
         assert dc.channel_avg_pool(x4).shape == (2, 1, 4, 3)
-        x3 = dc.tensor(rng.normal(size=(6, 4, 3)))
-        assert dc.channel_max_pool(x3).shape == (1, 4, 3)
-        assert dc.channel_avg_pool(x3).shape == (1, 4, 3)
+        x1 = dc.tensor(rng.normal(size=(1, 6, 4, 3)))
+        assert dc.channel_max_pool(x1).shape == (1, 1, 4, 3)
+        assert dc.channel_avg_pool(x1).shape == (1, 1, 4, 3)
 
     def test_channel_avg_matches_mean(self, rng):
         x = rng.normal(size=(2, 5, 3, 3))
@@ -191,15 +202,6 @@ class TestConv2d:
         w[0, 0, 1, 1] = 1.0
         out = dc.conv2d(dc.tensor(x), dc.tensor(w), dc.tensor([0.0]), stride=1, padding=1)
         np.testing.assert_allclose(out.data, x, atol=0)
-
-    def test_three_d_input_round_trip(self, rng):
-        x = rng.normal(size=(3, 6, 5))
-        w = rng.normal(size=(2, 3, 3, 3))
-        b = rng.normal(size=2)
-        got3 = dc.conv2d(dc.tensor(x), dc.tensor(w), dc.tensor(b), stride=2, padding=1)
-        got4 = dc.conv2d(dc.tensor(x[None]), dc.tensor(w), dc.tensor(b), stride=2, padding=1)
-        assert got3.ndim == 3
-        np.testing.assert_array_equal(got3.data, got4.data[0])
 
     def test_small_case_gradient_vs_fd(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
@@ -305,32 +307,6 @@ class TestBackwardVsFiniteDifferences:
             return float(((arrs[0] @ arrs[1] + arrs[2]) * r).sum())
 
         assert_matches_fd(build, as_float, [x, w, b])
-
-    def test_linear_vector_input(self, rng):
-        x = rng.normal(size=3)
-        w = rng.normal(size=(3, 4))
-        b = rng.normal(size=4)
-        r = rng.normal(size=4)
-
-        def build(ts):
-            return dc.tensor_sum(dc.mul(dc.linear(ts[0], ts[1], ts[2]), dc.constant(r)))
-
-        def as_float(arrs):
-            return float(((arrs[0] @ arrs[1] + arrs[2]) * r).sum())
-
-        assert_matches_fd(build, as_float, [x, w, b])
-
-    def test_dot(self, rng):
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-
-        def build(ts):
-            return dc.dot(ts[0], ts[1])
-
-        def as_float(arrs):
-            return float(arrs[0] @ arrs[1])
-
-        assert_matches_fd(build, as_float, [a, b])
 
     def test_concat_and_reductions(self, rng):
         a = rng.normal(size=(2, 3))
@@ -493,17 +469,6 @@ class TestBatchNorm:
 
         assert_matches_fd(build, as_float, [x, gamma, beta])
 
-    def test_vector_input_round_trip(self, rng):
-        state = self.State(4)
-        state.running_mean[:] = rng.normal(size=4)
-        state.running_var[:] = 1.5
-        x = rng.normal(size=4)
-        got = dc.batch_norm(
-            dc.tensor(x), dc.tensor(np.ones(4)), dc.tensor(np.zeros(4)),
-            state=state, training=False,
-        )
-        assert got.shape == (4,)
-
 
 class TestTapeSemantics:
     def test_no_tape_no_recording(self):
@@ -527,7 +492,7 @@ class TestTapeSemantics:
     def test_same_tensor_twice_in_one_node(self):
         x = dc.parameter([2.0, -1.0])
         with dc.Tape() as tape:
-            loss = dc.dot(x, x)
+            loss = dc.tensor_sum(dc.mul(x, x))
         dc.backward(loss, tape)
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
@@ -553,8 +518,6 @@ class TestTapeSemantics:
         dc.backward(loss, tape)
         with pytest.raises(dc.TapeError):
             dc.backward(loss, tape)
-        tape.reset()
-        assert len(tape) == 0 and not tape.consumed
 
     def test_unused_branch_contributes_nothing(self):
         x = dc.parameter([1.0, 2.0])
@@ -640,10 +603,6 @@ class TestValidation:
             dc.linear(dc.tensor(np.zeros((2, 3))), dc.tensor(np.zeros((4, 5))),
                       dc.tensor(np.zeros(5)))
 
-    def test_dot_needs_vectors(self):
-        with pytest.raises(dc.ShapeMismatchError):
-            dc.dot(dc.tensor(np.zeros((2, 2))), dc.tensor(np.zeros((2, 2))))
-
     def test_batch_norm_requires_state(self):
         with pytest.raises(dc.InvalidAttributeError):
             dc.apply(
@@ -652,9 +611,11 @@ class TestValidation:
                 training=True,
             )
 
-    def test_pool_rank_check(self):
+    @pytest.mark.parametrize("kind", sorted(ONE_SAMPLE_INPUTS))
+    def test_rank_check(self, kind):
+        shape, call = ONE_SAMPLE_INPUTS[kind]
         with pytest.raises(dc.ShapeMismatchError):
-            dc.global_avg_pool(dc.tensor(np.zeros((3, 3))))
+            call(dc.tensor(np.zeros(shape)))
 
 
 class TestChecker:

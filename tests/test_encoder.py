@@ -20,15 +20,13 @@ def params(rng):
 class TestBackbone:
     def test_default_output_geometry(self, rng, params):
         x = dc.tensor(rng.random((2, 3, 64, 32)))
-        fmap = encoder.forward_backbone(x, params, training=False)
+        fmap = encoder.forward_backbone(x, params)
         assert fmap.shape == (2, 32, 8, 4)
         assert params.feature_hw() == (8, 4)
 
-    def test_single_image_keeps_rank(self, rng, params):
-        fmap = encoder.forward_backbone(
-            dc.tensor(rng.random((3, 64, 32))), params, training=False
-        )
-        assert fmap.shape == (32, 8, 4)
+    def test_rejects_unbatched_image(self, rng, params):
+        with pytest.raises(dc.ShapeMismatchError, match=r"\[N,3,H,W\]"):
+            encoder.forward_backbone(dc.tensor(rng.random((3, 64, 32))), params)
 
     def test_total_stride_is_eight(self, params):
         # derived by composing (h + 2p - k)//s + 1 across the blocks
@@ -40,14 +38,14 @@ class TestBackbone:
 
     def test_feature_map_nonnegative(self, rng, params):
         fmap = encoder.forward_backbone(
-            dc.tensor(rng.random((1, 3, 64, 32))), params, training=False
+            dc.tensor(rng.random((1, 3, 64, 32))), params
         )
         assert fmap.data.min() >= 0.0
 
     def test_rejects_wrong_geometry(self, rng, params):
         with pytest.raises(dc.ShapeMismatchError):
             encoder.forward_backbone(
-                dc.tensor(rng.random((1, 3, 32, 64))), params, training=False
+                dc.tensor(rng.random((1, 3, 32, 64))), params
             )
 
     def test_rejects_final_stride_two(self, rng):
@@ -74,9 +72,9 @@ class TestEmbed:
         np.testing.assert_allclose(out.data[:, 5:], fmap.data.max(axis=(2, 3)), atol=1e-12)
 
     def test_constant_map_gives_constant_vector(self):
-        fmap = dc.tensor(np.full((4, 3, 5), 0.7))
+        fmap = dc.tensor(np.full((2, 4, 3, 5), 0.7))
         out = encoder.embed(fmap, pooling_mode="gap_gmp", bn=None, training=False)
-        np.testing.assert_allclose(out.data, np.full(8, 0.7), atol=1e-12)
+        np.testing.assert_allclose(out.data, np.full((2, 8), 0.7), atol=1e-12)
 
     def test_gap_mode_dimension(self, rng):
         fmap = dc.tensor(rng.normal(size=(2, 6, 4, 3)))
@@ -109,7 +107,7 @@ class TestEvalDeterminism:
         images = rng.random((4, 3, 64, 32))
 
         def embed_batch(batch):
-            fmap = encoder.forward_backbone(dc.tensor(batch), params, training=False)
+            fmap = encoder.forward_backbone(dc.tensor(batch), params)
             return encoder.embed(fmap, pooling_mode="gap_gmp", bn=bn, training=False).data
 
         whole = embed_batch(images)
@@ -118,8 +116,8 @@ class TestEvalDeterminism:
 
     def test_eval_forward_repeatable_bitwise(self, rng, params):
         images = rng.random((3, 3, 64, 32))
-        a = encoder.forward_backbone(dc.tensor(images), params, training=False).data
-        b = encoder.forward_backbone(dc.tensor(images), params, training=False).data
+        a = encoder.forward_backbone(dc.tensor(images), params).data
+        b = encoder.forward_backbone(dc.tensor(images), params).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -146,7 +144,7 @@ class TestHeads:
     def test_backbone_gradients_reach_first_block(self, rng, params):
         x = dc.tensor(rng.random((2, 3, 64, 32)))
         with dc.Tape() as tape:
-            fmap = encoder.forward_backbone(x, params, training=True)
+            fmap = encoder.forward_backbone(x, params)
             emb = encoder.embed(fmap, pooling_mode="gap_gmp", bn=None, training=True)
             loss = dc.mean(dc.mul(emb, emb))
         dc.backward(loss, tape)

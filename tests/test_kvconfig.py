@@ -6,17 +6,29 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piareid import config, kvconfig, model, synthbench, trainer
 
-# values the format can carry: no comment marker, line break or edge space
-_TEXT = st.text(
-    alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
-                           blacklist_characters="#"),
-    max_size=12,
-).filter(lambda s: s == s.strip())
+# any text, with the values the format can carry (no comment marker, line
+# break or edge space) drawn often enough that both outcomes are exercised
+_TEXT = st.one_of(
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                               blacklist_characters="#"),
+        max_size=12,
+    ).filter(lambda s: s == s.strip()),
+    st.text(max_size=12),
+)
+
+
+def _reads_back(value: str) -> bool:
+    """Whether a ``key = value`` line parses back to exactly ``value``."""
+    try:
+        return kvconfig.parse_pairs(f"key = {value}\n") == {"key": value}
+    except kvconfig.ConfigError:
+        return False
 
 
 def _values(kind):
@@ -58,7 +70,28 @@ CODECS = {
 def test_format_then_parse_gives_back_the_config(name, data):
     cls, write, read = CODECS[name]
     cfg = data.draw(_configs(cls))
-    assert read(write(cfg)) == cfg
+    texts = [getattr(cfg, f.name) for f in fields(cls) if get_type_hints(cls)[f.name] is str]
+    if all(_reads_back(text) for text in texts):
+        assert read(write(cfg)) == cfg
+    else:
+        with pytest.raises(kvconfig.ConfigError, match="cannot be written"):
+            write(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_TEXT)
+@example("runs/a#b")
+@example("runs/a\nb")
+@example("runs/a\r")
+@example(" runs/a")
+def test_string_override_reads_back_or_raises(value):
+    if _reads_back(value):
+        cfg = config.build_config(None, {"out_dir": value})
+        assert cfg.out_dir == value
+        assert config.build_config(config.format_config(cfg)) == cfg
+    else:
+        with pytest.raises(kvconfig.ConfigError, match="out_dir"):
+            config.build_config(None, {"out_dir": value})
 
 
 @dataclass(frozen=True)
