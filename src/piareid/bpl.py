@@ -192,7 +192,6 @@ def absorb_batch(bank: PrototypeBank, batch: ModalityBatch) -> None:
 
 
 class ProtoLossTerms(NamedTuple):
-    total: Tensor
     visible: Tensor
     infrared: Tensor
 
@@ -240,7 +239,7 @@ def intra_loss(batch: ModalityBatch, bank: PrototypeBank,
     """Pull each feature toward its own identity's same-modality prototype."""
     visible = _protonce(batch, VISIBLE, bank.protos_v, bank.initialized_v, tau, "visible")
     infrared = _protonce(batch, INFRARED, bank.protos_i, bank.initialized_i, tau, "infrared")
-    return ProtoLossTerms(total=dc.add(visible, infrared), visible=visible, infrared=infrared)
+    return ProtoLossTerms(visible=visible, infrared=infrared)
 
 
 def inter_loss(batch: ModalityBatch, bank: PrototypeBank,
@@ -248,4 +247,4 @@ def inter_loss(batch: ModalityBatch, bank: PrototypeBank,
     """Pull each feature toward its identity's opposite-modality prototype."""
     visible = _protonce(batch, VISIBLE, bank.protos_i, bank.initialized_i, tau, "infrared")
     infrared = _protonce(batch, INFRARED, bank.protos_v, bank.initialized_v, tau, "visible")
-    return ProtoLossTerms(total=dc.add(visible, infrared), visible=visible, infrared=infrared)
+    return ProtoLossTerms(visible=visible, infrared=infrared)

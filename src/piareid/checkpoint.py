@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bpl, model
+from . import bpl, fileio, model
 
 MAGIC = b"PIACKPT1"
 
@@ -87,11 +87,9 @@ def serialize(config_text: str, arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def save(path, state: model.ModelState, bank: bpl.PrototypeBank | None,
-         config_text: str) -> str:
-    """Write the container; returns the config fingerprint."""
-    blob = serialize(config_text, collect_arrays(state, bank))
-    Path(path).write_bytes(blob)
-    return hashlib.sha256(config_text.encode("utf-8")).hexdigest()
+         config_text: str) -> None:
+    """Write the container atomically (``fileio.write_atomic``)."""
+    fileio.write_atomic(path, serialize(config_text, collect_arrays(state, bank)))
 
 
 class LoadedCheckpoint:

@@ -134,7 +134,6 @@ def cross_entropy(embeddings: Tensor, weight: Tensor, bias: Tensor,
 
 
 class ClassificationTerms(NamedTuple):
-    total: Tensor
     ce_identity: Tensor
     ce_clothing: Tensor
 
@@ -146,9 +145,7 @@ def classification_loss(f: Tensor, f_c: Tensor, y_id: np.ndarray, y_c: np.ndarra
         raise ValueError("classification_loss needs a clothing head")
     ce_id = cross_entropy(f, heads.id_weight, heads.id_bias, y_id)
     ce_clothing = cross_entropy(f_c, heads.clothing_weight, heads.clothing_bias, y_c)
-    return ClassificationTerms(
-        total=dc.add(ce_id, ce_clothing), ce_identity=ce_id, ce_clothing=ce_clothing
-    )
+    return ClassificationTerms(ce_identity=ce_id, ce_clothing=ce_clothing)
 
 
 def orthogonality_loss(f: Tensor, f_c: Tensor) -> Tensor:

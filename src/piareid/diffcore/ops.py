@@ -412,19 +412,10 @@ def _concat():
     def forward(ctx, arrays, attrs):
         if "axis" not in attrs:
             raise InvalidAttributeError("concat: attribute 'axis' is required")
-        axis = attrs["axis"]
-        if not isinstance(axis, (int, np.integer)) or isinstance(axis, bool):
-            raise InvalidAttributeError("concat: attribute 'axis' must be an int")
         if not arrays:
             raise ShapeMismatchError("concat: needs at least one input")
         rank = arrays[0].ndim
-        axis = int(axis)
-        if axis < 0:
-            axis += rank
-        if not 0 <= axis < rank:
-            raise InvalidAttributeError(
-                f"concat: axis {attrs['axis']} out of range for rank {rank}"
-            )
+        axis = _resolve_axis(attrs["axis"], rank, "concat")
         for pos, arr in enumerate(arrays):
             if arr.ndim != rank:
                 raise ShapeMismatchError(

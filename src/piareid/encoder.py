@@ -65,9 +65,6 @@ class EncoderParams:
     def padding(self) -> int:
         return self.kernel_size // 2
 
-    def out_channels(self) -> int:
-        return self.weights[-1].shape[0]
-
     def feature_hw(self) -> tuple[int, int]:
         h, w = self.input_hw
         k, p = self.kernel_size, self.padding

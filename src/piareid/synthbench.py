@@ -19,13 +19,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import pnm
+from . import fileio, pnm
 
 VISIBLE = "V"
 INFRARED = "I"
@@ -389,9 +388,7 @@ def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Man
     for row in rows:
         writer.writerow([row.path, row.identity, row.clothing, row.modality, row.split])
     buffer.write(f"# fingerprint={fingerprint}\n")
-    tmp_path = out / (MANIFEST_NAME + ".tmp")
-    tmp_path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
-    os.replace(tmp_path, out / MANIFEST_NAME)
+    fileio.write_atomic(out / MANIFEST_NAME, buffer.getvalue().encode("utf-8"))
     return Manifest(out, rows, fingerprint)
 
 

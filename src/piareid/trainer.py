@@ -5,20 +5,24 @@ prototype-bank losses partway through the run.
 Stage I trains the disentangling branch alone (classification plus the
 orthogonality penalty).  From ``stage2_start_epoch`` on, each batch also
 refreshes the per-identity prototype bank and adds the intra- and
-inter-modality prototype-contrastive terms.  Every loss component is logged
-per iteration so a run's arithmetic can be re-verified from its own log.
+inter-modality prototype-contrastive terms.  ``stage_terms`` and
+``stage_loss`` are the one place that objective is built: the training loop
+and the ``stage1_loss``/``stage2_loss`` gradient checks call them, and
+``LossReport.expected_total`` re-verifies a logged total with the same
+weighting (``_combine``) from the per-iteration terms of the run's own log.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import bpl, checkpoint, dbdl, encoder, evalkit, kvconfig
+from . import bpl, checkpoint, dbdl, encoder, evalkit, fileio, kvconfig
 from . import diffcore as dc
 from . import model as model_mod
 from .diffcore import Tensor
@@ -291,28 +295,57 @@ class StageTerms:
     inter_i: Tensor | None = None
 
 
-def stage_loss(stage: int, terms: StageTerms, cfg: TrainConfig) -> Tensor:
-    """Combine the active terms in a fixed order.
+def stage_terms(cfg: TrainConfig, stage: int, f: Tensor, f_c: Tensor,
+                heads: encoder.ClassifierHeads, y_id: np.ndarray, y_clothing: np.ndarray,
+                batch: bpl.ModalityBatch, bank: bpl.PrototypeBank) -> StageTerms:
+    """One batch's loss terms under ``cfg``'s ``use_*`` switches.
 
-    Stage I: ce_id [+ ce_clothing] [+ lambda_orth * orth].  Stage II adds
-    the prototype terms: + (intra_v + intra_i) + lambda_inter * (inter_v +
-    inter_i).  Prototype terms in Stage I are a caller bug and raise.
+    Stage II adds the prototype terms, which read ``bank`` without changing
+    it; the caller absorbs ``batch`` into the bank first.
+    """
+    if cfg.use_dbdl:
+        ce_id, ce_clothing = dbdl.classification_loss(f, f_c, y_id, y_clothing, heads)
+        orth = dbdl.orthogonality_loss(f, f_c) if cfg.use_orth else None
+        terms = StageTerms(ce_id, ce_clothing, orth)
+    else:
+        terms = StageTerms(dbdl.cross_entropy(f, heads.id_weight, heads.id_bias, y_id))
+    if stage == 2 and cfg.use_intra:
+        terms.intra_v, terms.intra_i = bpl.intra_loss(batch, bank, tau=cfg.tau)
+    if stage == 2 and cfg.use_inter:
+        terms.inter_v, terms.inter_i = bpl.inter_loss(batch, bank, tau=cfg.tau)
+    return terms
+
+
+def _combine(terms, add, scale, lambda_orth: float, lambda_inter: float):
+    """The objective's weighting rule, over tensors or over logged floats.
+
+    ce_id [+ ce_clothing] [+ lambda_orth * orth] [+ (intra_v + intra_i)]
+    [+ lambda_inter * (inter_v + inter_i)], absent terms skipped.  One
+    grouping for both makes a logged total recombine bit for bit.
+    """
+    total = terms.ce_id
+    if terms.ce_clothing is not None:
+        total = add(total, terms.ce_clothing)
+    if terms.orth is not None:
+        total = add(total, scale(terms.orth, lambda_orth))
+    if terms.intra_v is not None:
+        total = add(total, add(terms.intra_v, terms.intra_i))
+    if terms.inter_v is not None:
+        total = add(total, scale(add(terms.inter_v, terms.inter_i), lambda_inter))
+    return total
+
+
+def stage_loss(stage: int, terms: StageTerms, cfg: TrainConfig) -> Tensor:
+    """The weighted sum of the present terms (see ``_combine``).
+
+    Prototype terms in Stage I are a caller bug and raise.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     prototype_terms = (terms.intra_v, terms.intra_i, terms.inter_v, terms.inter_i)
     if stage == 1 and any(t is not None for t in prototype_terms):
         raise StageTermMismatchError("prototype losses are not part of stage 1")
-    total = terms.ce_id
-    if terms.ce_clothing is not None:
-        total = dc.add(total, terms.ce_clothing)
-    if terms.orth is not None:
-        total = dc.add(total, dc.scale(terms.orth, cfg.lambda_orth))
-    if terms.intra_v is not None:
-        total = dc.add(total, dc.add(terms.intra_v, terms.intra_i))
-    if terms.inter_v is not None:
-        total = dc.add(total, dc.scale(dc.add(terms.inter_v, terms.inter_i), cfg.lambda_inter))
-    return total
+    return _combine(terms, dc.add, dc.scale, cfg.lambda_orth, cfg.lambda_inter)
 
 
 @dataclass
@@ -333,32 +366,11 @@ class LossReport:
     inter_i: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "epoch": self.epoch,
-            "iteration": self.iteration,
-            "stage": self.stage,
-            "lr": self.lr,
-            "total": self.total,
-            "ce_id": self.ce_id,
-        }
-        for key in ("ce_clothing", "orth", "intra_v", "intra_i", "inter_v", "inter_i"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def expected_total(self, lambda_orth: float, lambda_inter: float) -> float:
         """Recombine the logged terms exactly as ``stage_loss`` combines tensors."""
-        total = self.ce_id
-        if self.ce_clothing is not None:
-            total = total + self.ce_clothing
-        if self.orth is not None:
-            total = total + self.orth * lambda_orth
-        if self.intra_v is not None:
-            total = total + (self.intra_v + self.intra_i)
-        if self.inter_v is not None:
-            total = total + (self.inter_v + self.inter_i) * lambda_inter
-        return total
+        return _combine(self, operator.add, operator.mul, lambda_orth, lambda_inter)
 
     @classmethod
     def from_terms(cls, epoch: int, iteration: int, stage: int, lr: float,
@@ -366,20 +378,8 @@ class LossReport:
         def value(t: Tensor | None) -> float | None:
             return None if t is None else float(t.data)
 
-        return cls(
-            epoch=epoch,
-            iteration=iteration,
-            stage=stage,
-            lr=lr,
-            total=float(total.data),
-            ce_id=float(terms.ce_id.data),
-            ce_clothing=value(terms.ce_clothing),
-            orth=value(terms.orth),
-            intra_v=value(terms.intra_v),
-            intra_i=value(terms.intra_i),
-            inter_v=value(terms.inter_v),
-            inter_i=value(terms.inter_i),
-        )
+        return cls(epoch=epoch, iteration=iteration, stage=stage, lr=lr, total=value(total),
+                   **{f.name: value(getattr(terms, f.name)) for f in fields(StageTerms)})
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +410,7 @@ def _dense_remap(labels: list[int], kind: str) -> dict[int, int]:
 
 def _epoch_means(reports: list[LossReport]) -> dict[str, float]:
     means: dict[str, float] = {}
-    for key in ("total", "ce_id", "ce_clothing", "orth",
-                "intra_v", "intra_i", "inter_v", "inter_i"):
+    for key in ("total", *(f.name for f in fields(StageTerms))):
         values = [getattr(r, key) for r in reports if getattr(r, key) is not None]
         if values:
             means[key] = float(np.mean(values))
@@ -465,30 +464,11 @@ def train(manifest: Manifest, cfg: TrainConfig,
                 f, f_c, _ = model_mod.forward_embeddings(
                     state, dc.constant(pixels), training=True
                 )
-                if cfg.use_dbdl:
-                    classified = dbdl.classification_loss(
-                        f, f_c, y_id, y_clothing, state.heads
-                    )
-                    terms = StageTerms(
-                        ce_id=classified.ce_identity,
-                        ce_clothing=classified.ce_clothing,
-                        orth=dbdl.orthogonality_loss(f, f_c) if cfg.use_orth else None,
-                    )
-                else:
-                    terms = StageTerms(
-                        ce_id=dbdl.cross_entropy(
-                            f, state.heads.id_weight, state.heads.id_bias, y_id
-                        )
-                    )
+                batch = bpl.ModalityBatch(f, y_id, is_visible)
                 if prototype_losses_on:
-                    batch = bpl.ModalityBatch(f, y_id, is_visible)
                     bpl.absorb_batch(bank, batch)
-                    if cfg.use_intra:
-                        intra = bpl.intra_loss(batch, bank, tau=cfg.tau)
-                        terms.intra_v, terms.intra_i = intra.visible, intra.infrared
-                    if cfg.use_inter:
-                        inter = bpl.inter_loss(batch, bank, tau=cfg.tau)
-                        terms.inter_v, terms.inter_i = inter.visible, inter.infrared
+                terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing,
+                                    batch, bank)
                 total = stage_loss(stage, terms, cfg)
                 dc.backward(total, tape)
 
@@ -542,7 +522,6 @@ def train(manifest: Manifest, cfg: TrainConfig,
             model_mod.model_config_text(model_cfg),
         )
         result.log_path = out / "train_log.jsonl"
-        with open(result.log_path, "w", encoding="utf-8") as handle:
-            for record in epoch_records:
-                handle.write(json.dumps(record, sort_keys=False) + "\n")
+        lines = "".join(json.dumps(record, sort_keys=False) + "\n" for record in epoch_records)
+        fileio.write_atomic(result.log_path, lines.encode("utf-8"))
     return result

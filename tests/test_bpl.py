@@ -199,9 +199,6 @@ class TestProtoLosses:
         want = math.log(1.0 + math.exp(-1.0))  # 0.31326...
         assert terms.visible.item() == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.31326, abs=5e-6)
-        assert terms.total.item() == pytest.approx(
-            terms.visible.item() + terms.infrared.item(), abs=1e-15
-        )
 
     def test_intra_matches_bruteforce_oracle(self, rng):
         for _ in range(30):
@@ -267,7 +264,7 @@ class TestProtoLosses:
         )
         before_v = bank.protos_v.copy()
         with dc.Tape() as tape:
-            loss = bpl.intra_loss(batch, bank, tau=0.5).total
+            loss = dc.add(*bpl.intra_loss(batch, bank, tau=0.5))
         dc.backward(loss, tape)
         assert features.grad is not None and np.abs(features.grad).max() > 0.0
         np.testing.assert_array_equal(bank.protos_v, before_v)
@@ -280,8 +277,8 @@ class TestProtoLosses:
 
         def build(params):
             batch = bpl.ModalityBatch(params[0], ids, is_visible)
-            intra = bpl.intra_loss(batch, bank, tau=1.0 / 16.0).total
-            inter = bpl.inter_loss(batch, bank, tau=1.0 / 16.0).total
+            intra = dc.add(*bpl.intra_loss(batch, bank, tau=1.0 / 16.0))
+            inter = dc.add(*bpl.inter_loss(batch, bank, tau=1.0 / 16.0))
             return dc.add(intra, dc.scale(inter, 1.5))
 
         report = dc.check_gradients(build, [features], names=["features"])

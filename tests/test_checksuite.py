@@ -55,6 +55,13 @@ class TestRunCheck:
         assert a.passed and b.passed
         assert a.max_rel_error != b.max_rel_error
 
+    def test_catalog_edit_keeps_other_rows(self, monkeypatch):
+        before = run_check("sum", configs=3)
+        monkeypatch.setattr(
+            checksuite, "CATALOG", {k: v for k, v in CATALOG.items() if k != "conv2d"}
+        )
+        assert run_check("sum", configs=3) == before
+
     def test_absurd_step_fails_honestly(self):
         # a huge step makes the difference quotient useless; the check must
         # report failure rather than mask it
@@ -69,6 +76,11 @@ class TestRunAll:
         assert [c.name for c in result.results] == ["relu", "abs"]
         table = result.format_table()
         assert "relu" in table and "abs" in table and "PASS" in table
+
+    def test_every_check_passes(self):
+        result = run_all(configs=2)
+        assert [c.name for c in result.results] == list(CATALOG)
+        assert result.passed, result.format_table()
 
     def test_unknown_name_in_list(self):
         with pytest.raises(CheckSuiteError):

@@ -197,20 +197,21 @@ class TestClassification:
                 np.array([0, 4]),
             )
 
-    def test_classification_loss_sums_both_heads(self, rng):
+    def test_classification_loss_scores_both_heads(self, rng):
         heads = encoder.init_heads(rng, dim=6, num_identities=4, num_clothing_classes=8)
         f = dc.tensor(rng.normal(size=(5, 6)))
         f_c = dc.tensor(rng.normal(size=(5, 6)))
         y_id = rng.integers(0, 4, size=5)
         y_c = rng.integers(0, 8, size=5)
         terms = dbdl.classification_loss(f, f_c, y_id, y_c, heads)
-        assert terms.total.item() == pytest.approx(
-            terms.ce_identity.item() + terms.ce_clothing.item(), abs=1e-15
-        )
         want_id = self.cross_entropy_oracle(
             f.data, heads.id_weight.data, heads.id_bias.data, y_id
         )
+        want_clothing = self.cross_entropy_oracle(
+            f_c.data, heads.clothing_weight.data, heads.clothing_bias.data, y_c
+        )
         assert terms.ce_identity.item() == pytest.approx(want_id, abs=1e-11)
+        assert terms.ce_clothing.item() == pytest.approx(want_clothing, abs=1e-11)
 
     def test_requires_clothing_head(self, rng):
         heads = encoder.init_heads(rng, dim=6, num_identities=4, num_clothing_classes=None)
@@ -232,7 +233,7 @@ class TestClassification:
             local = encoder.ClassifierHeads(
                 id_weight=w_id, id_bias=b_id, clothing_weight=w_c, clothing_bias=b_c
             )
-            return dbdl.classification_loss(f_, fc_, y_id, y_c, local).total
+            return dc.add(*dbdl.classification_loss(f_, fc_, y_id, y_c, local))
 
         report = dc.check_gradients(
             build,
@@ -260,7 +261,7 @@ class TestAttentionGradientFlow:
                 bn_identity=None, bn_clothing=None, training=True,
             )
             terms = dbdl.classification_loss(f, f_c, y_id, y_c, heads)
-            loss = dc.add(terms.total, dc.scale(dbdl.orthogonality_loss(f, f_c), 0.5))
+            loss = dc.add(dc.add(*terms), dc.scale(dbdl.orthogonality_loss(f, f_c), 0.5))
         dc.backward(loss, tape)
         for tens in [
             enc.weights[0], enc.weights[2], attn.weight, attn.lambda_raw,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from piareid import bpl, checkpoint, diffcore as dc, synthbench, trainer
+from piareid import bpl, checkpoint, config, diffcore as dc, encoder, synthbench, trainer
 from piareid.trainer import (
     AdamState,
     BalancedSampler,
@@ -250,22 +253,58 @@ class TestStageLoss:
             stage_loss(3, StageTerms(ce_id=scalar(1.0)), self.make_cfg())
 
 
+# which StageTerms fields each ablation preset sets, per stage
+PRESET_TERMS = {
+    "base": ({"ce_id"}, set()),
+    "dbdl": ({"ce_id", "ce_clothing"}, set()),
+    "orth": ({"ce_id", "ce_clothing", "orth"}, set()),
+    "intra": ({"ce_id", "ce_clothing", "orth"}, {"intra_v", "intra_i"}),
+    "full": ({"ce_id", "ce_clothing", "orth"}, {"intra_v", "intra_i", "inter_v", "inter_i"}),
+}
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+@pytest.mark.parametrize("preset", list(config.ABLATION_PRESETS))
+def test_stage_terms_follow_switches(preset, stage):
+    rng = np.random.default_rng(11)
+    cfg = TrainConfig(**config.ABLATION_PRESETS[preset])
+    f = dc.tensor(rng.normal(size=(4, 6)))
+    f_c = dc.tensor(rng.normal(size=(4, 6)))
+    heads = encoder.init_heads(rng, dim=6, num_identities=2, num_clothing_classes=3)
+    y_id = np.array([0, 1, 0, 1])
+    batch = bpl.ModalityBatch(f, y_id, np.array([True, True, False, False]))
+    bank = bpl.PrototypeBank.create(2, 6)
+    bpl.absorb_batch(bank, batch)
+    before = bank.protos_v.copy(), bank.protos_i.copy(), bank.iteration
+    terms = trainer.stage_terms(cfg, stage, f, f_c, heads, y_id, np.array([0, 1, 2, 0]),
+                                batch, bank)
+    always, prototype = PRESET_TERMS[preset]
+    expected = always | (prototype if stage == 2 else set())
+    assert {name for name, t in vars(terms).items() if t is not None} == expected
+    np.testing.assert_array_equal(bank.protos_v, before[0])
+    np.testing.assert_array_equal(bank.protos_i, before[1])
+    assert bank.iteration == before[2]
+    stage_loss(stage, terms, cfg)
+
+
 class TestLossReport:
     def test_from_terms_and_expected_total(self):
-        terms = StageTerms(
-            ce_id=scalar(1.1),
-            ce_clothing=scalar(0.7),
-            orth=scalar(0.3),
-            intra_v=scalar(0.2),
-            intra_i=scalar(0.25),
-            inter_v=scalar(0.05),
-            inter_i=scalar(0.06),
-        )
+        # the optional terms, grouped as they are switched on together
+        groups = [dict(ce_clothing=0.7), dict(orth=0.3),
+                  dict(intra_v=0.2, intra_i=0.25), dict(inter_v=0.05, inter_i=0.06)]
         cfg = TrainConfig(lambda_orth=0.5, lambda_inter=1.5)
-        total = stage_loss(2, terms, cfg)
-        report = LossReport.from_terms(3, 7, 2, 1e-3, total, terms)
-        assert report.epoch == 3 and report.iteration == 7 and report.stage == 2
-        assert abs(report.total - report.expected_total(0.5, 1.5)) < 1e-12
+        for size in range(len(groups) + 1):
+            for present in itertools.combinations(groups, size):
+                values = {"ce_id": 1.1}
+                for group in present:
+                    values.update(group)
+                terms = StageTerms(**{name: scalar(v) for name, v in values.items()})
+                total = stage_loss(2, terms, cfg)
+                report = LossReport.from_terms(3, 7, 2, 1e-3, total, terms)
+                assert report.epoch == 3 and report.iteration == 7 and report.stage == 2
+                assert list(report.to_dict()) == [
+                    "epoch", "iteration", "stage", "lr", "total", *values]
+                assert report.expected_total(0.5, 1.5) == report.total
 
     def test_to_dict_omits_absent_terms(self):
         report = LossReport(epoch=0, iteration=0, stage=1, lr=0.1, total=2.0, ce_id=2.0)
@@ -324,15 +363,10 @@ class TestTrainLoop:
     def test_logged_totals_recombine(self, tiny_run):
         cfg = tiny_run.config
         for report in tiny_run.iteration_reports():
-            parsed = LossReport(**{
-                k: report.get(k) for k in (
-                    "epoch", "iteration", "stage", "lr", "total", "ce_id",
-                    "ce_clothing", "orth", "intra_v", "intra_i",
-                    "inter_v", "inter_i",
-                )
-            })
+            parsed = LossReport(**{f.name: report.get(f.name) for f in fields(LossReport)})
+            assert parsed.to_dict() == report
             expected = parsed.expected_total(cfg.lambda_orth, cfg.lambda_inter)
-            assert abs(report["total"] - expected) < 1e-12
+            assert report["total"] == expected
 
     def test_disentanglement_probes_recorded(self, tiny_run):
         assert tiny_run.abs_cos_init is not None
@@ -356,6 +390,19 @@ class TestTrainLoop:
         lines = result.log_path.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["epoch"] == 0
+
+    def test_failed_rerun_keeps_old_outputs(self, manifest, tmp_path, monkeypatch):
+        train(manifest, tiny_train_config(), out_dir=tmp_path)
+        old_checkpoint = (tmp_path / "checkpoint.bin").read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            train(manifest, tiny_train_config(seed=4), out_dir=tmp_path)
+        assert (tmp_path / "checkpoint.bin").read_bytes() == old_checkpoint
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_ce_only_configuration(self, manifest):
         cfg = tiny_train_config(
