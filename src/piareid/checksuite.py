@@ -1,16 +1,23 @@
 """Named finite-difference checks covering every operator and loss.
 
-Each catalog entry builds small random problem instances and compares the
-taped gradients against central finite differences entry by entry.  The
-factories keep inputs away from the kinks of relu, abs, max-pooling, and
-the absolute-cosine penalty so the two-sided difference quotient is a
-faithful oracle at the default step.  ``stage1_loss`` and ``stage2_loss``
-run the trainer's own ``stage_terms`` and ``stage_loss``.  Instances are
-seeded by check name, so editing the catalog redraws no other check's.
+Each catalog entry is a factory: from a generator it draws one problem
+instance and returns ``(build, params, names)``, where ``build(params)``
+computes a scalar loss from the parameters it is given.  Most entries are
+built by ``_case(op, *inputs, **fixed)``: each ``(name, draw)`` input
+becomes a parameter, in order; the ``fixed`` draws then give ``op``'s other
+arguments (stride, axis, labels, batch-norm state); a non-scalar output is
+reduced by one set of random weights, drawn last.  Losses whose inputs are
+drawn jointly keep hand-written factories.  The draws keep inputs away from
+the kinks of relu, abs, max-pooling, and the absolute-cosine penalty so the
+two-sided difference quotient is a faithful oracle at the default step.
+``stage1_loss`` and ``stage2_loss`` run the trainer's own ``stage_terms``
+and ``stage_loss``.  Instances are seeded by check name, so editing the
+catalog redraws no other check's.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -24,8 +31,6 @@ from . import encoder
 from . import trainer
 
 DEFAULT_CONFIGS = 20
-DEFAULT_TOL = 1e-4
-DEFAULT_STEP = 1e-5
 
 #: The prototype losses divide cosines by a 1/16 temperature, so their
 #: softmax curvature is ~256x that of an unsharpened one and the default
@@ -39,17 +44,27 @@ KINK_MARGIN = 5e-2
 
 
 class CheckSuiteError(ValueError):
-    """Raised for unknown check names."""
+    """Raised for unknown check names and unusable check settings."""
 
 
 Factory = Callable[[np.random.Generator], tuple]
+Draw = Callable[[np.random.Generator], object]
 
 
-def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
+def _normal(*shape: int, scale: float = 1.0) -> Draw:
+    return lambda rng: rng.normal(size=shape) * scale
+
+
+def _away_from_zero(*shape: int) -> Draw:
     """Values with |x| >= KINK_MARGIN, both signs represented."""
-    magnitude = rng.uniform(KINK_MARGIN, 1.5, size=shape)
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return magnitude * sign
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        magnitude = rng.uniform(KINK_MARGIN, 1.5, size=shape)
+        sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        return magnitude * sign
+
+    return draw
+
 
 def _split_max_ties(values: np.ndarray, axis: int) -> np.ndarray:
     """Raise each argmax until it clears the runner-up by KINK_MARGIN."""
@@ -63,193 +78,50 @@ def _split_max_ties(values: np.ndarray, axis: int) -> np.ndarray:
     return values
 
 
-def _collapser(rng: np.random.Generator, op: Callable[[], dc.Tensor]):
-    """A deterministic scalar reduction for ``op``'s output.
+def _case(op: Callable[..., dc.Tensor], *inputs: tuple[str, Draw], **fixed: Draw) -> Factory:
+    """A factory checking ``op`` on drawn ``inputs`` and ``fixed`` keyword arguments."""
 
-    Runs ``op`` once to learn its output shape, then fixes one set of
-    random weights so every later call reduces identically.
-    """
-    shape = op().data.shape
-    if shape == ():
-        return op
-    weights = rng.normal(size=shape)
+    def factory(rng: np.random.Generator):
+        params = [dc.parameter(draw(rng)) for _, draw in inputs]
+        kwargs = {key: draw(rng) for key, draw in fixed.items()}
+        shape = op(*params, **kwargs).data.shape
+        weights = dc.constant(rng.normal(size=shape)) if shape else None
 
-    def collapsed() -> dc.Tensor:
-        return dc.tensor_sum(dc.mul(op(), dc.constant(weights)))
+        def build(params):
+            out = op(*params, **kwargs)
+            return out if weights is None else dc.tensor_sum(dc.mul(out, weights))
 
-    return collapsed
-
-
-# ---------------------------------------------------------------------------
-# primitive factories
-
-
-def _make_conv2d(rng):
-    x = dc.parameter(rng.normal(size=(2, 2, 5, 4)))
-    w = dc.parameter(rng.normal(size=(3, 2, 3, 3)) * 0.5)
-    b = dc.parameter(rng.normal(size=3) * 0.1)
-    stride = int(rng.integers(1, 3))
-    padding = int(rng.integers(0, 2))
-    op = _collapser(rng, lambda: dc.conv2d(x, w, b, stride=stride, padding=padding))
-    return (lambda params: op()), [x, w, b], ["x", "weight", "bias"]
-
-
-def _make_relu(rng):
-    x = dc.parameter(_away_from_zero(rng, (3, 4)))
-    op = _collapser(rng, lambda: dc.relu(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_sigmoid(rng):
-    x = dc.parameter(rng.normal(size=(3, 4)))
-    op = _collapser(rng, lambda: dc.sigmoid(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_abs(rng):
-    x = dc.parameter(_away_from_zero(rng, (3, 4)))
-    op = _collapser(rng, lambda: dc.absolute(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_binary(binary_op):
-    def factory(rng):
-        a = dc.parameter(rng.normal(size=(3, 4)))
-        b = dc.parameter(rng.normal(size=(3, 4)))
-        op = _collapser(rng, lambda: binary_op(a, b))
-        return (lambda params: op()), [a, b], ["a", "b"]
+        return build, params, [name for name, _ in inputs]
 
     return factory
 
 
-def _make_scale(rng):
-    x = dc.parameter(rng.normal(size=(3, 4)))
-    factor = float(rng.normal())
-    op = _collapser(rng, lambda: dc.scale(x, factor))
-    return (lambda params: op()), [x], ["x"]
+def _axis(rng: np.random.Generator):
+    return [None, 0, 1][int(rng.integers(3))]
 
 
-def _make_channel_max_pool(rng):
-    x = dc.parameter(_split_max_ties(rng.normal(size=(2, 4, 3, 3)), axis=1))
-    op = _collapser(rng, lambda: dc.channel_max_pool(x))
-    return (lambda params: op()), [x], ["x"]
+def _batch_norm_training(x, gamma, beta, *, state):
+    return dc.batch_norm(x, gamma, beta, state=state, training=True)
 
 
-def _make_channel_avg_pool(rng):
-    x = dc.parameter(rng.normal(size=(2, 4, 3, 3)))
-    op = _collapser(rng, lambda: dc.channel_avg_pool(x))
-    return (lambda params: op()), [x], ["x"]
+def _classification(f, f_c, id_weight, id_bias, clothing_weight, clothing_bias, *, y_id, y_c):
+    heads = encoder.ClassifierHeads(id_weight, id_bias, clothing_weight, clothing_bias)
+    return dc.add(*dbdl.classification_loss(f, f_c, y_id, y_c, heads))
 
 
-def _make_global_avg_pool(rng):
-    x = dc.parameter(rng.normal(size=(2, 3, 4, 5)))
-    op = _collapser(rng, lambda: dc.global_avg_pool(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_global_max_pool(rng):
-    values = rng.normal(size=(2, 3, 4, 5))
-    flat = values.reshape(2, 3, -1)
-    _split_max_ties(flat, axis=-1)
-    x = dc.parameter(flat.reshape(2, 3, 4, 5))
-    op = _collapser(rng, lambda: dc.global_max_pool(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_concat(rng):
-    a = dc.parameter(rng.normal(size=(2, 2, 3)))
-    b = dc.parameter(rng.normal(size=(2, 3, 3)))
-    op = _collapser(rng, lambda: dc.concat([a, b], axis=1))
-    return (lambda params: op()), [a, b], ["a", "b"]
-
-
-def _make_linear(rng):
-    x = dc.parameter(rng.normal(size=(4, 3)))
-    w = dc.parameter(rng.normal(size=(3, 5)) * 0.5)
-    b = dc.parameter(rng.normal(size=5) * 0.1)
-    op = _collapser(rng, lambda: dc.linear(x, w, b))
-    return (lambda params: op()), [x, w, b], ["x", "weight", "bias"]
-
-
-def _make_batch_norm(rng):
-    x = dc.parameter(rng.normal(size=(6, 4)))
-    state = encoder.BatchNormState.create(4)
-    state.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
-    state.beta.data[:] = rng.normal(size=4) * 0.2
-    op = _collapser(
-        rng,
-        lambda: dc.batch_norm(x, state.gamma, state.beta, state=state, training=True),
-    )
-    return (lambda params: op()), [x, state.gamma, state.beta], ["x", "gamma", "beta"]
-
-
-def _make_log_softmax(rng):
-    x = dc.parameter(rng.normal(size=(4, 6)))
-    op = _collapser(rng, lambda: dc.log_softmax(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_l2_normalize(rng):
-    x = dc.parameter(rng.normal(size=(4, 5)) + 0.2)
-    op = _collapser(rng, lambda: dc.l2_normalize(x))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_mean(rng):
-    x = dc.parameter(rng.normal(size=(3, 4)))
-    axis = [None, 0, 1][int(rng.integers(3))]
-    op = _collapser(rng, lambda: dc.mean(x, axis=axis))
-    return (lambda params: op()), [x], ["x"]
-
-
-def _make_sum(rng):
-    x = dc.parameter(rng.normal(size=(3, 4)))
-    axis = [None, 0, 1][int(rng.integers(3))]
-    op = _collapser(rng, lambda: dc.tensor_sum(x, axis=axis))
-    return (lambda params: op()), [x], ["x"]
+_X = ("x", _normal(3, 4))
+_AB = (("a", _normal(3, 4)), ("b", _normal(3, 4)))
+#: Classifier heads over 6-wide embeddings: 4 identities, 3 clothing classes.
+_HEADS = (
+    ("id_weight", _normal(6, 4, scale=0.5)),
+    ("id_bias", _normal(4, scale=0.1)),
+    ("clothing_weight", _normal(6, 3, scale=0.5)),
+    ("clothing_bias", _normal(3, scale=0.1)),
+)
 
 
 # ---------------------------------------------------------------------------
-# loss factories (embedding-level problem sizes)
-
-
-def _make_cross_entropy(rng):
-    emb = dc.parameter(rng.normal(size=(5, 6)))
-    w = dc.parameter(rng.normal(size=(6, 4)) * 0.5)
-    b = dc.parameter(rng.normal(size=4) * 0.1)
-    labels = rng.integers(0, 4, size=5)
-
-    def build(params):
-        return dbdl.cross_entropy(params[0], params[1], params[2], labels)
-
-    return build, [emb, w, b], ["embeddings", "weight", "bias"]
-
-
-def _heads(rng, dim, n_id, n_clothing):
-    return encoder.ClassifierHeads(
-        id_weight=dc.parameter(rng.normal(size=(dim, n_id)) * 0.5),
-        id_bias=dc.parameter(rng.normal(size=n_id) * 0.1),
-        clothing_weight=dc.parameter(rng.normal(size=(dim, n_clothing)) * 0.5),
-        clothing_bias=dc.parameter(rng.normal(size=n_clothing) * 0.1),
-    )
-
-
-def _make_classification_loss(rng):
-    f = dc.parameter(rng.normal(size=(5, 6)))
-    f_c = dc.parameter(rng.normal(size=(5, 6)))
-    heads = _heads(rng, 6, 4, 3)
-    y_id = rng.integers(0, 4, size=5)
-    y_c = rng.integers(0, 3, size=5)
-
-    def build(params):
-        f, f_c, iw, ib, cw, cb = params
-        heads = encoder.ClassifierHeads(iw, ib, cw, cb)
-        return dc.add(*dbdl.classification_loss(f, f_c, y_id, y_c, heads))
-
-    params = [f, f_c, heads.id_weight, heads.id_bias,
-              heads.clothing_weight, heads.clothing_bias]
-    names = ["f", "f_c", "id_weight", "id_bias", "clothing_weight", "clothing_bias"]
-    return build, params, names
+# jointly drawn loss factories (embedding-level problem sizes)
 
 
 def _orthogonal_pair(rng, shape):
@@ -318,23 +190,21 @@ def _stage_factory(stage: int):
         f = dc.parameter(rng.normal(size=(8, 6)))
         f_c_data = _orthogonal_pair(rng, (8, 6))[1]
         f_c = dc.parameter(f_c_data)
-        heads = _heads(rng, 6, 4, 3)
+        head_params = [dc.parameter(draw(rng)) for _, draw in _HEADS]
         y_id = np.tile(np.arange(4), 2)
         y_c = rng.integers(0, 3, size=8)
         is_visible = np.repeat([True, False], 4)
         bank, _, _, _ = _proto_problem(rng, n_ids=4, dim=6)
 
         def build(params):
-            f, f_c, iw, ib, cw, cb = params
-            heads = encoder.ClassifierHeads(iw, ib, cw, cb)
+            f, f_c, *head_params = params
+            heads = encoder.ClassifierHeads(*head_params)
             batch = bpl.ModalityBatch(f, y_id, is_visible)
             terms = trainer.stage_terms(cfg, stage, f, f_c, heads, y_id, y_c, batch, bank)
             return trainer.stage_loss(stage, terms, cfg)
 
-        params = [f, f_c, heads.id_weight, heads.id_bias,
-                  heads.clothing_weight, heads.clothing_bias]
-        names = ["f", "f_c", "id_weight", "id_bias", "clothing_weight", "clothing_bias"]
-        return build, params, names
+        names = ["f", "f_c", *(name for name, _ in _HEADS)]
+        return build, [f, f_c, *head_params], names
 
     return factory
 
@@ -344,37 +214,73 @@ def _stage_factory(stage: int):
 
 CATALOG: dict[str, Factory] = {
     # primitives
-    "conv2d": _make_conv2d,
-    "relu": _make_relu,
-    "sigmoid": _make_sigmoid,
-    "abs": _make_abs,
-    "add": _make_binary(dc.add),
-    "sub": _make_binary(dc.sub),
-    "mul": _make_binary(dc.mul),
-    "scale": _make_scale,
-    "channel_max_pool": _make_channel_max_pool,
-    "channel_avg_pool": _make_channel_avg_pool,
-    "global_avg_pool": _make_global_avg_pool,
-    "global_max_pool": _make_global_max_pool,
-    "concat": _make_concat,
-    "linear": _make_linear,
-    "batch_norm": _make_batch_norm,
-    "log_softmax": _make_log_softmax,
-    "l2_normalize": _make_l2_normalize,
-    "mean": _make_mean,
-    "sum": _make_sum,
+    "conv2d": _case(
+        dc.conv2d,
+        ("x", _normal(2, 2, 5, 4)),
+        ("weight", _normal(3, 2, 3, 3, scale=0.5)),
+        ("bias", _normal(3, scale=0.1)),
+        stride=lambda rng: int(rng.integers(1, 3)),
+        padding=lambda rng: int(rng.integers(0, 2)),
+    ),
+    "relu": _case(dc.relu, ("x", _away_from_zero(3, 4))),
+    "sigmoid": _case(dc.sigmoid, _X),
+    "abs": _case(dc.absolute, ("x", _away_from_zero(3, 4))),
+    "add": _case(dc.add, *_AB),
+    "sub": _case(dc.sub, *_AB),
+    "mul": _case(dc.mul, *_AB),
+    "scale": _case(dc.scale, _X, factor=lambda rng: float(rng.normal())),
+    "channel_max_pool": _case(
+        dc.channel_max_pool,
+        ("x", lambda rng: _split_max_ties(rng.normal(size=(2, 4, 3, 3)), axis=1)),
+    ),
+    "channel_avg_pool": _case(dc.channel_avg_pool, ("x", _normal(2, 4, 3, 3))),
+    "global_avg_pool": _case(dc.global_avg_pool, ("x", _normal(2, 3, 4, 5))),
+    "global_max_pool": _case(
+        dc.global_max_pool,
+        ("x", lambda rng: _split_max_ties(rng.normal(size=(2, 3, 20)), -1).reshape(2, 3, 4, 5)),
+    ),
+    "concat": _case(
+        lambda a, b: dc.concat([a, b], axis=1), ("a", _normal(2, 2, 3)), ("b", _normal(2, 3, 3))
+    ),
+    "linear": _case(
+        dc.linear,
+        ("x", _normal(4, 3)),
+        ("weight", _normal(3, 5, scale=0.5)),
+        ("bias", _normal(5, scale=0.1)),
+    ),
+    "batch_norm": _case(
+        _batch_norm_training,
+        ("x", _normal(6, 4)),
+        ("gamma", lambda rng: rng.uniform(0.5, 1.5, size=4)),
+        ("beta", _normal(4, scale=0.2)),
+        state=lambda rng: encoder.BatchNormState.create(4),
+    ),
+    "log_softmax": _case(dc.log_softmax, ("x", _normal(4, 6))),
+    "l2_normalize": _case(dc.l2_normalize, ("x", lambda rng: rng.normal(size=(4, 5)) + 0.2)),
+    "mean": _case(dc.mean, _X, axis=_axis),
+    "sum": _case(dc.tensor_sum, _X, axis=_axis),
     # losses
-    "cross_entropy": _make_cross_entropy,
-    "classification_loss": _make_classification_loss,
+    "cross_entropy": _case(
+        dbdl.cross_entropy,
+        ("embeddings", _normal(5, 6)),
+        ("weight", _normal(6, 4, scale=0.5)),
+        ("bias", _normal(4, scale=0.1)),
+        labels=lambda rng: rng.integers(0, 4, size=5),
+    ),
+    "classification_loss": _case(
+        _classification,
+        ("f", _normal(5, 6)),
+        ("f_c", _normal(5, 6)),
+        *_HEADS,
+        y_id=lambda rng: rng.integers(0, 4, size=5),
+        y_c=lambda rng: rng.integers(0, 3, size=5),
+    ),
     "orthogonality_loss": _make_orthogonality_loss,
     "intra_loss": _make_proto_loss(bpl.intra_loss),
     "inter_loss": _make_proto_loss(bpl.inter_loss),
     "stage1_loss": _stage_factory(1),
     "stage2_loss": _stage_factory(2),
 }
-
-PRIMITIVE_NAMES = tuple(name for name in CATALOG if name in dc.registered_kinds())
-LOSS_NAMES = tuple(name for name in CATALOG if name not in dc.registered_kinds())
 
 
 @dataclass
@@ -406,13 +312,18 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def run_check(name: str, *, configs: int = DEFAULT_CONFIGS, tol: float = DEFAULT_TOL,
+def run_check(name: str, *, configs: int = DEFAULT_CONFIGS, tol: float = dc.DEFAULT_TOL,
               step: float | None = None, seed: int = 0) -> CheckResult:
     if name not in CATALOG:
         known = ", ".join(CATALOG)
         raise CheckSuiteError(f"unknown check {name!r} (known: {known})")
+    if configs < 1:
+        raise CheckSuiteError(f"configs must be >= 1, got {configs}")
     if step is None:
-        step = _STEP_OVERRIDES.get(name, DEFAULT_STEP)
+        step = _STEP_OVERRIDES.get(name, dc.DEFAULT_STEP)
+    for label, value in (("step", step), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise CheckSuiteError(f"{label} must be positive and finite, got {value!r}")
     factory = CATALOG[name]
     # crc32, not the salted hash(): a row's instances depend on its name only
     name_key = zlib.crc32(name.encode("utf-8"))
@@ -436,7 +347,7 @@ def run_check(name: str, *, configs: int = DEFAULT_CONFIGS, tol: float = DEFAULT
 
 
 def run_all(names: Sequence[str] | None = None, *, configs: int = DEFAULT_CONFIGS,
-            tol: float = DEFAULT_TOL, step: float | None = None,
+            tol: float = dc.DEFAULT_TOL, step: float | None = None,
             seed: int = 0) -> SuiteResult:
     suite = SuiteResult(tol=tol)
     for name in names if names is not None else CATALOG:

@@ -3,15 +3,15 @@
 Subcommands: ``gen-data``, ``train``, ``eval``, ``gradcheck``, and
 ``dump-attention``.  Every command resolves a flat ``config.RunConfig``
 from defaults, an optional ``--config`` file, and per-field command-line
-overrides (later sources win), writes the fully resolved configuration
-next to its outputs as ``run_config.txt``, and is deterministic given that
-file.  There is one ``--field-name`` flag per ``RunConfig`` field (the
-dataset fields of ``synthbench.GenConfig``, the training and architecture
-fields of ``trainer.TrainConfig``, and the paths), plus ``--stage2-start``
-for ``stage2_start_epoch``.  ``--out`` sets the command's output path:
-``data_dir`` for ``gen-data`` and ``out_dir`` for the others.  ``eval``
-and ``dump-attention`` rebuild the model from the checkpoint's own config
-block, not from the run config.
+overrides (later sources win), and is deterministic given it.  ``gen-data``
+and ``train`` write it, fully resolved, next to their outputs as
+``run_config.txt``; ``train`` only after training succeeds, so a failed
+rerun leaves a used run directory as it was.  Configs, reports and masks
+are replaced atomically.  There is one ``--field-name`` flag per
+``RunConfig`` field, plus ``--stage2-start`` for ``stage2_start_epoch``.
+``--out`` sets the command's output path: ``data_dir`` for ``gen-data``
+and ``out_dir`` for the others.  ``eval`` and ``dump-attention`` rebuild
+the model from the checkpoint's own config block, not from the run config.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 I/O error.
@@ -32,6 +32,7 @@ from . import checksuite
 from . import config as cfgmod
 from . import diffcore as dc
 from . import evalkit
+from . import fileio
 from . import model as mdl
 from . import pnm
 from . import synthbench
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=[*evalkit.DIRECTIONS, "both"])
 
     p_grad = command("gradcheck", "finite-difference check of every operator and loss")
-    p_grad.add_argument("--tol", type=float, default=checksuite.DEFAULT_TOL)
+    p_grad.add_argument("--tol", type=float, default=dc.DEFAULT_TOL)
     p_grad.add_argument("--configs", type=int, default=checksuite.DEFAULT_CONFIGS)
     p_grad.add_argument("--step", type=float, default=None)
     p_grad.add_argument("--only", default=None, metavar="NAME",
@@ -135,10 +136,8 @@ def _validated(cfg: cfgmod.RunConfig) -> cfgmod.RunConfig:
 
 def _write_resolved(cfg: cfgmod.RunConfig, directory: Path) -> None:
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / RESOLVED_CONFIG_NAME).write_text(
-            cfgmod.format_config(cfg), encoding="utf-8"
-        )
+        text = cfgmod.format_config(cfg)
+        fileio.write_atomic(directory / RESOLVED_CONFIG_NAME, text.encode("utf-8"))
     except OSError as exc:
         raise _CliError(EXIT_IO_ERROR, f"cannot write resolved config: {exc}")
 
@@ -190,13 +189,13 @@ def _cmd_train(args) -> int:
     cfg = _validated(_resolve_config(args))
     manifest = _load_manifest(cfg)
     out_dir = Path(cfg.out_dir)
-    _write_resolved(cfg, out_dir)
     try:
         result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
     except trainer.TrainerError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except OSError as exc:
         raise _CliError(EXIT_IO_ERROR, str(exc))
+    _write_resolved(cfg, out_dir)
     last = result.epoch_records[-1]
     print(f"trained {cfg.epochs} epochs  final stage {last['stage']}  "
           f"mean total {last['means']['total']:.4f}")
@@ -224,8 +223,8 @@ def _cmd_eval(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for direction, report in reports.items():
-            (out_dir / f"eval_{direction}.json").write_text(
-                report.to_json(), encoding="utf-8"
+            fileio.write_atomic(
+                out_dir / f"eval_{direction}.json", report.to_json().encode("utf-8")
             )
     except OSError as exc:
         raise _CliError(EXIT_IO_ERROR, f"cannot write report: {exc}")
@@ -238,10 +237,10 @@ def _cmd_gradcheck(args) -> int:
     names = None
     if args.only is not None:
         names = [args.only]
+    seed = _validated(_resolve_config(args)).seed
     try:
         suite = checksuite.run_all(
-            names, configs=args.configs, tol=args.tol, step=args.step,
-            seed=int(args.seed) if args.seed is not None else 0,
+            names, configs=args.configs, tol=args.tol, step=args.step, seed=seed,
         )
     except checksuite.CheckSuiteError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
@@ -271,7 +270,7 @@ def _cmd_dump_attention(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, mask in (("m_c", masks.clothing), ("m_id", masks.identity)):
             grey = np.round(mask.data[0, 0] * 255.0).astype(np.uint8)
-            pnm.write_pgm(out_dir / f"{name}.pgm", grey)
+            fileio.write_atomic(out_dir / f"{name}.pgm", pnm.encode_pgm(grey))
     except OSError as exc:
         raise _CliError(EXIT_IO_ERROR, f"cannot write masks: {exc}")
     print(f"wrote {out_dir / 'm_c.pgm'} and {out_dir / 'm_id.pgm'}")

@@ -1,8 +1,9 @@
 """Flat run configuration: one file, one namespace, every knob.
 
 Each field is declared once, with its default, in the module that owns it:
-``synthbench.GenConfig`` holds the dataset-generation fields and
-``trainer.TrainConfig`` the schedule, loss, ablation and architecture fields.
+``synthbench.GenConfig`` holds the dataset-generation fields,
+``model.ArchConfig`` the architecture fields, and ``trainer.TrainConfig``
+(which inherits ``ArchConfig``) the schedule, loss and ablation fields.
 ``RunConfig`` inherits both, so ``seed``, ``image_height`` and
 ``image_width``, which both declare with equal defaults, are one field here;
 it adds only the three paths.  ``gen_config()`` and ``train_config()``

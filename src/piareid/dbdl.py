@@ -49,12 +49,16 @@ class MaskPair(NamedTuple):
     identity: Tensor
 
 
-def init_attention(rng: np.random.Generator,
-                   kernel_size: int = DEFAULT_ATTENTION_KERNEL) -> AttentionParams:
+def validate_attention_kernel(kernel_size: int) -> None:
     if kernel_size % 2 != 1 or kernel_size < 1:
         raise encoder.EncoderConfigError(
-            f"attention kernel must be odd and positive, got {kernel_size}"
+            f"attention kernel size must be odd and positive, got {kernel_size}"
         )
+
+
+def init_attention(rng: np.random.Generator,
+                   kernel_size: int = DEFAULT_ATTENTION_KERNEL) -> AttentionParams:
+    validate_attention_kernel(kernel_size)
     fan = 2 * kernel_size * kernel_size
     return AttentionParams(
         weight=dc.parameter(encoder.uniform_init(

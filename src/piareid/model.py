@@ -15,7 +15,9 @@ from .diffcore import Tensor
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ArchConfig:
+    """The architecture fields, shared by the model and the training config."""
+
     image_height: int = 64
     image_width: int = 32
     widths: tuple[int, ...] = encoder.DEFAULT_WIDTHS
@@ -25,6 +27,10 @@ class ModelConfig:
     pooling_mode: str = encoder.POOL_GAP_GMP
     use_final_bn: bool = True
     use_dbdl: bool = True
+
+
+@dataclass(frozen=True)
+class ModelConfig(ArchConfig):
     num_identities: int = 8
     num_clothing_classes: int = 16
     seed: int = 0

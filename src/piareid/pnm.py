@@ -39,11 +39,6 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         handle.write(encode_ppm(pixels))
 
 
-def write_pgm(path, pixels: np.ndarray) -> None:
-    with open(path, "wb") as handle:
-        handle.write(encode_pgm(pixels))
-
-
 def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
     """Whitespace/comment-aware integer scanner for PNM headers."""
     tokens: list[int] = []

@@ -54,8 +54,9 @@ class StageTermMismatchError(TrainerError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for one training run.
+class TrainConfig(model_mod.ArchConfig):
+    """Hyperparameters for one training run; the architecture fields come
+    from ``model.ArchConfig``.
 
     The defaults are the desk-scale schedule: 30 epochs with the prototype
     stage starting at epoch 18 and the learning rate decaying every 10
@@ -74,20 +75,11 @@ class TrainConfig:
     tau: float = bpl.DEFAULT_TAU
     alpha: float = bpl.DEFAULT_ALPHA
     flip_probability: float = 0.5
-    use_dbdl: bool = True
     use_orth: bool = True
     use_intra: bool = True
     use_inter: bool = True
     eval_every: int = 1
     seed: int = 0
-    image_height: int = 64
-    image_width: int = 32
-    widths: tuple[int, ...] = encoder.DEFAULT_WIDTHS
-    strides: tuple[int, ...] = encoder.DEFAULT_STRIDES
-    kernel_size: int = encoder.DEFAULT_KERNEL
-    attention_kernel_size: int = dbdl.DEFAULT_ATTENTION_KERNEL
-    pooling_mode: str = encoder.POOL_GAP_GMP
-    use_final_bn: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -117,14 +109,12 @@ class TrainConfig:
             raise ValueError("the orthogonality term needs the dual branch enabled")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         encoder.validate_architecture(
             tuple(self.widths), tuple(self.strides), self.kernel_size
         )
-        if self.attention_kernel_size % 2 != 1 or self.attention_kernel_size < 1:
-            raise ValueError(
-                f"attention kernel size must be odd and positive, "
-                f"got {self.attention_kernel_size}"
-            )
+        dbdl.validate_attention_kernel(self.attention_kernel_size)
 
     @property
     def batch_size(self) -> int:

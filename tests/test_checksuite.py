@@ -24,15 +24,25 @@ class TestCatalog:
             "intra_loss", "inter_loss", "stage1_loss", "stage2_loss",
         } <= set(CATALOG)
 
-    def test_factories_produce_deterministic_closures(self):
-        # run_check itself raises on nondeterministic closures; spot-check a
-        # couple of factories by building twice from the same stream
-        for name in ("conv2d", "intra_loss", "stage2_loss"):
-            factory = CATALOG[name]
-            build_a, params_a, _ = factory(np.random.default_rng(5))
-            value_1 = float(build_a(params_a).data)
-            value_2 = float(build_a(params_a).data)
-            assert value_1 == value_2
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_factories_produce_deterministic_closures(self, name):
+        # run_check itself raises on nondeterministic closures; here every
+        # factory is built twice from the same stream and evaluated twice
+        build_a, params_a, names = CATALOG[name](np.random.default_rng(5))
+        build_b, params_b, _ = CATALOG[name](np.random.default_rng(5))
+        value_1 = float(build_a(params_a).data)
+        assert float(build_a(params_a).data) == value_1
+        assert float(build_b(params_b).data) == value_1
+        assert len(names) == len(params_a)
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("name", list(CATALOG))
+    def test_build_reads_the_params_it_is_given(self, name):
+        build, params, _ = CATALOG[name](np.random.default_rng(5))
+        before = float(build(params).data)
+        noise = np.random.default_rng(6)
+        moved = [dc.parameter(p.data + 0.01 * noise.normal(size=p.shape)) for p in params]
+        assert float(build(moved).data) != before
 
 
 class TestRunCheck:
@@ -61,6 +71,19 @@ class TestRunCheck:
             checksuite, "CATALOG", {k: v for k, v in CATALOG.items() if k != "conv2d"}
         )
         assert run_check("sum", configs=3) == before
+
+    @pytest.mark.parametrize("settings, match", [
+        (dict(configs=0), "configs"),
+        (dict(configs=-3), "configs"),
+        (dict(step=0.0), "step"),
+        (dict(step=-1e-5), "step"),
+        (dict(step=float("nan")), "step"),
+        (dict(tol=0.0), "tol"),
+        (dict(tol=float("inf")), "tol"),
+    ])
+    def test_unusable_settings_are_rejected(self, settings, match):
+        with pytest.raises(CheckSuiteError, match=match):
+            run_check("relu", **settings)
 
     def test_absurd_step_fails_honestly(self):
         # a huge step makes the difference quotient useless; the check must

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from piareid import checkpoint as ckpt
-from piareid import cli, pnm
+from piareid import checksuite, cli, pnm
 from piareid.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -138,6 +139,24 @@ class TestTrain:
         ] + TINY_DATA)
         assert rc == EXIT_CONFIG_ERROR
         assert "stride" in capsys.readouterr().err
+
+
+    def test_failed_rerun_leaves_used_run_dir_unchanged(self, workspace, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(workspace / "run", run)
+        before = {name: (run / name).read_bytes()
+                  for name in ("run_config.txt", "checkpoint.bin")}
+        rc = main([
+            "train", "--config", str(run / "run_config.txt"), "--out", str(run),
+            "--ids-per-batch", "9",
+        ])
+        assert rc == EXIT_CONFIG_ERROR
+        assert "Traceback" not in capsys.readouterr().err
+        for name, data in before.items():
+            assert (run / name).read_bytes() == data, name
+        assert sorted(p.name for p in run.iterdir()) == sorted(
+            p.name for p in (workspace / "run").iterdir()
+        )
 
 
 class TestReproduce:
@@ -301,6 +320,31 @@ class TestGradcheck:
         rc = main(["gradcheck", "--only", "no_such_op"])
         assert rc == EXIT_CONFIG_ERROR
         assert "unknown check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--seed", "abc"], "seed"),
+        (["--seed", "-1"], "seed"),
+        (["--configs", "0"], "configs"),
+        (["--configs", "-3"], "configs"),
+        (["--step", "0"], "step"),
+        (["--tol", "nan"], "tol"),
+    ])
+    def test_unusable_flag_is_config_error(self, capsys, flags, match):
+        rc = main(["gradcheck", "--only", "relu"] + flags)
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG_ERROR
+        assert match in captured.err
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
+    def test_config_file_seed_is_honoured(self, tmp_path, capsys):
+        config = tmp_path / "gc.txt"
+        config.write_text("seed = 3\n")
+        rc = main(["gradcheck", "--only", "linear", "--configs", "1", "--config", str(config)])
+        assert rc == EXIT_OK
+        table = capsys.readouterr().out.strip()
+        assert table == checksuite.run_all(["linear"], configs=1, seed=3).format_table()
+        assert table != checksuite.run_all(["linear"], configs=1, seed=0).format_table()
 
 
 class TestDumpAttention:

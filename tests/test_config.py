@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 from piareid import synthbench, trainer
-from piareid.model import ModelConfig
+from piareid.model import ArchConfig, ModelConfig
 from piareid.config import (
     ABLATION_PRESETS,
     ConfigError,
@@ -191,6 +191,17 @@ class TestFieldOwnership:
         assert set(names) == parents | {"data_dir", "out_dir", "checkpoint"}
         assert RunConfig().gen_config() == synthbench.GenConfig()
         assert RunConfig().train_config() == trainer.TrainConfig()
+
+    def test_architecture_fields_are_declared_once(self):
+        arch = [f.name for f in fields(ArchConfig)]
+        assert len(arch) == 9
+        for cls in (ModelConfig, trainer.TrainConfig):
+            assert issubclass(cls, ArchConfig)
+            assert [f.name for f in fields(cls)][:9] == arch
+            assert not any(name in vars(cls).get("__annotations__", {}) for name in arch)
+        assert [f.name for f in fields(ModelConfig)][9:] == [
+            "num_identities", "num_clothing_classes", "seed",
+        ]
 
     def test_default_model_config_matches_training_defaults(self):
         assert trainer.TrainConfig().model_config(5, 7) == ModelConfig(

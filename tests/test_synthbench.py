@@ -275,5 +275,5 @@ class TestPnm:
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(6, 4)).astype(np.uint8)
         path = tmp_path / "x.pgm"
-        pnm.write_pgm(path, image)
+        path.write_bytes(pnm.encode_pgm(image))
         assert np.array_equal(pnm.read_pgm(path), image)

@@ -68,6 +68,7 @@ class TestTrainConfig:
             {"alpha": 1.0},
             {"use_orth": True, "use_dbdl": False},
             {"eval_every": -1},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, overrides):
