@@ -69,12 +69,13 @@ def _away_from_zero(*shape: int) -> Draw:
 def _split_max_ties(values: np.ndarray, axis: int) -> np.ndarray:
     """Raise each argmax until it clears the runner-up by KINK_MARGIN."""
     arranged = np.moveaxis(values, axis, -1)
-    flat = arranged.reshape(-1, arranged.shape[-1])
+    flat = arranged.reshape(-1, arranged.shape[-1])  # a copy unless axis is last
     for row in flat:
         top = int(row.argmax())
         rest = np.delete(row, top)
         if rest.size and row[top] - rest.max() < KINK_MARGIN:
             row[top] = rest.max() + KINK_MARGIN
+    arranged[...] = flat.reshape(arranged.shape)
     return values
 
 

@@ -220,6 +220,8 @@ def _cmd_eval(args) -> int:
         }
     except evalkit.ProtocolError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
+    except dc.ShapeMismatchError as exc:
+        raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the checkpoint: {exc}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for direction, report in reports.items():

@@ -8,6 +8,10 @@ return one gradient (or ``None``) per input, in input order.
 Conventions:
   - spatial inputs are [N, C, H, W] and dense inputs are [N, D]; any other
     rank raises ``ShapeMismatchError``
+  - ``conv2d`` lowers to im2col on a channels-last layout: ``cols`` is
+    [N*Ho*Wo, kh*kw*C_in] with K ordered (kh, kw, C_in), and its [N, C, H, W]
+    output is a transposed view of [N, Ho, Wo, C_out] memory, so spatial
+    results may be non-contiguous
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
     InvalidAttributeError,
@@ -187,11 +192,11 @@ def _scale():
 def _relu():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        ctx["mask"] = x > 0.0
-        return np.where(ctx["mask"], x, 0.0)
+        ctx["x"] = x
+        return np.maximum(x, 0.0)  # NaN stays NaN
 
     def backward(ctx, grad):
-        return [np.where(ctx["mask"], grad, 0.0)]
+        return [grad * (ctx["x"] > 0.0)]
 
     return forward, backward
 
@@ -234,6 +239,11 @@ def _abs():
 
 @register("conv2d")
 def _conv2d():
+    # Forward: pad the input channels-last once, take a strided window view
+    # of it and copy that once into cols [N*Ho*Wo, kh*kw*C_in], K ordered
+    # (kh, kw, C_in); one matmul with the weight flattened in the same order.
+    # Backward: grad_w = g^T cols and grad_cols = g w_flat, then a kh x kw
+    # col2im scatter into a channels-last padded buffer.
     def forward(ctx, arrays, attrs):
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
@@ -262,63 +272,51 @@ def _conv2d():
         h_out = (h_pad - kh) // stride + 1
         w_out = (w_pad - kw) // stride + 1
 
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[
-                    :,
-                    :,
-                    i : i + stride * (h_out - 1) + 1 : stride,
-                    j : j + stride * (w_out - 1) + 1 : stride,
-                ]
-        flat = cols.reshape(n, c_in * kh * kw, h_out * w_out)
-        w_flat = w.reshape(c_out, c_in * kh * kw)
-        out = np.tensordot(flat, w_flat, axes=([1], [1]))  # [n, L, c_out]
-        out = out.transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
-        out = out + b[None, :, None, None]
+        pad = (padding, padding)
+        xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), pad, pad, (0, 0)))  # [n, Hp, Wp, c_in]
+        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h_out * w_out, kh * kw * c_in)
+        w_flat = w.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+        out = cols @ w_flat.T
+        out += b
 
         ctx.update(
-            flat=flat,
+            cols=cols,
             w_flat=w_flat,
             stride=stride,
             padding=padding,
             x_shape=x.shape,
             xp_shape=xp.shape,
-            w_shape=w.shape,
+            kernel=(kh, kw),
             out_hw=(h_out, w_out),
         )
-        return out
+        return out.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     def backward(ctx, grad):
         n, c_in, height, width = ctx["x_shape"]
-        c_out, _, kh, kw = ctx["w_shape"]
         h_out, w_out = ctx["out_hw"]
         stride = ctx["stride"]
         padding = ctx["padding"]
+        w_flat = ctx["w_flat"]
+        c_out = w_flat.shape[0]
+        kh, kw = ctx["kernel"]
 
-        grad_b = grad.sum(axis=(0, 2, 3))
-        grad_flat_out = grad.reshape(n, c_out, h_out * w_out)
-        grad_w = np.tensordot(grad_flat_out, ctx["flat"], axes=([0, 2], [0, 2]))
-        grad_w = grad_w.reshape(ctx["w_shape"])
-        grad_cols = np.tensordot(grad_flat_out, ctx["w_flat"], axes=([1], [0]))
-        grad_cols = grad_cols.transpose(0, 2, 1).reshape(
-            n, c_in, kh, kw, h_out, w_out
-        )
+        g = grad.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+        grad_b = g.sum(axis=0)
+        grad_w = (g.T @ ctx["cols"]).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        # grad_cols as [kh*kw, N*Ho*Wo, C_in], so each tap's slice is contiguous
+        taps = w_flat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
+        grad_cols = np.matmul(g, taps).reshape(kh, kw, n, h_out, w_out, c_in)
         grad_xp = np.zeros(ctx["xp_shape"], dtype=np.float64)
         for i in range(kh):
             for j in range(kw):
                 grad_xp[
                     :,
-                    :,
                     i : i + stride * (h_out - 1) + 1 : stride,
                     j : j + stride * (w_out - 1) + 1 : stride,
-                ] += grad_cols[:, :, i, j]
-        if padding:
-            grad_x = grad_xp[:, :, padding : padding + height, padding : padding + width]
-        else:
-            grad_x = grad_xp
-        return [grad_x, grad_w, grad_b]
+                ] += grad_cols[i, j]
+        grad_x = grad_xp[:, padding : padding + height, padding : padding + width]
+        return [grad_x.transpose(0, 3, 1, 2), grad_w, grad_b]
 
     return forward, backward
 

@@ -135,42 +135,40 @@ def distance_matrix(retrieval: RetrievalSet) -> np.ndarray:
     return 1.0 - retrieval.query_features @ retrieval.gallery_features.T
 
 
-def rank(retrieval: RetrievalSet) -> np.ndarray:
+def rank(distances: np.ndarray) -> np.ndarray:
     """[Q, G] gallery orderings, ascending distance, stable on ties."""
-    return np.argsort(distance_matrix(retrieval), axis=1, kind="stable")
+    return np.argsort(distances, axis=1, kind="stable")
 
 
-def cmc_curve(orderings: np.ndarray, query_ids: np.ndarray,
-              gallery_ids: np.ndarray) -> np.ndarray:
+def hit_matrix(orderings: np.ndarray, query_ids: np.ndarray,
+               gallery_ids: np.ndarray) -> np.ndarray:
+    """[Q, G] booleans: the gallery item at each rank shares the query's identity."""
+    return gallery_ids[orderings] == query_ids[:, None]
+
+
+def cmc_curve(hits: np.ndarray) -> np.ndarray:
     """cmc[k] = fraction of queries with a correct match in the top k+1."""
-    num_query, num_gallery = orderings.shape
-    hits = gallery_ids[orderings] == query_ids[:, None]
+    num_query, num_gallery = hits.shape
     first_hit = hits.argmax(axis=1)  # every kept query has a match
-    curve = np.zeros(num_gallery)
-    for pos in first_hit:
-        curve[pos] += 1.0
-    return curve.cumsum() / num_query
+    return np.bincount(first_hit, minlength=num_gallery).cumsum() / num_query
 
 
-def average_precision(hit_row: np.ndarray) -> float:
-    """AP over one ranked boolean row: mean of precision at each hit."""
-    positions = np.flatnonzero(hit_row)
-    if positions.size == 0:
-        return 0.0
-    precisions = (np.arange(positions.size) + 1.0) / (positions + 1.0)
-    return float(precisions.mean())
+def mean_ap(hits: np.ndarray) -> float:
+    """Mean over queries of AP, the mean precision at each hit (0 without hits)."""
+    num_query = hits.shape[0]
+    rows, positions = np.nonzero(hits)  # row-major: each row's hits in rank order
+    counts = np.bincount(rows, minlength=num_query)
+    nth_hit = np.arange(rows.size) - (counts.cumsum() - counts)[rows] + 1.0
+    precision_sums = np.bincount(rows, weights=nth_hit / (positions + 1.0),
+                                 minlength=num_query)
+    ap = np.divide(precision_sums, counts, out=np.zeros(num_query), where=counts > 0)
+    return float(ap.mean())
 
 
-def mean_ap(orderings: np.ndarray, query_ids: np.ndarray,
-            gallery_ids: np.ndarray) -> float:
-    hits = gallery_ids[orderings] == query_ids[:, None]
-    return float(np.mean([average_precision(row) for row in hits]))
-
-
-def distance_stats(retrieval: RetrievalSet) -> dict[str, float]:
+def distance_stats(distances: np.ndarray, query_ids: np.ndarray,
+                   gallery_ids: np.ndarray) -> dict[str, float]:
     """Distance mean/std over all pairs, split by identity match."""
-    distances = distance_matrix(retrieval)
-    same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
+    same = gallery_ids[None, :] == query_ids[:, None]
     positives = distances[same]
     negatives = distances[~same]
     return {
@@ -182,11 +180,16 @@ def distance_stats(retrieval: RetrievalSet) -> dict[str, float]:
 
 
 def report_from_set(retrieval: RetrievalSet) -> EvalReport:
-    orderings = rank(retrieval)
-    curve = cmc_curve(
-        orderings, retrieval.query_identities, retrieval.gallery_identities
-    )
-    stats = distance_stats(retrieval)
+    query_ids = retrieval.query_identities
+    gallery_ids = retrieval.gallery_identities
+    # one distance matrix per direction, freed before the [Q, G] gather in hit_matrix
+    distances = distance_matrix(retrieval)
+    stats = distance_stats(distances, query_ids, gallery_ids)
+    orderings = rank(distances)
+    del distances
+    hits = hit_matrix(orderings, query_ids, gallery_ids)
+    del orderings
+    curve = cmc_curve(hits)
     num_gallery = curve.size
 
     def rank_at(k: int) -> float:
@@ -201,7 +204,7 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
         rank5=rank_at(5),
         rank10=rank_at(10),
         rank20=rank_at(20),
-        mean_ap=mean_ap(orderings, retrieval.query_identities, retrieval.gallery_identities),
+        mean_ap=mean_ap(hits),
         cmc=[float(v) for v in curve],
         **stats,
     )

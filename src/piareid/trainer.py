@@ -53,6 +53,10 @@ class StageTermMismatchError(TrainerError):
     """Prototype-loss terms were supplied in the stage that excludes them."""
 
 
+class ImageSizeError(TrainerError):
+    """The run config's image size differs from the dataset's images."""
+
+
 @dataclass(frozen=True)
 class TrainConfig(model_mod.ArchConfig):
     """Hyperparameters for one training run; the architecture fields come
@@ -417,6 +421,13 @@ def train(manifest: Manifest, cfg: TrainConfig,
     cfg.validate()
     sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
     train_rows = manifest.rows_for_split(SPLIT_TRAIN)
+    expected = (3, cfg.image_height, cfg.image_width)
+    found = manifest.load_pixels(train_rows[0]).shape
+    if found != expected:
+        raise ImageSizeError(
+            f"config image size {expected[1]}x{expected[2]} does not match the "
+            f"dataset's {found[1]}x{found[2]} images"
+        )
     id_remap = _dense_remap([manifest.rows[i].identity for i in train_rows], "identity")
     clothing_remap = _dense_remap([manifest.rows[i].clothing for i in train_rows], "clothing")
 

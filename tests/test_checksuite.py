@@ -45,6 +45,22 @@ class TestCatalog:
         assert float(build(moved).data) != before
 
 
+class TestSplitMaxTies:
+    @pytest.mark.parametrize("axis", [1, -1])
+    def test_every_slice_clears_its_runner_up(self, axis):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            values = rng.normal(size=(2, 4, 3, 3))
+            # plant exact ties along the checked axis
+            values[0, 0] = values[0, 1]
+            values[..., 2] = values[..., 0]
+            out = checksuite._split_max_ties(values, axis)
+            assert out is values
+            ordered = np.sort(np.moveaxis(values, axis, -1), axis=-1)
+            gaps = ordered[..., -1] - ordered[..., -2]
+            assert (gaps >= checksuite.KINK_MARGIN - 1e-12).all()
+
+
 class TestRunCheck:
     def test_single_primitive_passes(self):
         result = run_check("relu", configs=3)

@@ -141,6 +141,18 @@ class TestTrain:
         assert "stride" in capsys.readouterr().err
 
 
+    def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
+        # the dataset holds 16x8 images; the run asks for 64x32
+        run = tmp_path / "r"
+        rc = main([
+            "train", "--data-dir", str(workspace / "data"), "--out", str(run),
+        ] + TINY_TRAIN + ["--image-height", "64", "--image-width", "32"])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "64x32" in err and "16x8" in err
+        assert not run.exists()
+
     def test_failed_rerun_leaves_used_run_dir_unchanged(self, workspace, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(workspace / "run", run)
@@ -189,6 +201,24 @@ class TestEval:
             assert 0.0 <= report["rank1"] <= 1.0
             assert 0.0 <= report["mean_ap"] <= 1.0
             assert report["num_query"] > 0
+
+    def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
+        # the checkpoint's model takes 16x8 images; this dataset holds 32x16
+        data = tmp_path / "data32"
+        assert main(["gen-data", "--out", str(data)] + TINY_DATA
+                    + ["--image-height", "32", "--image-width", "16"]) == EXIT_OK
+        out = tmp_path / "eval"
+        rc = main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data-dir", str(data),
+            "--out", str(out),
+        ])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "3x16x8" in err and "3x32x16" in err
+        assert not out.exists()
 
     def test_single_direction(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval"

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piareid import diffcore as dc
@@ -93,6 +93,17 @@ class TestForwardHandCases:
             loss = dc.relu(x)
         dc.backward(loss, tape)
         assert float(x.grad) == 0.0
+        # and below it, down to -0.0 and the smallest negatives
+        x = dc.parameter([-3.0, -1e-300, -0.0, 0.0, 1e-300, 2.5])
+        with dc.Tape() as tape:
+            loss = dc.tensor_sum(dc.mul(dc.relu(x), dc.constant(np.full(6, 7.0))))
+        dc.backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 7.0, 7.0])
+
+    def test_relu_propagates_nan(self):
+        out = dc.relu(dc.tensor([np.nan, -1.0, 2.0])).data
+        assert np.isnan(out[0])
+        np.testing.assert_array_equal(out[1:], [0.0, 2.0])
 
     def test_abs_gradient_is_sign(self):
         x = dc.parameter([-2.0, 0.0, 5.0])
@@ -238,6 +249,65 @@ class TestConv2d:
             (h + 2 * padding - k) // stride + 1,
             (w + 2 * padding - k) // stride + 1,
         )
+
+
+def conv_loop_grads(x, w, grad, stride, padding):
+    """(grad_x, grad_w, grad_b) of ``sum(conv2d(x, w, b) * grad)``, one tap at a time."""
+    n, c_in, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    grad_xp = np.zeros_like(xp)
+    grad_w = np.zeros_like(w)
+    for i in range(grad.shape[2]):
+        for j in range(grad.shape[3]):
+            for a in range(kh):
+                for c in range(kw):
+                    r, q = i * stride + a, j * stride + c
+                    for img in range(n):
+                        g = grad[img, :, i, j]
+                        grad_w[:, :, a, c] += np.outer(g, xp[img, :, r, q])
+                        grad_xp[img, :, r, q] += g @ w[:, :, a, c]
+    grad_x = grad_xp[:, :, padding : padding + h, padding : padding + wd]
+    return grad_x, grad_w, grad.sum(axis=(0, 2, 3))
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """max |got - want| within ``rel`` of max |want|."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+class TestConv2dAgainstLoops:
+    @given(
+        n=st.integers(1, 4), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 7]), stride=st.sampled_from([1, 2, 4]),
+        padding=st.integers(0, 3), extra_h=st.integers(0, 6), extra_w=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    # kernel equal to the padded input; sizes the stride does not divide
+    @example(n=2, c_in=3, c_out=2, k=7, stride=1, padding=1, extra_h=0, extra_w=0, seed=1)
+    @example(n=1, c_in=2, c_out=3, k=3, stride=4, padding=0, extra_h=6, extra_w=3, seed=2)
+    @example(n=3, c_in=1, c_out=1, k=7, stride=2, padding=3, extra_h=4, extra_w=1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_gradients_match(self, n, c_in, c_out, k, stride, padding,
+                                         extra_h, extra_w, seed):
+        # the smallest size the kernel fits in, plus the drawn extra rows/columns
+        h = max(1, k - 2 * padding) + extra_h
+        wd = max(1, k - 2 * padding) + extra_w
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c_in, h, wd))
+        w = rng.normal(size=(c_out, c_in, k, k))
+        b = rng.normal(size=c_out)
+        params = [dc.parameter(x), dc.parameter(w), dc.parameter(b)]
+        with dc.Tape() as tape:
+            out = dc.conv2d(*params, stride=stride, padding=padding)
+            upstream = rng.normal(size=out.shape)
+            loss = dc.tensor_sum(dc.mul(out, dc.constant(upstream)))
+        dc.backward(loss, tape)
+
+        assert_rel_close(out.data, TestConv2d.conv_oracle(x, w, b, stride, padding))
+        for param, want in zip(params, conv_loop_grads(x, w, upstream, stride, padding)):
+            assert_rel_close(param.grad, want)
 
 
 class TestBackwardVsFiniteDifferences:

@@ -10,10 +10,10 @@ from piareid.evalkit import (
     EvalReport,
     ProtocolError,
     RetrievalSet,
-    average_precision,
     cmc_curve,
     distance_matrix,
     distance_stats,
+    hit_matrix,
     mean_ap,
     normalize_rows,
     protocol_from_table,
@@ -80,7 +80,7 @@ class TestCmcCurve:
         rng = np.random.default_rng(20)
         for _ in range(500):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            ours = cmc_curve(orderings, query_ids, gallery_ids)
+            ours = cmc_curve(hit_matrix(orderings, query_ids, gallery_ids))
             theirs = oracle_cmc(orderings, query_ids, gallery_ids)
             assert np.array_equal(ours, theirs)
 
@@ -88,7 +88,7 @@ class TestCmcCurve:
         rng = np.random.default_rng(21)
         for _ in range(100):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            curve = cmc_curve(orderings, query_ids, gallery_ids)
+            curve = cmc_curve(hit_matrix(orderings, query_ids, gallery_ids))
             assert (np.diff(curve) >= 0).all()
             assert curve[-1] == 1.0
             assert (curve >= 0).all() and (curve <= 1).all()
@@ -98,31 +98,37 @@ class TestCmcCurve:
         orderings = np.array([[0, 1, 2], [2, 1, 0]])
         query_ids = np.array([7, 8])
         gallery_ids = np.array([7, 8, 9])
-        assert cmc_curve(orderings, query_ids, gallery_ids).tolist() == [0.5, 1.0, 1.0]
+        hits = hit_matrix(orderings, query_ids, gallery_ids)
+        assert cmc_curve(hits).tolist() == [0.5, 1.0, 1.0]
+
+
+def _row_ap(hit_row) -> float:
+    """AP of one ranked boolean row, through ``mean_ap`` of a one-query matrix."""
+    return mean_ap(np.asarray(hit_row)[None, :])
 
 
 class TestAveragePrecision:
     def test_hand_case_five_sixths(self):
-        value = average_precision(np.array([True, False, True, False]))
+        value = _row_ap(np.array([True, False, True, False]))
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_single_hit_at_rank_k(self):
         for k in range(1, 7):
             row = np.zeros(8, dtype=bool)
             row[k - 1] = True
-            assert average_precision(row) == 1.0 / k
+            assert _row_ap(row) == 1.0 / k
 
     def test_all_hits_is_one(self):
-        assert average_precision(np.ones(5, dtype=bool)) == 1.0
+        assert _row_ap(np.ones(5, dtype=bool)) == 1.0
 
     def test_no_hits_is_zero(self):
-        assert average_precision(np.zeros(4, dtype=bool)) == 0.0
+        assert _row_ap(np.zeros(4, dtype=bool)) == 0.0
 
     def test_matches_oracle_on_random_rows(self):
         rng = np.random.default_rng(22)
         for _ in range(500):
             row = rng.random(int(rng.integers(1, 7))) < 0.5
-            assert average_precision(row) == oracle_ap(row)
+            assert _row_ap(row) == oracle_ap(row)
 
 
 class TestMeanAp:
@@ -130,9 +136,21 @@ class TestMeanAp:
         rng = np.random.default_rng(23)
         for _ in range(500):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            assert mean_ap(orderings, query_ids, gallery_ids) == oracle_map(
+            assert mean_ap(hit_matrix(orderings, query_ids, gallery_ids)) == oracle_map(
                 orderings, query_ids, gallery_ids
             )
+
+
+    def test_many_hits_per_query_within_1e12_of_oracle(self):
+        # rows with 8+ hits, where summation order may differ from the oracle's
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            gallery_ids = rng.integers(0, 4, size=60)
+            query_ids = gallery_ids[rng.integers(60, size=12)]
+            orderings = np.stack([rng.permutation(60) for _ in range(12)])
+            ours = mean_ap(hit_matrix(orderings, query_ids, gallery_ids))
+            assert ours == pytest.approx(oracle_map(orderings, query_ids, gallery_ids),
+                                         rel=1e-12, abs=0.0)
 
 
 class TestNormalizeRows:
@@ -181,19 +199,20 @@ class TestDistanceAndRank:
         angles = np.array([0.3, 0.1, 0.2])
         gallery = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 1, 2])
-        assert rank(retrieval)[0].tolist() == [1, 2, 0]
+        assert rank(distance_matrix(retrieval))[0].tolist() == [1, 2, 0]
 
     def test_rank_ties_are_stable(self):
         gallery = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 1, 2])
-        assert rank(retrieval)[0].tolist() == [0, 1, 2]
+        assert rank(distance_matrix(retrieval))[0].tolist() == [0, 1, 2]
 
 
 class TestDistanceStats:
     def test_hand_case(self):
         # query matches gallery 0 exactly (distance 0) and is orthogonal to gallery 1
         retrieval = make_set([[1.0, 0.0]], [5], [[1.0, 0.0], [0.0, 1.0]], [5, 6])
-        stats = distance_stats(retrieval)
+        stats = distance_stats(distance_matrix(retrieval), retrieval.query_identities,
+                               retrieval.gallery_identities)
         assert stats["pos_dist_mean"] == pytest.approx(0.0, abs=1e-12)
         assert stats["neg_dist_mean"] == pytest.approx(1.0, abs=1e-12)
         assert stats["pos_dist_std"] == pytest.approx(0.0, abs=1e-12)
@@ -201,7 +220,8 @@ class TestDistanceStats:
 
     def test_no_negatives_reports_zero(self):
         retrieval = make_set([[1.0, 0.0]], [5], [[0.0, 1.0]], [5])
-        stats = distance_stats(retrieval)
+        stats = distance_stats(distance_matrix(retrieval), retrieval.query_identities,
+                               retrieval.gallery_identities)
         assert stats["neg_dist_mean"] == 0.0
         assert stats["neg_dist_std"] == 0.0
 
@@ -214,15 +234,27 @@ class TestReportFromSet:
             rng.normal(size=(6, 5)), [0, 1, 0, 1, 2, 2],
         )
         report = report_from_set(retrieval)
-        orderings = rank(retrieval)
-        curve = cmc_curve(orderings, retrieval.query_identities,
+        hits = hit_matrix(rank(distance_matrix(retrieval)), retrieval.query_identities,
                           retrieval.gallery_identities)
+        curve = cmc_curve(hits)
         assert report.rank1 == curve[0]
         assert report.cmc == [float(v) for v in curve]
-        assert report.mean_ap == mean_ap(
-            orderings, retrieval.query_identities, retrieval.gallery_identities
-        )
+        assert report.mean_ap == mean_ap(hits)
         assert report.num_query == 4 and report.num_gallery == 6
+
+    def test_computes_the_distance_matrix_once(self, monkeypatch):
+        calls = []
+        original = evalkit.distance_matrix
+
+        def counted(retrieval):
+            calls.append(retrieval)
+            return original(retrieval)
+
+        monkeypatch.setattr(evalkit, "distance_matrix", counted)
+        rng = np.random.default_rng(7)
+        report_from_set(make_set(rng.normal(size=(3, 4)), [0, 1, 2],
+                                 rng.normal(size=(5, 4)), [0, 1, 2, 0, 1]))
+        assert len(calls) == 1
 
     def test_rank_k_clips_to_gallery_size(self):
         # gallery smaller than 5: rank5/10/20 all collapse to the final CMC value
