@@ -21,12 +21,10 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
+from .synthbench import INFRARED, VISIBLE
 
 DEFAULT_ALPHA = 0.9
 DEFAULT_TAU = 1.0 / 16.0
-
-VISIBLE = "V"
-INFRARED = "I"
 
 
 class UninitializedPrototypeError(RuntimeError):
@@ -62,10 +60,6 @@ class PrototypeBank:
     @property
     def num_identities(self) -> int:
         return self.protos_v.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.protos_v.shape[1]
 
     @property
     def fully_initialized(self) -> bool:
@@ -204,9 +198,7 @@ def _normalized_active_prototypes(protos: np.ndarray, flags: np.ndarray,
         raise UninitializedPrototypeError(
             f"loss references uninitialized {side} prototypes {needed.tolist()}"
         )
-    block = protos[active]
-    norms = np.sqrt((block**2).sum(axis=1, keepdims=True))
-    normalized = block / np.maximum(norms, dc.NORM_FLOOR)
+    normalized = dc.normalize_rows(protos[active])
     column_of = np.full(protos.shape[0], -1, dtype=np.int64)
     column_of[active] = np.arange(active.size)
     return normalized, column_of

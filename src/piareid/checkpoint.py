@@ -10,7 +10,7 @@ Layout (all integers little-endian):
                every field and rejects unknown keys
     fingerprint u32 length + hex sha256 of the config block
     count      u32 number of tensor records
-    record     u32 name length + name bytes
+    record     u32 name length + UTF-8 name bytes, unique per file
                u8 ndim, then ndim u64 dims
                float64 little-endian C-order data
 
@@ -129,7 +129,12 @@ def deserialize(blob: bytes) -> LoadedCheckpoint:
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = take_blob().decode("utf-8")
+        try:
+            name = take_blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"undecodable record name: {exc}") from exc
+        if name in arrays:
+            raise CheckpointError(f"duplicate record {name}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
         # math.prod: numpy's product of u64 dims wraps around silently

@@ -109,6 +109,8 @@ def _resolve_config(args: argparse.Namespace) -> cfgmod.RunConfig:
             file_text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise _CliError(EXIT_IO_ERROR, f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise _CliError(EXIT_CONFIG_ERROR, f"config file is not UTF-8 text: {exc}")
     overrides = {}
     for f in fields(cfgmod.RunConfig):
         value = getattr(args, f.name, None)

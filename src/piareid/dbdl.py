@@ -175,6 +175,4 @@ def orthogonality_loss(f: Tensor, f_c: Tensor) -> Tensor:
 
 def mean_abs_cosine(f: np.ndarray, f_c: np.ndarray) -> float:
     """Plain-array version of the orthogonality measure, for monitoring."""
-    fn = f / np.maximum(np.sqrt((f**2).sum(axis=1, keepdims=True)), 1e-12)
-    gn = f_c / np.maximum(np.sqrt((f_c**2).sum(axis=1, keepdims=True)), 1e-12)
-    return float(np.abs((fn * gn).sum(axis=1)).mean())
+    return float(np.abs((dc.normalize_rows(f) * dc.normalize_rows(f_c)).sum(axis=1)).mean())

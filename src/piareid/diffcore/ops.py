@@ -14,10 +14,22 @@ Conventions:
     results may be non-contiguous
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
+
+The six reduction kinds come from two rules, each registered under every
+kind it serves:
+  - axis mean/sum (``mean``, ``sum``, ``channel_avg_pool`` over axis 1 with
+    kept dims, ``global_avg_pool`` over axes 2 and 3): the backward expands
+    the reduced dims, multiplies by ``1.0 / count`` (mean only) and
+    broadcasts back to the input shape
+  - axis max (``channel_max_pool`` over axis 1 with kept dims,
+    ``global_max_pool`` over axes 2 and 3): the reduced axes, which must be
+    adjacent, merge into one; the backward sends the whole gradient to the
+    first maximiser along it
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,6 +45,12 @@ from .tensor import (
 NORM_FLOOR = 1e-12
 BN_EPS = 1e-12
 BN_MOMENTUM = 0.1
+
+
+def normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Plain-array rows over max(L2 norm, NORM_FLOOR), off the tape."""
+    norms = np.sqrt((x**2).sum(axis=1, keepdims=True))
+    return x / np.maximum(norms, NORM_FLOOR)
 
 
 class PrimitiveRule(NamedTuple):
@@ -323,85 +341,6 @@ def _conv2d():
 
 
 # ---------------------------------------------------------------------------
-# pooling
-
-
-@register("channel_avg_pool")
-def _channel_avg_pool():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        _require_rank(x, 4, "[N, C, H, W]", "channel_avg_pool")
-        ctx["channels"] = x.shape[1]
-        return x.mean(axis=1, keepdims=True)
-
-    def backward(ctx, grad):
-        return [np.repeat(grad / ctx["channels"], ctx["channels"], axis=1)]
-
-    return forward, backward
-
-
-
-@register("channel_max_pool")
-def _channel_max_pool():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        _require_rank(x, 4, "[N, C, H, W]", "channel_max_pool")
-        argmax = x.argmax(axis=1)  # first maximizer on ties
-        ctx["argmax"] = argmax
-        ctx["shape"] = x.shape
-        return np.take_along_axis(x, argmax[:, None], axis=1)
-
-    def backward(ctx, grad):
-        out = np.zeros(ctx["shape"], dtype=np.float64)
-        np.put_along_axis(out, ctx["argmax"][:, None], grad, axis=1)
-        return [out]
-
-    return forward, backward
-
-
-
-@register("global_avg_pool")
-def _global_avg_pool():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        _require_rank(x, 4, "[N, C, H, W]", "global_avg_pool")
-        ctx["hw"] = x.shape[2:]
-        return x.mean(axis=(2, 3))
-
-    def backward(ctx, grad):
-        h, w = ctx["hw"]
-        spread = np.broadcast_to(
-            grad[:, :, None, None] / (h * w), grad.shape + (h, w)
-        ).copy()
-        return [spread]
-
-    return forward, backward
-
-
-
-@register("global_max_pool")
-def _global_max_pool():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        _require_rank(x, 4, "[N, C, H, W]", "global_max_pool")
-        n, c, h, w = x.shape
-        flat = x.reshape(n, c, h * w)
-        argmax = flat.argmax(axis=2)  # first maximizer on ties
-        ctx["argmax"] = argmax
-        ctx["shape"] = x.shape
-        return np.take_along_axis(flat, argmax[:, :, None], axis=2)[:, :, 0]
-
-    def backward(ctx, grad):
-        n, c, h, w = ctx["shape"]
-        flat = np.zeros((n, c, h * w), dtype=np.float64)
-        np.put_along_axis(flat, ctx["argmax"][:, :, None], grad[:, :, None], axis=2)
-        return [flat.reshape(n, c, h, w)]
-
-    return forward, backward
-
-
-
-# ---------------------------------------------------------------------------
 # joins and dense algebra
 
 
@@ -468,7 +407,7 @@ def _linear():
 
 
 # ---------------------------------------------------------------------------
-# normalization and reductions
+# normalization
 
 
 @register("batch_norm")
@@ -594,36 +533,81 @@ def _l2_normalize():
 
 
 
-def _reduction(kind: str, divide: bool):
+# ---------------------------------------------------------------------------
+# reductions: one mean rule and one max rule serve all six kinds
+
+
+def _axis_attr(x: np.ndarray, attrs: dict, kind: str):
+    """The ``axis`` attribute of ``mean`` and ``sum``: None (every axis) or one int."""
+    axis = attrs.get("axis")
+    return None if axis is None else _resolve_axis(axis, x.ndim, kind)
+
+
+def _pooled(axis):
+    """Fixed pooling axes of an [N, C, H, W] input."""
+
+    def axis_of(x: np.ndarray, attrs: dict, kind: str):
+        _require_rank(x, 4, "[N, C, H, W]", kind)
+        return axis
+
+    return axis_of
+
+
+def _axes(axis) -> tuple[int, ...]:
+    return axis if isinstance(axis, tuple) else (axis,)
+
+
+def _axis_mean(kind: str, axis_of, *, keepdims: bool = False, divide: bool = True):
+    """Mean (or sum) over ``axis_of``'s axes; the gradient spreads evenly."""
+
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        axis = attrs.get("axis", None)
-        if axis is None:
-            ctx["axis"] = None
-            ctx["shape"] = x.shape
-            ctx["count"] = x.size
-            out = x.mean() if divide else x.sum()
-            return np.asarray(out)
-        axis = _resolve_axis(axis, x.ndim, kind)
+        axis = axis_of(x, attrs, kind)
         ctx["axis"] = axis
         ctx["shape"] = x.shape
-        ctx["count"] = x.shape[axis]
-        return x.mean(axis=axis) if divide else x.sum(axis=axis)
+        ctx["count"] = x.size if axis is None else math.prod(x.shape[a] for a in _axes(axis))
+        reduce = x.mean if divide else x.sum
+        return np.asarray(reduce(axis=axis, keepdims=keepdims))
 
     def backward(ctx, grad):
-        shape = ctx["shape"]
-        axis = ctx["axis"]
+        if ctx["axis"] is not None and not keepdims:
+            grad = np.expand_dims(grad, ctx["axis"])
         scale = 1.0 / ctx["count"] if divide else 1.0
-        if axis is None:
-            return [np.broadcast_to(grad * scale, shape).copy()]
-        expanded = np.expand_dims(grad, axis) * scale
-        return [np.broadcast_to(expanded, shape).copy()]
+        return [np.broadcast_to(grad * scale, ctx["shape"]).copy()]
 
     return forward, backward
 
 
-register("mean")(lambda: _reduction("mean", divide=True))
-register("sum")(lambda: _reduction("sum", divide=False))
+def _axis_max(kind: str, axis_of, *, keepdims: bool = False):
+    """Max over ``axis_of``'s adjacent axes; the whole gradient goes to the
+    first maximiser."""
+
+    def forward(ctx, arrays, attrs):
+        (x,) = arrays
+        axes = _axes(axis_of(x, attrs, kind))
+        first, last = axes[0], axes[-1] + 1
+        # merge the reduced axes into one; a view when they are one already
+        flat = x.reshape(x.shape[:first] + (math.prod(x.shape[first:last]),) + x.shape[last:])
+        index = np.expand_dims(flat.argmax(axis=first), first)  # first maximiser on ties
+        ctx.update(index=index, axis=first, flat_shape=flat.shape, shape=x.shape)
+        out = np.take_along_axis(flat, index, axis=first).squeeze(first)
+        return np.expand_dims(out, axes) if keepdims else out
+
+    def backward(ctx, grad):
+        index = ctx["index"]
+        routed = np.zeros(ctx["flat_shape"], dtype=np.float64)
+        np.put_along_axis(routed, index, grad.reshape(index.shape), axis=ctx["axis"])
+        return [routed.reshape(ctx["shape"])]
+
+    return forward, backward
+
+
+register("mean")(lambda: _axis_mean("mean", _axis_attr))
+register("sum")(lambda: _axis_mean("sum", _axis_attr, divide=False))
+register("channel_avg_pool")(lambda: _axis_mean("channel_avg_pool", _pooled(1), keepdims=True))
+register("global_avg_pool")(lambda: _axis_mean("global_avg_pool", _pooled((2, 3))))
+register("channel_max_pool")(lambda: _axis_max("channel_max_pool", _pooled(1), keepdims=True))
+register("global_max_pool")(lambda: _axis_max("global_max_pool", _pooled((2, 3))))
 
 
 # ---------------------------------------------------------------------------

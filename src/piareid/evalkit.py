@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import diffcore as dc
 from . import model as model_mod
 from .synthbench import INFRARED, Manifest, SPLIT_TEST, VISIBLE
 
@@ -61,11 +62,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
-
-
-def normalize_rows(features: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((features**2).sum(axis=1, keepdims=True))
-    return features / np.maximum(norms, 1e-12)
 
 
 def _split_modality_rows(manifest: Manifest) -> tuple[list[int], list[int]]:
@@ -122,9 +118,9 @@ def protocol_from_table(manifest: Manifest, table: FeatureTable,
 
     return RetrievalSet(
         direction=direction,
-        query_features=normalize_rows(table.rows_of(kept)),
+        query_features=dc.normalize_rows(table.rows_of(kept)),
         query_identities=query_ids[matchable],
-        gallery_features=normalize_rows(table.rows_of(gallery_rows)),
+        gallery_features=dc.normalize_rows(table.rows_of(gallery_rows)),
         gallery_identities=gallery_ids,
         dropped_queries=dropped,
     )

@@ -10,6 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Longest header number accepted: more than any raster needs, and short
+#: enough that ``int()`` never hits its digit limit.
+_MAX_DIGITS = 18
+
+
 class PnmError(ValueError):
     """Raised on malformed image files."""
 
@@ -59,8 +64,8 @@ def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
             while end < len(data) and not data[end : end + 1].isspace():
                 end += 1
             chunk = data[pos:end]
-            if not chunk.isdigit():
-                raise PnmError(f"bad header token {chunk!r}")
+            if not chunk.isdigit() or len(chunk) > _MAX_DIGITS:
+                raise PnmError(f"bad header token {chunk[:_MAX_DIGITS + 1]!r}")
             tokens.append(int(chunk))
             pos = end
     return tokens, pos
@@ -96,8 +101,3 @@ def decode_pgm(data: bytes) -> np.ndarray:
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as handle:
         return decode_ppm(handle.read())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as handle:
-        return decode_pgm(handle.read())

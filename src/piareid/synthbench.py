@@ -73,7 +73,6 @@ _IR_CLOTHING_CONTRAST = 0.15  # infrared keeps this fraction of clothing contras
 _STREAM_IDENTITY = 101
 _STREAM_OUTFIT = 202
 _STREAM_IMAGE = 303
-_STREAM_PROBE = 404
 
 
 class GenConfigError(ValueError):
@@ -280,29 +279,6 @@ def quantize(image: np.ndarray) -> np.ndarray:
     return np.round(image * 255.0).astype(np.uint8).transpose(1, 2, 0)
 
 
-def clothing_contrast_ratio(cfg: GenConfig, identity: int, outfit: int = 0) -> float:
-    """Torso-pixel std in visible over infrared, same identity and outfit."""
-
-    def torso_slices(modality: str) -> tuple[slice, slice]:
-        # reproduce the probe image's own jitter draws to find its torso
-        rng = np.random.default_rng(
-            [cfg.seed, _STREAM_IMAGE, identity, MODALITIES.index(modality), _STREAM_PROBE]
-        )
-        torso = _jittered_geometry(cfg, identity_factors(cfg, identity), rng)["torso"]
-        return (
-            slice(torso["top"], torso["top"] + torso["height"]),
-            slice(torso["left"], torso["left"] + torso["width"]),
-        )
-
-    vis = render_sample(cfg, identity, outfit, VISIBLE, _STREAM_PROBE)
-    ir = render_sample(cfg, identity, outfit, INFRARED, _STREAM_PROBE)
-    vis_rows, vis_cols = torso_slices(VISIBLE)
-    ir_rows, ir_cols = torso_slices(INFRARED)
-    vis_std = float(vis[:, vis_rows, vis_cols].std())
-    ir_std = float(ir[0, ir_rows, ir_cols].std())
-    return vis_std / max(ir_std, 1e-12)
-
-
 def _outfit_for(cfg: GenConfig, modality: str, image_index: int) -> int:
     if cfg.clothing_modality_coupling == COUPLING_COUPLED:
         return 0 if modality == VISIBLE else 1
@@ -334,12 +310,6 @@ class Manifest:
 
     def rows_for_split(self, split: str) -> list[int]:
         return [i for i, row in enumerate(self.rows) if row.split == split]
-
-    def identities(self, split: str | None = None) -> np.ndarray:
-        picked = [
-            row.identity for row in self.rows if split is None or row.split == split
-        ]
-        return np.unique(picked)
 
     def load_pixels(self, index: int) -> np.ndarray:
         cached = self._pixel_cache.get(index)
@@ -392,6 +362,13 @@ def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Man
     return Manifest(out, rows, fingerprint)
 
 
+def _csv_fields(path: Path, number: int, line: str) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ManifestError(f"{path}:{number}: {exc}") from None
+
+
 def load_manifest(path) -> Manifest:
     """Read and validate a manifest; ``path`` is the csv or its directory."""
     path = Path(path)
@@ -402,8 +379,10 @@ def load_manifest(path) -> Manifest:
     base_dir = path.parent
     rows: list[ManifestRow] = []
     fingerprint = ""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
     data_lines: list[tuple[int, str]] = []
     for number, line in enumerate(lines, start=1):
         if line.startswith("#"):
@@ -414,13 +393,13 @@ def load_manifest(path) -> Manifest:
             data_lines.append((number, line))
     if not data_lines:
         raise ManifestError(f"{path}: empty manifest")
-    header = next(csv.reader([data_lines[0][1]]))
+    header = _csv_fields(path, *data_lines[0])
     if header != MANIFEST_HEADER:
         raise ManifestError(
             f"{path}:{data_lines[0][0]}: header {header} != {MANIFEST_HEADER}"
         )
     for number, line in data_lines[1:]:
-        record = next(csv.reader([line]))
+        record = _csv_fields(path, number, line)
         if len(record) != 5:
             raise ManifestError(f"{path}:{number}: expected 5 columns, got {len(record)}")
         rel, identity_s, clothing_s, modality, split = record

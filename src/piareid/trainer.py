@@ -391,9 +391,6 @@ class TrainResult:
     checkpoint_path: Path | None = None
     log_path: Path | None = None
 
-    def iteration_reports(self) -> list[dict]:
-        return [r for record in self.epoch_records for r in record["iterations"]]
-
 
 def _dense_remap(labels: list[int], kind: str) -> dict[int, int]:
     distinct = sorted(set(labels))

@@ -47,7 +47,7 @@ def rng():
 class TestBankLifecycle:
     def test_create_starts_empty(self):
         bank = bpl.PrototypeBank.create(5, 3)
-        assert bank.num_identities == 5 and bank.dim == 3
+        assert bank.num_identities == 5 and bank.protos_v.shape[1] == 3
         assert not bank.initialized_v.any() and not bank.initialized_i.any()
         assert bank.iteration == 0
         assert not bank.fully_initialized
@@ -197,7 +197,7 @@ class TestProtoLosses:
         )
         terms = bpl.intra_loss(batch, bank, tau=1.0)
         want = math.log(1.0 + math.exp(-1.0))  # 0.31326...
-        assert terms.visible.item() == pytest.approx(want, abs=1e-12)
+        assert float(terms.visible.data) == pytest.approx(want, abs=1e-12)
         assert want == pytest.approx(0.31326, abs=5e-6)
 
     def test_intra_matches_bruteforce_oracle(self, rng):
@@ -215,7 +215,7 @@ class TestProtoLosses:
                 values[vis_rows], batch.ids[vis_rows],
                 {i: bank.protos_v[i] for i in range(k)}, tau,
             )
-            assert terms.visible.item() == pytest.approx(want_v, abs=1e-9)
+            assert float(terms.visible.data) == pytest.approx(want_v, abs=1e-9)
 
     def test_inter_swaps_banks(self, rng):
         bank = self.make_initialized(rng, 3, 4)
@@ -227,13 +227,13 @@ class TestProtoLosses:
             values[vis_rows], batch.ids[vis_rows],
             {i: bank.protos_i[i] for i in range(3)}, tau,
         )
-        assert terms.visible.item() == pytest.approx(want_v, abs=1e-9)
+        assert float(terms.visible.data) == pytest.approx(want_v, abs=1e-9)
         ir_rows = batch.modality_rows("I")
         want_i = protonce_oracle(
             values[ir_rows], batch.ids[ir_rows],
             {i: bank.protos_v[i] for i in range(3)}, tau,
         )
-        assert terms.infrared.item() == pytest.approx(want_i, abs=1e-9)
+        assert float(terms.infrared.data) == pytest.approx(want_i, abs=1e-9)
 
     def test_warmup_restricts_denominator(self, rng):
         """Uninitialized identities must not appear in the softmax."""
@@ -247,7 +247,7 @@ class TestProtoLosses:
             values[vis_rows], batch.ids[vis_rows],
             {i: bank.protos_v[i] for i in (0, 1, 2)}, 0.5,
         )
-        assert terms.visible.item() == pytest.approx(want, abs=1e-9)
+        assert float(terms.visible.data) == pytest.approx(want, abs=1e-9)
 
     def test_loss_on_uninitialized_identity_raises(self, rng):
         bank = self.make_initialized(rng, 3, 3)

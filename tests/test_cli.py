@@ -277,6 +277,25 @@ class TestEval:
         assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
         assert "Traceback" not in capsys.readouterr().err
 
+    def _scalar_records(self, workspace, *names: bytes) -> bytes:
+        """A checkpoint holding one 0-d record per raw name."""
+        text, _ = self._stored_arrays(workspace)
+        blob = ckpt.serialize(text, {})[:-4] + struct.pack("<I", len(names))
+        for name in names:
+            blob += struct.pack("<I", len(name)) + name + struct.pack("<Bd", 0, 1.0)
+        return blob
+
+    def test_undecodable_record_name(self, workspace, tmp_path, capsys):
+        blob = self._scalar_records(workspace, b"\xff")
+        assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "undecodable record name" in err and "Traceback" not in err
+
+    def test_duplicate_record_name(self, workspace, tmp_path, capsys):
+        blob = self._scalar_records(workspace, b"w", b"w")
+        assert self._eval_with(workspace, tmp_path, blob) == EXIT_IO_ERROR
+        assert "duplicate record w" in capsys.readouterr().err
+
     def test_missing_bank_record(self, workspace, tmp_path, capsys):
         text, arrays = self._stored_arrays(workspace)
         del arrays["bank.iteration"]
@@ -304,6 +323,21 @@ class TestEval:
         ])
         assert rc == EXIT_IO_ERROR
         assert "empty manifest" in capsys.readouterr().err
+
+    def test_undecodable_manifest(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "manifest.csv"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\xfe\n")
+        rc = main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data-dir", str(data),
+            "--out", str(tmp_path / "e"),
+        ])
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and "Traceback" not in err
 
     def test_untrained_model_scores_chance_level(self, tmp_path, capsys):
         # a 12-identity set splits 8 train / 4 test, so random features
@@ -389,8 +423,8 @@ class TestDumpAttention:
             "--sample", str(sample),
         ])
         assert rc == EXIT_OK
-        clothing = pnm.read_pgm(out / "m_c.pgm")
-        identity = pnm.read_pgm(out / "m_id.pgm")
+        clothing = pnm.decode_pgm((out / "m_c.pgm").read_bytes())
+        identity = pnm.decode_pgm((out / "m_id.pgm").read_bytes())
         assert clothing.shape == identity.shape
         assert clothing.dtype == np.uint8
 
@@ -461,3 +495,11 @@ class TestConfigPrecedence:
         config.write_text("this is not a pair\n")
         rc = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
         assert rc == EXIT_CONFIG_ERROR
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_bytes(b"seed = 1\n\xff\xfe\n")
+        rc = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "d")])
+        assert rc == EXIT_CONFIG_ERROR
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()

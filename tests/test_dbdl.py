@@ -51,7 +51,7 @@ class TestMasks:
         np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-logits)), atol=1e-12)
 
     def test_initial_suppression_is_half(self, attn):
-        assert dbdl.suppression(attn).item() == pytest.approx(0.5, abs=0)
+        assert float(dbdl.suppression(attn).data) == pytest.approx(0.5, abs=0)
 
     def test_identity_mask_complements_at_init(self, rng, attn):
         fmap = dc.tensor(rng.normal(size=(2, 8, 6, 3)))
@@ -121,26 +121,26 @@ class TestOrthogonality:
         loss = dbdl.orthogonality_loss(
             dc.tensor([[1.0, 0.0]]), dc.tensor([[0.0, 1.0]])
         )
-        assert loss.item() == pytest.approx(0.0, abs=1e-15)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-15)
 
     def test_parallel_pair_scores_one(self):
         loss = dbdl.orthogonality_loss(
             dc.tensor([[2.0, 0.0]]), dc.tensor([[5.0, 0.0]])
         )
-        assert loss.item() == pytest.approx(1.0, abs=1e-12)
+        assert float(loss.data) == pytest.approx(1.0, abs=1e-12)
 
     def test_forty_five_degrees(self):
         loss = dbdl.orthogonality_loss(
             dc.tensor([[1.0, 0.0]]), dc.tensor([[1.0, 1.0]])
         )
-        assert loss.item() == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert float(loss.data) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_matches_cosine_oracle_on_random_batches(self, rng):
         for _ in range(25):
             n, d = int(rng.integers(1, 6)), int(rng.integers(2, 7))
             f = rng.normal(size=(n, d)) + 0.1
             f_c = rng.normal(size=(n, d)) + 0.1
-            got = dbdl.orthogonality_loss(dc.tensor(f), dc.tensor(f_c)).item()
+            got = float(dbdl.orthogonality_loss(dc.tensor(f), dc.tensor(f_c)).data)
             assert got == pytest.approx(self.cosine_oracle(f, f_c), abs=1e-12)
 
     def test_degenerate_feature_raises(self, rng):
@@ -175,7 +175,7 @@ class TestClassification:
         w = dc.tensor(np.zeros((5, 4)))
         b = dc.tensor(np.zeros(4))
         loss = dbdl.cross_entropy(emb, w, b, np.array([0, 1, 3]))
-        assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+        assert float(loss.data) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_matches_oracle_on_random_inputs(self, rng):
         for _ in range(20):
@@ -186,7 +186,7 @@ class TestClassification:
             labels = rng.integers(0, k, size=n)
             got = dbdl.cross_entropy(dc.tensor(emb), dc.tensor(w), dc.tensor(b), labels)
             want = self.cross_entropy_oracle(emb, w, b, labels)
-            assert got.item() == pytest.approx(want, abs=1e-11)
+            assert float(got.data) == pytest.approx(want, abs=1e-11)
 
     def test_label_out_of_range(self, rng):
         with pytest.raises(ValueError, match="labels"):
@@ -210,8 +210,8 @@ class TestClassification:
         want_clothing = self.cross_entropy_oracle(
             f_c.data, heads.clothing_weight.data, heads.clothing_bias.data, y_c
         )
-        assert terms.ce_identity.item() == pytest.approx(want_id, abs=1e-11)
-        assert terms.ce_clothing.item() == pytest.approx(want_clothing, abs=1e-11)
+        assert float(terms.ce_identity.data) == pytest.approx(want_id, abs=1e-11)
+        assert float(terms.ce_clothing.data) == pytest.approx(want_clothing, abs=1e-11)
 
     def test_requires_clothing_head(self, rng):
         heads = encoder.init_heads(rng, dim=6, num_identities=4, num_clothing_classes=None)

@@ -5,7 +5,10 @@ The finite-difference oracle here is deliberately local to this file so the
 product checker is never used to validate its own machinery.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +77,7 @@ ONE_SAMPLE_INPUTS = {
 class TestForwardHandCases:
     def test_sigmoid_at_zero(self):
         out = dc.sigmoid(dc.tensor(0.0))
-        assert out.item() == pytest.approx(0.5, abs=0)
+        assert float(out.data) == pytest.approx(0.5, abs=0)
 
     def test_sigmoid_derivative_at_zero(self):
         x = dc.parameter(0.0)
@@ -767,3 +770,120 @@ class TestHypothesisInvariants:
         blocks = [rng.normal(size=(2, rng.integers(1, 4))) for _ in range(parts)]
         joined = dc.concat([dc.tensor(b) for b in blocks], axis=1).data
         np.testing.assert_array_equal(joined, np.concatenate(blocks, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the six reduction kinds against plain-numpy oracles
+
+REDUCTION_KINDS = ("mean", "sum", "channel_avg_pool", "global_avg_pool",
+                   "channel_max_pool", "global_max_pool")
+
+
+def _load_perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_kind_is_registered():
+    # perfbench keys its per-layer metrics by kind name; a kind missing
+    # from the registry would read 0 there instead of failing
+    traced = set(_load_perfbench_workloads().PRIMITIVE_KINDS) | {"conv2d"}
+    assert traced <= set(dc.registered_kinds())
+    assert set(REDUCTION_KINDS) <= traced
+
+
+def _oracle_max(x, axes, keepdims):
+    """Forward and a routing of ``grad`` to each slice's first maximiser, by loops."""
+    moved = np.moveaxis(x, axes, range(x.ndim - len(axes), x.ndim))
+    kept_shape = moved.shape[: x.ndim - len(axes)]
+    out = np.empty(kept_shape)
+    first = {}
+    for idx in np.ndindex(kept_shape):
+        block = moved[idx]
+        flat_pos = int(np.flatnonzero(block.reshape(-1) == block.max())[0])
+        out[idx] = block.reshape(-1)[flat_pos]
+        first[idx] = np.unravel_index(flat_pos, block.shape)
+    if keepdims:
+        out = np.expand_dims(out, axes)
+
+    def backward(grad):
+        routed = np.zeros(moved.shape)
+        g = grad.reshape(kept_shape)
+        for idx, pos in first.items():
+            routed[idx + pos] = g[idx]
+        return np.moveaxis(routed, range(x.ndim - len(axes), x.ndim), axes)
+
+    return out, backward
+
+
+def _oracle(kind, x, axis):
+    """(forward, gradient of sum(forward * grad)) in plain numpy."""
+    if kind in ("channel_max_pool", "global_max_pool"):
+        axes = (1,) if kind == "channel_max_pool" else (2, 3)
+        return _oracle_max(x, axes, keepdims=kind == "channel_max_pool")
+    if kind in ("channel_avg_pool", "global_avg_pool"):
+        axes = (1,) if kind == "channel_avg_pool" else (2, 3)
+        out = x.mean(axis=axes, keepdims=kind == "channel_avg_pool")
+    elif axis is None:
+        axes = tuple(range(x.ndim))
+        out = x.mean() if kind == "mean" else x.sum()
+    else:
+        axes = (axis,)
+        out = x.mean(axis=axis) if kind == "mean" else x.sum(axis=axis)
+    count = math.prod(x.shape[a] for a in axes)
+    scale = 1.0 if kind == "sum" else 1.0 / count
+
+    def backward(grad):
+        expanded = np.reshape(grad, [1 if a in axes else s for a, s in enumerate(x.shape)])
+        return np.broadcast_to(expanded * scale, x.shape)
+
+    return out, backward
+
+
+_REDUCE = {
+    "mean": dc.mean,
+    "sum": dc.tensor_sum,
+    "channel_avg_pool": lambda x, axis: dc.channel_avg_pool(x),
+    "global_avg_pool": lambda x, axis: dc.global_avg_pool(x),
+    "channel_max_pool": lambda x, axis: dc.channel_max_pool(x),
+    "global_max_pool": lambda x, axis: dc.global_max_pool(x),
+}
+
+
+class TestReductionRules:
+    @given(
+        st.sampled_from(REDUCTION_KINDS),
+        st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forward_and_gradient_equal_the_oracle(self, kind, shape, seed, ties, data):
+        rng = np.random.default_rng(seed)
+        axis = None
+        if kind in ("mean", "sum"):
+            shape = shape[: data.draw(st.integers(1, 4), label="rank")]
+            axis = data.draw(st.sampled_from([None, *range(len(shape))]), label="axis")
+        # small integers make ties common, so first-maximiser routing is exercised
+        x = rng.integers(-2, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+        param = dc.parameter(x)
+        want_out, want_backward = _oracle(kind, x, axis)
+        with dc.Tape() as tape:
+            out = _REDUCE[kind](param, axis=axis)
+            grad = rng.normal(size=out.shape)
+            loss = dc.tensor_sum(dc.mul(out, dc.constant(grad)))
+        dc.backward(loss, tape)
+        assert out.shape == np.shape(want_out)
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(param.grad, want_backward(grad))
+
+    @pytest.mark.parametrize("kind", ["mean", "sum"])
+    @pytest.mark.parametrize("axis", [True, 2, -3, 1.0])
+    def test_rejects_unusable_axis(self, kind, axis):
+        with pytest.raises(dc.InvalidAttributeError):
+            dc.apply(kind, [dc.tensor(np.zeros((2, 3)))], axis=axis)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from piareid import evalkit
+from piareid.diffcore import normalize_rows
 from piareid.evalkit import (
     EvalReport,
     ProtocolError,
@@ -15,7 +16,6 @@ from piareid.evalkit import (
     distance_stats,
     hit_matrix,
     mean_ap,
-    normalize_rows,
     protocol_from_table,
     rank,
     report_from_set,
@@ -324,6 +324,6 @@ class TestProtocol:
 
     def test_identities_line_up_with_manifest(self, tiny_manifest):
         retrieval = protocol_from_table(tiny_manifest, FakeTable(tiny_manifest), "v2i")
-        test_ids = set(tiny_manifest.identities("test").tolist())
+        test_ids = {row.identity for row in tiny_manifest.rows if row.split == "test"}
         assert set(retrieval.query_identities.tolist()) <= test_ids
         assert set(retrieval.gallery_identities.tolist()) <= test_ids

@@ -1,0 +1,169 @@
+"""Readers of outside input, fuzzed: every input either parses or raises the
+reading module's own error, never another exception."""
+
+from __future__ import annotations
+
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from piareid import checkpoint, kvconfig, pnm, synthbench
+
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def parsed_or_none(error: type[Exception], call, *args):
+    """``call(*args)``, or None when it raises ``error``; anything else escapes."""
+    try:
+        return call(*args)
+    except error:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# pnm
+
+_HEADER_TOKEN = st.one_of(
+    st.sampled_from([b" ", b"\n", b"\t", b"#", b"# note\n", b"255", b"0", b"-1", b"x"]),
+    st.integers(0, 70).map(lambda v: str(v).encode()),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def pnm_bytes(draw):
+    magic = draw(st.sampled_from([b"P5", b"P6", b"P3", b""]))
+    header = b"".join(draw(st.lists(_HEADER_TOKEN, max_size=10)))
+    return magic + header + draw(st.binary(max_size=64))
+
+
+class TestPnm:
+    @given(st.one_of(pnm_bytes(), st.binary(max_size=64)))
+    @example(b"P5\n2 1\n255\n\x00\x01")
+    @example(b"P6 " + b"9" * 5000 + b" 1 255\n")
+    @example(b"P5 1 1 255")
+    @FUZZ
+    def test_decode_parses_or_raises_pnm_error(self, data):
+        for decode, channels in ((pnm.decode_pgm, 1), (pnm.decode_ppm, 3)):
+            pixels = parsed_or_none(pnm.PnmError, decode, data)
+            if pixels is not None:
+                assert pixels.dtype == np.uint8
+                assert pixels.ndim == (2 if channels == 1 else 3)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint
+
+_VALID_BLOB = checkpoint.serialize(
+    "embedding_dim = 4\n",
+    {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(2), "s": np.asarray(1.5)},
+)
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    blob = bytearray(_VALID_BLOB)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob)))
+        action = draw(st.sampled_from(["flip", "cut", "insert"]))
+        if action == "flip" and pos < len(blob):
+            blob[pos] = draw(st.integers(0, 255))
+        elif action == "cut":
+            del blob[pos : pos + draw(st.integers(1, 16))]
+        else:
+            blob[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+def _with_records(*names: bytes) -> bytes:
+    """A header of ``_VALID_BLOB`` followed by one 0-d record per raw name."""
+    head = checkpoint.serialize("embedding_dim = 4\n", {})[:-4]
+    blob = head + struct.pack("<I", len(names))
+    for name in names:
+        blob += struct.pack("<I", len(name)) + name + struct.pack("<Bd", 0, 1.0)
+    return blob
+
+
+class TestCheckpoint:
+    @given(st.one_of(
+        mutated_checkpoints(),
+        st.binary(max_size=48).map(lambda tail: checkpoint.MAGIC + tail),
+    ))
+    @example(_with_records(b"\xff\xfe"))
+    @example(_with_records(b"w", b"w"))
+    @example(_with_records(b"w")[:-9] + struct.pack("<B2Q", 2, 0, 2**64 - 1))
+    @FUZZ
+    def test_deserialize_parses_or_raises_checkpoint_error(self, blob):
+        loaded = parsed_or_none(checkpoint.CheckpointError, checkpoint.deserialize, blob)
+        if loaded is not None:
+            assert checkpoint.deserialize(checkpoint.serialize(
+                loaded.config_text, loaded.arrays)).arrays.keys() == loaded.arrays.keys()
+
+
+# ---------------------------------------------------------------------------
+# manifest
+
+_IMAGE = "images/V/0000/000.ppm"
+_FIELD = st.one_of(
+    st.sampled_from(["path", "identity", "clothing", "modality", "split", _IMAGE,
+                     "0", "1", "-1", "V", "I", "train", "test", "missing.ppm"]),
+    st.text(max_size=6),
+)
+_LINE = st.one_of(
+    st.lists(_FIELD, min_size=1, max_size=6).map(",".join),
+    st.sampled_from(["", "# fingerprint=abc", ",".join(synthbench.MANIFEST_HEADER),
+                     f'"{_IMAGE}",0,0,V,train', f"{_IMAGE},0,0,I,test", '"unterminated']),
+)
+
+
+@st.composite
+def manifest_bytes(draw):
+    lines = draw(st.lists(_LINE, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(synthbench.MANIFEST_HEADER))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + draw(st.binary(min_size=1, max_size=3)) + data[pos:]
+    return data
+
+
+class TestManifest:
+    @given(manifest_bytes())
+    @example(b"path,identity,clothing,modality,split\n\xff\n")
+    @example(b"path,identity,clothing,modality,split\n" + b"x" * 200_000 + b",0,0,V,train\n")
+    @example(("path,identity,clothing,modality,split\n"
+              f"{_IMAGE},0,0,V,train\n{_IMAGE},0,0,I,test\n").encode())
+    @FUZZ
+    def test_load_parses_or_raises_manifest_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / _IMAGE).parent.mkdir(parents=True)
+            (root / _IMAGE).write_bytes(b"")
+            (root / synthbench.MANIFEST_NAME).write_bytes(data)
+            manifest = parsed_or_none(synthbench.ManifestError, synthbench.load_manifest, root)
+            if manifest is not None:
+                assert manifest.rows
+
+
+# ---------------------------------------------------------------------------
+# kvconfig
+
+
+class TestKvconfig:
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(["seed = 1", "seed=2", "a = b # c", "= x", "novalue",
+                                  "# only", "", "  k  =  v  ", "x = y = z"]),
+                 max_size=6).map("\n".join),
+    ))
+    @FUZZ
+    def test_parse_pairs_parses_or_raises_config_error(self, text):
+        pairs = parsed_or_none(kvconfig.ConfigError, kvconfig.parse_pairs, text)
+        if pairs is not None:
+            for key, value in pairs.items():
+                assert key and key == key.strip() and "#" not in key + value

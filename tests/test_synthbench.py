@@ -10,7 +10,6 @@ from piareid.synthbench import (
     GenConfig,
     GenConfigError,
     ManifestError,
-    clothing_contrast_ratio,
     color_palette,
     config_fingerprint,
     generate_dataset,
@@ -19,6 +18,35 @@ from piareid.synthbench import (
     outfit_factors,
     render_sample,
 )
+
+# the probe renders' image index
+PROBE_INDEX = 404
+
+
+def clothing_contrast_ratio(cfg: GenConfig, identity: int, outfit: int = 0) -> float:
+    """Torso-pixel std in visible over infrared, same identity and outfit."""
+
+    def torso_slices(modality: str) -> tuple[slice, slice]:
+        # reproduce the probe image's own jitter draws to find its torso
+        rng = np.random.default_rng([
+            cfg.seed, synthbench._STREAM_IMAGE, identity,
+            synthbench.MODALITIES.index(modality), PROBE_INDEX,
+        ])
+        geometry = synthbench._jittered_geometry(cfg, identity_factors(cfg, identity), rng)
+        torso = geometry["torso"]
+        return (
+            slice(torso["top"], torso["top"] + torso["height"]),
+            slice(torso["left"], torso["left"] + torso["width"]),
+        )
+
+    vis = render_sample(cfg, identity, outfit, synthbench.VISIBLE, PROBE_INDEX)
+    ir = render_sample(cfg, identity, outfit, synthbench.INFRARED, PROBE_INDEX)
+    vis_rows, vis_cols = torso_slices(synthbench.VISIBLE)
+    ir_rows, ir_cols = torso_slices(synthbench.INFRARED)
+    vis_std = float(vis[:, vis_rows, vis_cols].std())
+    ir_std = float(ir[0, ir_rows, ir_cols].std())
+    return vis_std / max(ir_std, 1e-12)
+
 
 TINY = dict(
     n_identities=4,
@@ -176,8 +204,8 @@ class TestGenerateDataset:
 
     def test_split_is_by_identity(self, dataset):
         cfg, manifest, _ = dataset
-        train_ids = set(manifest.identities("train").tolist())
-        test_ids = set(manifest.identities("test").tolist())
+        train_ids = {row.identity for row in manifest.rows if row.split == "train"}
+        test_ids = {row.identity for row in manifest.rows if row.split == "test"}
         assert train_ids.isdisjoint(test_ids)
         n_train, n_test = cfg.split_counts()
         assert len(train_ids) == n_train and len(test_ids) == n_test
@@ -271,9 +299,7 @@ class TestPnm:
         pnm.write_ppm(path, image)
         assert np.array_equal(pnm.read_ppm(path), image)
 
-    def test_pgm_round_trip(self, tmp_path):
+    def test_pgm_round_trip(self):
         rng = np.random.default_rng(1)
         image = rng.integers(0, 256, size=(6, 4)).astype(np.uint8)
-        path = tmp_path / "x.pgm"
-        path.write_bytes(pnm.encode_pgm(image))
-        assert np.array_equal(pnm.read_pgm(path), image)
+        assert np.array_equal(pnm.decode_pgm(pnm.encode_pgm(image)), image)

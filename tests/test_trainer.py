@@ -324,6 +324,10 @@ class TestDenseRemap:
             trainer._dense_remap([], "identity")
 
 
+def iteration_records(result):
+    return [r for record in result.epoch_records for r in record["iterations"]]
+
+
 def tiny_train_config(**overrides):
     merged = dict(
         epochs=2,
@@ -363,7 +367,7 @@ class TestTrainLoop:
 
     def test_logged_totals_recombine(self, tiny_run):
         cfg = tiny_run.config
-        for report in tiny_run.iteration_reports():
+        for report in iteration_records(tiny_run):
             parsed = LossReport(**{f.name: report.get(f.name) for f in fields(LossReport)})
             assert parsed.to_dict() == report
             expected = parsed.expected_total(cfg.lambda_orth, cfg.lambda_inter)
@@ -410,7 +414,7 @@ class TestTrainLoop:
             use_dbdl=False, use_orth=False, use_intra=False, use_inter=False
         )
         result = train(manifest, cfg)
-        for item in result.iteration_reports():
+        for item in iteration_records(result):
             assert "ce_clothing" not in item and "orth" not in item
         assert result.abs_cos_init is None
 
