@@ -195,7 +195,7 @@ def _cmd_train(args) -> int:
         result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
     except trainer.TrainerError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
-    except OSError as exc:
+    except (OSError, synthbench.ManifestError) as exc:
         raise _CliError(EXIT_IO_ERROR, str(exc))
     _write_resolved(cfg, out_dir)
     last = result.epoch_records[-1]
@@ -224,6 +224,8 @@ def _cmd_eval(args) -> int:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except dc.ShapeMismatchError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the checkpoint: {exc}")
+    except (OSError, synthbench.ManifestError) as exc:
+        raise _CliError(EXIT_IO_ERROR, f"cannot read dataset image: {exc}")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for direction, report in reports.items():

@@ -11,7 +11,20 @@ absent in infrared, while shape transfers across both.
 
 All randomness flows through ``numpy.random.default_rng`` seeded from the
 config seed plus stream tags, so byte-identical datasets come from equal
-configs.
+configs.  The draws follow the benchmark's design of one body and several
+outfits per person:
+
+- once per identity, from the identity's stream: the body geometry
+  (``identity_factors``);
+- once per (identity, outfit), from the palette and outfit streams: the
+  outfit color and stripe period, and the stripe levels each modality
+  shows (``outfit_factors``);
+- once per image, from the image's own stream keyed by identity, modality
+  and image index: the region jitter, then the sensor noise
+  (``render_sample``).
+
+``generate_dataset`` computes each identity's and each outfit's factors once
+and hands them to every ``render_sample`` call that shows them.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -69,6 +83,12 @@ _STRIPE_PERIODS = (2, 3, 4)
 _PALETTE_SIZE = 6
 _IR_BODY = 0.85
 _IR_CLOTHING_CONTRAST = 0.15  # infrared keeps this fraction of clothing contrast
+# (background, head, legs) levels per modality: infrared shows the body as
+# one bright intensity, stored in all three channels
+_BODY_LEVELS = {
+    VISIBLE: (_BACKGROUND, _SKIN, _LEGS_V),
+    INFRARED: (np.full(3, _BACKGROUND.mean()), np.full(3, _IR_BODY), np.full(3, _IR_BODY)),
+}
 
 _STREAM_IDENTITY = 101
 _STREAM_OUTFIT = 202
@@ -191,13 +211,27 @@ def _outfit_color_index(cfg: GenConfig, identity: int, outfit: int) -> int:
     return index
 
 
+def _infrared_level(color: np.ndarray) -> np.ndarray:
+    """A clothing color in infrared: its contrast compresses toward body heat."""
+    return np.full(3, _IR_BODY + _IR_CLOTHING_CONTRAST * (float(color.mean()) - _IR_BODY))
+
+
 def outfit_factors(cfg: GenConfig, identity: int, outfit: int) -> dict:
-    """Per-(identity, outfit) clothing appearance."""
+    """Per-(identity, outfit) clothing appearance, in both modalities."""
     rng = np.random.default_rng([cfg.seed, _STREAM_OUTFIT, identity, outfit])
     rng.integers(_PALETTE_SIZE)  # keep this stream aligned with the color draw
     color = color_palette(cfg)[_outfit_color_index(cfg, identity, outfit)]
     period = int(rng.choice(_STRIPE_PERIODS))
-    return {"color": color, "stripe_period": period}
+    dark = _DARK_BAND * color
+    return {
+        "color": color,
+        "stripe_period": period,
+        # (bright, dark) stripe levels as each modality shows them
+        "stripe_levels": {
+            VISIBLE: (color, dark),
+            INFRARED: (_infrared_level(color), _infrared_level(dark)),
+        },
+    }
 
 
 def _jittered_geometry(cfg: GenConfig, geometry: dict,
@@ -205,9 +239,9 @@ def _jittered_geometry(cfg: GenConfig, geometry: dict,
     """Rescale each region by one per-image factor, keeping its aspect ratio."""
     h, w = cfg.image_height, cfg.image_width
     out = {}
-    for name in ("head", "torso", "legs"):
+    factors = 1.0 + rng.uniform(-_JITTER_SCALE, _JITTER_SCALE, size=3)
+    for name, factor in zip(("head", "torso", "legs"), factors.tolist()):
         region = geometry[name]
-        factor = 1.0 + rng.uniform(-_JITTER_SCALE, _JITTER_SCALE)
         height = max(1, min(h, round(region["height"] * factor)))
         width = max(1, min(w, round(region["width"] * factor)))
         top = min(max(region["top"], 0), h - height)
@@ -221,57 +255,40 @@ def _paint_stripes(canvas: np.ndarray, region: dict, bright, dark, period: int) 
     height, width = region["height"], region["width"]
     rows = np.arange(height)
     banded = (rows // period) % 2 == 1
-    block = np.where(
-        banded[None, :, None],
-        np.asarray(dark)[:, None, None],
-        np.asarray(bright)[:, None, None],
-    )
+    block = np.where(banded[None, :, None], dark[:, None, None], bright[:, None, None])
     canvas[:, top : top + height, left : left + width] = block
 
 
-def render_sample(cfg: GenConfig, identity: int, outfit: int, modality: str,
-                  image_index: int) -> np.ndarray:
-    """One [3, H, W] float64 render in [0, 1]."""
+def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int,
+                  geometry: dict, appearance: dict) -> np.ndarray:
+    """One [3, H, W] float64 render in [0, 1].
+
+    ``geometry`` is ``identity_factors(cfg, identity)`` and ``appearance`` is
+    the ``outfit_factors`` of the outfit worn.  The only draws made here come
+    from the image's own stream, keyed by ``(identity, modality,
+    image_index)``: the per-region jitter, then the noise.
+    """
     if modality not in MODALITIES:
         raise ValueError(f"modality must be one of {MODALITIES}, got {modality!r}")
     rng = np.random.default_rng(
         [cfg.seed, _STREAM_IMAGE, identity, MODALITIES.index(modality), image_index]
     )
-    geometry = _jittered_geometry(cfg, identity_factors(cfg, identity), rng)
-    outfit_f = outfit_factors(cfg, identity, outfit)
+    regions = _jittered_geometry(cfg, geometry, rng)
     h, w = cfg.image_height, cfg.image_width
+    background, head, legs = _BODY_LEVELS[modality]
+    bright, dark = appearance["stripe_levels"][modality]
     canvas = np.empty((3, h, w))
-    color = outfit_f["color"]
-    dark = _DARK_BAND * color
-    def fill(region: dict, value: np.ndarray) -> None:
+    canvas[:] = background[:, None, None]
+    for region, level in ((regions["head"], head), (regions["legs"], legs)):
         canvas[
             :, region["top"] : region["top"] + region["height"],
             region["left"] : region["left"] + region["width"],
-        ] = value[:, None, None]
-
-    if modality == VISIBLE:
-        canvas[:] = _BACKGROUND[:, None, None]
-        fill(geometry["head"], _SKIN)
-        fill(geometry["legs"], _LEGS_V)
-        _paint_stripes(canvas, geometry["torso"], color, dark, outfit_f["stripe_period"])
-    else:
-        # infrared: body glows, clothing contrast compresses toward body heat
-        bg = float(_BACKGROUND.mean())
-        canvas[:] = bg
-        fill(geometry["head"], np.full(3, _IR_BODY))
-        fill(geometry["legs"], np.full(3, _IR_BODY))
-        bright_ir = _IR_BODY + _IR_CLOTHING_CONTRAST * (float(color.mean()) - _IR_BODY)
-        dark_ir = _IR_BODY + _IR_CLOTHING_CONTRAST * (float(dark.mean()) - _IR_BODY)
-        _paint_stripes(
-            canvas, geometry["torso"],
-            np.full(3, bright_ir), np.full(3, dark_ir),
-            outfit_f["stripe_period"],
-        )
-    if modality == VISIBLE:
-        canvas += rng.normal(0.0, cfg.noise_level, size=(3, h, w))
-    else:
-        canvas += rng.normal(0.0, cfg.noise_level, size=(h, w))[None, :, :]
-    return np.clip(canvas, 0.0, 1.0)
+        ] = level[:, None, None]
+    _paint_stripes(canvas, regions["torso"], bright, dark, appearance["stripe_period"])
+    # infrared noise is one plane, shared by the three identical channels
+    noise_shape = (3, h, w) if modality == VISIBLE else (h, w)
+    canvas += rng.normal(0.0, cfg.noise_level, size=noise_shape)
+    return np.clip(canvas, 0.0, 1.0, out=canvas)
 
 
 def quantize(image: np.ndarray) -> np.ndarray:
@@ -314,8 +331,11 @@ class Manifest:
     def load_pixels(self, index: int) -> np.ndarray:
         cached = self._pixel_cache.get(index)
         if cached is None:
-            row = self.rows[index]
-            raw = pnm.read_ppm(self.base_dir / row.path)
+            path = self.base_dir / self.rows[index].path
+            try:
+                raw = pnm.read_ppm(path)
+            except pnm.PnmError as exc:
+                raise ManifestError(f"{path}: invalid image: {exc}") from exc
             cached = raw.astype(np.float64).transpose(2, 0, 1) / 255.0
             self._pixel_cache[index] = cached
         return cached
@@ -335,12 +355,16 @@ def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Man
     rows: list[ManifestRow] = []
     for identity in range(cfg.n_identities):
         split = SPLIT_TRAIN if identity < n_train else SPLIT_TEST
+        geometry = identity_factors(cfg, identity)
+        appearances = [outfit_factors(cfg, identity, k)
+                       for k in range(cfg.outfits_per_identity)]
         for modality in MODALITIES:
             folder = out / "images" / modality / f"{identity:04d}"
             folder.mkdir(parents=True, exist_ok=True)
             for idx in range(cfg.images_per_identity_per_modality):
                 outfit = _outfit_for(cfg, modality, idx)
-                image = render_sample(cfg, identity, outfit, modality, idx)
+                image = render_sample(cfg, identity, modality, idx,
+                                      geometry, appearances[outfit])
                 rel = f"images/{modality}/{identity:04d}/{idx:03d}.ppm"
                 pnm.write_ppm(out / rel, quantize(image))
                 rows.append(ManifestRow(
@@ -370,7 +394,11 @@ def _csv_fields(path: Path, number: int, line: str) -> list[str]:
 
 
 def load_manifest(path) -> Manifest:
-    """Read and validate a manifest; ``path`` is the csv or its directory."""
+    """Read and validate a manifest; ``path`` is the csv or its directory.
+
+    Every row path must be relative and, once its ``..`` parts are folded
+    away, stay inside the manifest's directory.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
@@ -413,6 +441,8 @@ def load_manifest(path) -> Manifest:
             raise ManifestError(f"{path}:{number}: bad split {split!r}")
         if identity < 0 or clothing < 0:
             raise ManifestError(f"{path}:{number}: negative label")
+        if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
+            raise ManifestError(f"{path}:{number}: image path {rel!r} leaves the dataset")
         if not (base_dir / rel).is_file():
             raise ManifestError(f"{path}:{number}: missing image {rel}")
         rows.append(ManifestRow(rel, identity, clothing, modality, split))

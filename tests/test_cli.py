@@ -170,6 +170,16 @@ class TestTrain:
             p.name for p in (workspace / "run").iterdir()
         )
 
+    def test_invalid_dataset_image(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        bad = data / "images" / "V" / "0000" / "000.ppm"  # a training image
+        bad.write_text("garbage")
+        rc = main(["train", "--data-dir", str(data), "--out", str(tmp_path / "r")]
+                  + TINY_TRAIN)
+        assert rc == EXIT_IO_ERROR
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_rerun_from_resolved_config_is_byte_identical(self, workspace, tmp_path):
@@ -338,6 +348,20 @@ class TestEval:
         assert rc == EXIT_IO_ERROR
         err = capsys.readouterr().err
         assert "not UTF-8 text" in err and "Traceback" not in err
+
+    def test_invalid_dataset_image(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        bad = data / "images" / "I" / "0003" / "001.ppm"  # a test image
+        bad.write_text("garbage")
+        rc = main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data-dir", str(data),
+            "--out", str(tmp_path / "e"),
+        ])
+        assert rc == EXIT_IO_ERROR
+        assert str(bad) in capsys.readouterr().err
 
     def test_untrained_model_scores_chance_level(self, tmp_path, capsys):
         # a 12-identity set splits 8 train / 4 test, so random features

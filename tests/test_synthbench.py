@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,15 @@ from piareid.synthbench import (
 PROBE_INDEX = 404
 
 
+def render(cfg: GenConfig, identity: int, outfit: int, modality: str,
+           image_index: int) -> np.ndarray:
+    """``render_sample`` with the factors ``generate_dataset`` hands it."""
+    return render_sample(
+        cfg, identity, modality, image_index,
+        identity_factors(cfg, identity), outfit_factors(cfg, identity, outfit),
+    )
+
+
 def clothing_contrast_ratio(cfg: GenConfig, identity: int, outfit: int = 0) -> float:
     """Torso-pixel std in visible over infrared, same identity and outfit."""
 
@@ -39,8 +52,8 @@ def clothing_contrast_ratio(cfg: GenConfig, identity: int, outfit: int = 0) -> f
             slice(torso["left"], torso["left"] + torso["width"]),
         )
 
-    vis = render_sample(cfg, identity, outfit, synthbench.VISIBLE, PROBE_INDEX)
-    ir = render_sample(cfg, identity, outfit, synthbench.INFRARED, PROBE_INDEX)
+    vis = render(cfg, identity, outfit, synthbench.VISIBLE, PROBE_INDEX)
+    ir = render(cfg, identity, outfit, synthbench.INFRARED, PROBE_INDEX)
     vis_rows, vis_cols = torso_slices(synthbench.VISIBLE)
     ir_rows, ir_cols = torso_slices(synthbench.INFRARED)
     vis_std = float(vis[:, vis_rows, vis_cols].std())
@@ -54,6 +67,51 @@ TINY = dict(
     image_height=16,
     image_width=8,
 )
+
+
+# sha256 of every file that ``generate_dataset`` writes for
+# ``GenConfig(**TINY, seed=5)`` in each coupling mode.  Any change to the
+# order or the keys of the random streams changes these bytes.
+GOLDEN_SHA256 = {
+    "coupled": {
+        "images/I/0000/000.ppm": "accaaa1966bef2423513378a75687742ded70f56dea9c83219f3386b56799376",
+        "images/I/0000/001.ppm": "2c60a15b1631ab8d8306623a08e9c1211dcb4986eb7dd599504da6f250c4f625",
+        "images/I/0001/000.ppm": "d82faa34ce2d52f95f113559e272dc71537bbdc05d487cb60ed383bbdd6d7525",
+        "images/I/0001/001.ppm": "eafd9c500a3f2cca12576c10d3666372d2ed3219de4ec9cf0a39b1810ad5dd1f",
+        "images/I/0002/000.ppm": "79d3696016c6582104321e11db26df00bd85b3daa00a52653f6613f92cfe1342",
+        "images/I/0002/001.ppm": "3f57f1e1f5aaaaa568007416695a900562c59b11f90daab02b65918a0343f988",
+        "images/I/0003/000.ppm": "e2b1de921acc101d134d4792cf9dff0df19402cb5391aeaa40ff893762c58884",
+        "images/I/0003/001.ppm": "479602ef6c66a07ca6d999094079462b85b8afb1c6c5935112d30c07c9307358",
+        "images/V/0000/000.ppm": "a9a5e4c0175bdeb33d1b5ff48036e1dfa9b95980c24fc41258a8330ebb07f269",
+        "images/V/0000/001.ppm": "2ce5ebde0704a5d7ca681ddfdaa46f8f8420b5710777105e4255b11a332290d4",
+        "images/V/0001/000.ppm": "21bc5c72b53a9135180889fc0f3fe980b43e51eda16e74ff6cea375b50e26d99",
+        "images/V/0001/001.ppm": "4c7b45f5a95cb1075471dcc1b407d7c703ff438181fb4e71065c7c5203ebaba9",
+        "images/V/0002/000.ppm": "9c724006563111327ba2bb8a548fcea77fbac1480403548d119ee3431f6bb8e2",
+        "images/V/0002/001.ppm": "31f8cb43b41b8d3a64d4090061daf00f72d6d7e07e20590b6b4eaad37405914a",
+        "images/V/0003/000.ppm": "33ff80689a34dfc6cce70cd74907a135248d0058e20020db57ff1548c0c88131",
+        "images/V/0003/001.ppm": "03ce6acc95ad64b2ab540903e12a1afc144d3044535360840a71558e92ce9877",
+        "manifest.csv": "f48cbf46bbf12180f9222243840f79e410e1dc3a116ae66c3be7a63f3c83ce36",
+    },
+    "decoupled": {
+        "images/I/0000/000.ppm": "fc5ea9470e017091741a801ef87a7007dd7590ca9065d339aa1bbede585e7456",
+        "images/I/0000/001.ppm": "2c60a15b1631ab8d8306623a08e9c1211dcb4986eb7dd599504da6f250c4f625",
+        "images/I/0001/000.ppm": "9ca9cc7d16aa9f959e27d82f1d37f7437456c621b7abb26f62d629059f1132ce",
+        "images/I/0001/001.ppm": "eafd9c500a3f2cca12576c10d3666372d2ed3219de4ec9cf0a39b1810ad5dd1f",
+        "images/I/0002/000.ppm": "5ebaef0fb4e5ef97bb77b462efd87b81a1697878b65cc167f41f0b04cade0040",
+        "images/I/0002/001.ppm": "3f57f1e1f5aaaaa568007416695a900562c59b11f90daab02b65918a0343f988",
+        "images/I/0003/000.ppm": "d1475d54bce0841b83587c8743838e0eb164acd0cb424d80895732ef6691e1a7",
+        "images/I/0003/001.ppm": "479602ef6c66a07ca6d999094079462b85b8afb1c6c5935112d30c07c9307358",
+        "images/V/0000/000.ppm": "a9a5e4c0175bdeb33d1b5ff48036e1dfa9b95980c24fc41258a8330ebb07f269",
+        "images/V/0000/001.ppm": "f4da86dbeee7ada36c158ed3de07018ed161612e566070095d6c20aed8a8130d",
+        "images/V/0001/000.ppm": "21bc5c72b53a9135180889fc0f3fe980b43e51eda16e74ff6cea375b50e26d99",
+        "images/V/0001/001.ppm": "5d899a49715cc734434a2a8f8bdb1ef0375e775dc2ff1a539d5f3b7547e6b7f9",
+        "images/V/0002/000.ppm": "9c724006563111327ba2bb8a548fcea77fbac1480403548d119ee3431f6bb8e2",
+        "images/V/0002/001.ppm": "9d0e1f25276b15c9d8c45356e629fa939292954f18684100ae415b50bfd86ada",
+        "images/V/0003/000.ppm": "33ff80689a34dfc6cce70cd74907a135248d0058e20020db57ff1548c0c88131",
+        "images/V/0003/001.ppm": "9f1a072941f024f3e735d212a730ffbb6372fdc5f66786b99ef0bf52482cefaa",
+        "manifest.csv": "32798005e196e059b032d411c86455ebcdaedcc65b639d26ac042386b1bc2552",
+    },
+}
 
 
 class TestGenConfigValidation:
@@ -154,31 +212,31 @@ class TestLatentFactors:
 class TestRenderSample:
     def test_shape_range_and_determinism(self):
         cfg = GenConfig(**TINY)
-        image = render_sample(cfg, 0, 0, "V", 0)
+        image = render(cfg, 0, 0, "V", 0)
         assert image.shape == (3, 16, 8)
         assert image.min() >= 0.0 and image.max() <= 1.0
-        assert np.array_equal(image, render_sample(cfg, 0, 0, "V", 0))
+        assert np.array_equal(image, render(cfg, 0, 0, "V", 0))
 
     def test_different_indices_jitter(self):
         cfg = GenConfig(**TINY)
         assert not np.array_equal(
-            render_sample(cfg, 0, 0, "V", 0), render_sample(cfg, 0, 0, "V", 1)
+            render(cfg, 0, 0, "V", 0), render(cfg, 0, 0, "V", 1)
         )
 
     def test_infrared_is_grayscale(self):
         cfg = GenConfig(**TINY)
-        image = render_sample(cfg, 0, 0, "I", 0)
+        image = render(cfg, 0, 0, "I", 0)
         assert np.array_equal(image[0], image[1])
         assert np.array_equal(image[0], image[2])
 
     def test_visible_is_colored(self):
         cfg = GenConfig(n_identities=4, images_per_identity_per_modality=2)
-        image = render_sample(cfg, 0, 0, "V", 0)
+        image = render(cfg, 0, 0, "V", 0)
         assert not np.array_equal(image[0], image[1])
 
     def test_rejects_unknown_modality(self):
         with pytest.raises(ValueError):
-            render_sample(GenConfig(**TINY), 0, 0, "X", 0)
+            render(GenConfig(**TINY), 0, 0, "X", 0)
 
     def test_clothing_contrast_collapses_in_infrared(self):
         cfg = GenConfig()
@@ -226,7 +284,7 @@ class TestGenerateDataset:
         cfg, manifest, _ = dataset
         pixels = manifest.load_pixels(0)
         assert pixels.shape == (3, cfg.image_height, cfg.image_width)
-        rendered = render_sample(cfg, manifest.rows[0].identity, 0, "V", 0)
+        rendered = render(cfg, manifest.rows[0].identity, 0, "V", 0)
         # files hold the 8-bit quantization of the float render
         assert np.abs(pixels - rendered).max() <= 0.5 / 255.0 + 1e-12
 
@@ -267,6 +325,53 @@ class TestGenerateDataset:
         }
         assert visible_outfits == {0, 1}
 
+    @pytest.mark.parametrize("coupling", sorted(GOLDEN_SHA256))
+    def test_files_match_golden_digests(self, tmp_path, coupling):
+        generate_dataset(
+            GenConfig(**TINY, seed=5, clothing_modality_coupling=coupling), tmp_path
+        )
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*") if path.is_file()
+        }
+        assert digests == GOLDEN_SHA256[coupling]
+
+    @pytest.mark.parametrize("coupling", ["coupled", "decoupled"])
+    def test_factors_drawn_once_and_one_render_per_image(self, tmp_path, monkeypatch,
+                                                          coupling):
+        calls = {}
+
+        def count(name, key):
+            original = getattr(synthbench, name)
+            calls[name] = Counter()
+
+            def counted(*args):
+                calls[name][key(*args)] += 1
+                return original(*args)
+
+            monkeypatch.setattr(synthbench, name, counted)
+
+        count("identity_factors", lambda cfg, identity: identity)
+        count("outfit_factors", lambda cfg, identity, outfit: (identity, outfit))
+        count("render_sample", lambda cfg, identity, modality, index, *factors:
+              (identity, modality, index))
+        cfg = GenConfig(**TINY, outfits_per_identity=3, clothing_modality_coupling=coupling)
+        generate_dataset(cfg, tmp_path)
+        identities = range(cfg.n_identities)
+        assert calls["identity_factors"] == Counter(identities)
+        assert calls["outfit_factors"] == Counter(
+            (i, k) for i in identities for k in range(cfg.outfits_per_identity))
+        assert calls["render_sample"] == Counter(
+            (i, m, x) for i in identities for m in synthbench.MODALITIES
+            for x in range(cfg.images_per_identity_per_modality))
+
+    def test_invalid_image_names_its_file(self, tmp_path):
+        manifest = generate_dataset(GenConfig(**TINY), tmp_path)
+        bad = tmp_path / manifest.rows[0].path
+        bad.write_text("garbage")
+        with pytest.raises(ManifestError, match=re.escape(str(bad))):
+            manifest.load_pixels(0)
+
 
 class TestLoadManifestErrors:
     def test_missing_file(self, tmp_path):
@@ -289,6 +394,28 @@ class TestLoadManifestErrors:
         )
         with pytest.raises(ManifestError):
             load_manifest(tmp_path)
+
+    @staticmethod
+    def _two_row_manifest(root, first_path: str) -> None:
+        (root / "data").mkdir()
+        pnm.write_ppm(root / "outside.ppm", np.zeros((2, 2, 3), np.uint8))
+        pnm.write_ppm(root / "data" / "inside.ppm", np.zeros((2, 2, 3), np.uint8))
+        (root / "data" / "manifest.csv").write_text(
+            "path,identity,clothing,modality,split\n"
+            f"{first_path},0,0,V,train\ninside.ppm,1,2,I,test\n"
+        )
+
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_image_path_outside_dataset(self, tmp_path, where):
+        path = "../outside.ppm" if where == "relative" else str(tmp_path / "outside.ppm")
+        self._two_row_manifest(tmp_path, path)
+        with pytest.raises(ManifestError, match="leaves the dataset"):
+            load_manifest(tmp_path / "data")
+
+    def test_image_path_that_stays_inside(self, tmp_path):
+        self._two_row_manifest(tmp_path, "sub/../inside.ppm")
+        (tmp_path / "data" / "sub").mkdir()
+        assert load_manifest(tmp_path / "data").rows[0].path == "sub/../inside.ppm"
 
 
 class TestPnm:
