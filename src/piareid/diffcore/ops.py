@@ -3,7 +3,10 @@
 Every primitive is a pair of pure functions registered under a string kind.
 ``apply`` runs the forward rule, wraps the result, and records a tape node
 when recording is active.  Backward rules receive the upstream gradient and
-return one gradient (or ``None``) per input, in input order.
+return one gradient (or ``None``) per input, in input order.  Before the
+forward runs, ``apply`` puts ``ctx["needs_grad"]``, each input's
+``requires_grad`` flag, so a rule may return ``None`` for an input that
+needs no gradient instead of computing it.
 
 Conventions:
   - spatial inputs are [N, C, H, W] and dense inputs are [N, D]; any other
@@ -86,10 +89,11 @@ def apply(kind: str, inputs, **attrs) -> Tensor:
             raise InvalidAttributeError(
                 f"{kind}: input {pos} is {type(tens).__name__}, expected Tensor"
             )
-    ctx: dict = {}
+    needs_grad = tuple(t.requires_grad for t in inputs)
+    ctx: dict = {"needs_grad": needs_grad}
     arrays = [t.data for t in inputs]
     out_data = rule.forward(ctx, arrays, attrs)
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    out = Tensor(out_data, requires_grad=any(needs_grad))
     record(kind, inputs, out, rule.backward, ctx)
     return out
 
@@ -260,8 +264,9 @@ def _conv2d():
     # Forward: pad the input channels-last once, take a strided window view
     # of it and copy that once into cols [N*Ho*Wo, kh*kw*C_in], K ordered
     # (kh, kw, C_in); one matmul with the weight flattened in the same order.
-    # Backward: grad_w = g^T cols and grad_cols = g w_flat, then a kh x kw
-    # col2im scatter into a channels-last padded buffer.
+    # Backward: grad_w = g^T cols and, unless x needs no gradient (the pixel
+    # batch), grad_cols = g w_flat, then a kh x kw col2im scatter into a
+    # channels-last padded buffer.
     def forward(ctx, arrays, attrs):
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
@@ -322,6 +327,8 @@ def _conv2d():
         g = grad.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         grad_b = g.sum(axis=0)
         grad_w = (g.T @ ctx["cols"]).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        if not ctx["needs_grad"][0]:
+            return [None, grad_w, grad_b]
         # grad_cols as [kh*kw, N*Ho*Wo, C_in], so each tap's slice is contiguous
         taps = w_flat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
         grad_cols = np.matmul(g, taps).reshape(kh, kw, n, h_out, w_out, c_in)

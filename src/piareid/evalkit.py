@@ -2,10 +2,12 @@
 ranking with stable tie-breaks, CMC and mAP, and matched/mismatched
 distance statistics, all packaged into a JSON-serializable report.
 
-Distance is 1 - cosine on L2-normalized identity embeddings.  Rankings
-sort ascending distance; equal distances keep gallery-index order, so
-results are permutation-stable.  Queries whose identity never appears in
-the gallery are dropped and counted.
+Distance is 1 - cosine on L2-normalized identity embeddings.  CMC and mAP
+need only where each same-identity gallery item (a positive) lands, so no
+full [Q, G] ordering is built: one value sort per query row places each
+positive by binary search, and equal distances go to the lower gallery
+index, so a positive's rank is its position in a stable argsort of the row.
+Queries whose identity never appears in the gallery are dropped and counted.
 """
 
 from __future__ import annotations
@@ -131,40 +133,54 @@ def distance_matrix(retrieval: RetrievalSet) -> np.ndarray:
     return 1.0 - retrieval.query_features @ retrieval.gallery_features.T
 
 
-def rank(distances: np.ndarray) -> np.ndarray:
-    """[Q, G] gallery orderings, ascending distance, stable on ties."""
-    return np.argsort(distances, axis=1, kind="stable")
+def rank(distances: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ranks of the positive pairs ``same`` marks, ascending distance,
+    ties to the lower gallery index.
+
+    Returns ``(rows, ranks)`` in ``np.nonzero(same)`` order.  A rank counts
+    the gallery items at a lower distance (a left-side search of the row's
+    sorted values), plus, only where the distance is tied, the equal ones at
+    a lower gallery index.
+    """
+    ordered = np.sort(distances, axis=1)
+    rows, cols = np.nonzero(same)
+    values = distances[rows, cols]
+    bounds = np.searchsorted(rows, np.arange(same.shape[0] + 1)).tolist()
+    ranks = np.empty(rows.size, dtype=np.intp)
+    right = np.empty(rows.size, dtype=np.intp)
+    for row, lo, hi in zip(ordered, bounds, bounds[1:]):
+        ranks[lo:hi] = row.searchsorted(values[lo:hi], side="left")
+        right[lo:hi] = row.searchsorted(values[lo:hi], side="right")
+    for i in np.flatnonzero(right - ranks > 1):  # tied: count equal ones placed before
+        earlier = distances[rows[i], : cols[i]]
+        # NaN sorts last and never equals itself
+        tied = earlier == values[i] if values[i] == values[i] else np.isnan(earlier)
+        ranks[i] += np.count_nonzero(tied)
+    return rows, ranks
 
 
-def hit_matrix(orderings: np.ndarray, query_ids: np.ndarray,
-               gallery_ids: np.ndarray) -> np.ndarray:
-    """[Q, G] booleans: the gallery item at each rank shares the query's identity."""
-    return gallery_ids[orderings] == query_ids[:, None]
-
-
-def cmc_curve(hits: np.ndarray) -> np.ndarray:
+def cmc_curve(rows: np.ndarray, ranks: np.ndarray, num_query: int,
+              num_gallery: int) -> np.ndarray:
     """cmc[k] = fraction of queries with a correct match in the top k+1."""
-    num_query, num_gallery = hits.shape
-    first_hit = hits.argmax(axis=1)  # every kept query has a match
-    return np.bincount(first_hit, minlength=num_gallery).cumsum() / num_query
+    first = np.full(num_query, num_gallery)  # a query without positives never hits
+    np.minimum.at(first, rows, ranks)
+    return np.bincount(first, minlength=num_gallery + 1)[:num_gallery].cumsum() / num_query
 
 
-def mean_ap(hits: np.ndarray) -> float:
+def mean_ap(rows: np.ndarray, ranks: np.ndarray, num_query: int) -> float:
     """Mean over queries of AP, the mean precision at each hit (0 without hits)."""
-    num_query = hits.shape[0]
-    rows, positions = np.nonzero(hits)  # row-major: each row's hits in rank order
+    order = np.lexsort((ranks, rows))  # row-major, each row's hits in rank order
+    rows, ranks = rows[order], ranks[order]
     counts = np.bincount(rows, minlength=num_query)
     nth_hit = np.arange(rows.size) - (counts.cumsum() - counts)[rows] + 1.0
-    precision_sums = np.bincount(rows, weights=nth_hit / (positions + 1.0),
+    precision_sums = np.bincount(rows, weights=nth_hit / (ranks + 1.0),
                                  minlength=num_query)
     ap = np.divide(precision_sums, counts, out=np.zeros(num_query), where=counts > 0)
     return float(ap.mean())
 
 
-def distance_stats(distances: np.ndarray, query_ids: np.ndarray,
-                   gallery_ids: np.ndarray) -> dict[str, float]:
+def distance_stats(distances: np.ndarray, same: np.ndarray) -> dict[str, float]:
     """Distance mean/std over all pairs, split by identity match."""
-    same = gallery_ids[None, :] == query_ids[:, None]
     positives = distances[same]
     negatives = distances[~same]
     return {
@@ -176,31 +192,31 @@ def distance_stats(distances: np.ndarray, query_ids: np.ndarray,
 
 
 def report_from_set(retrieval: RetrievalSet) -> EvalReport:
-    query_ids = retrieval.query_identities
-    gallery_ids = retrieval.gallery_identities
-    # one distance matrix per direction, freed before the [Q, G] gather in hit_matrix
-    distances = distance_matrix(retrieval)
-    stats = distance_stats(distances, query_ids, gallery_ids)
-    orderings = rank(distances)
-    del distances
-    hits = hit_matrix(orderings, query_ids, gallery_ids)
-    del orderings
-    curve = cmc_curve(hits)
-    num_gallery = curve.size
+    same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
+    num_query, num_gallery = same.shape
+    unmatched = num_query - int(same.any(axis=1).sum())
+    if unmatched:
+        raise ProtocolError(
+            f"{unmatched} of {num_query} queries have no same-identity gallery item"
+        )
+    distances = distance_matrix(retrieval)  # once per direction
+    stats = distance_stats(distances, same)
+    rows, ranks = rank(distances, same)
+    curve = cmc_curve(rows, ranks, num_query, num_gallery)
 
     def rank_at(k: int) -> float:
         return float(curve[min(k, num_gallery) - 1])
 
     return EvalReport(
         direction=retrieval.direction,
-        num_query=int(retrieval.query_features.shape[0]),
-        num_gallery=int(num_gallery),
+        num_query=num_query,
+        num_gallery=num_gallery,
         dropped_queries=retrieval.dropped_queries,
         rank1=rank_at(1),
         rank5=rank_at(5),
         rank10=rank_at(10),
         rank20=rank_at(20),
-        mean_ap=mean_ap(hits),
+        mean_ap=mean_ap(rows, ranks, num_query),
         cmc=[float(v) for v in curve],
         **stats,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import struct
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from piareid import checkpoint as ckpt
-from piareid import checksuite, cli, pnm
+from piareid import checksuite, cli, config, model, pnm, synthbench
 from piareid.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -191,6 +192,21 @@ class TestReproduce:
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
 
 
+#: sha256 of the eval reports of a seeded, untrained model on an 8-identity
+#: dataset (``EVAL_GOLDEN_FLAGS``, seed 0), computed before positives were
+#: ranked without a full ordering.
+EVAL_GOLDEN_FLAGS = [
+    "--n-identities", "8", "--images-per-identity-per-modality", "4",
+    "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
+    "--widths", "4,4", "--strides", "2,1", "--attention-kernel-size", "3",
+    "--seed", "0",
+]
+EVAL_GOLDEN_SHA256 = {
+    "eval_v2i.json": "5ff9eaf83b2e78ec13335eb06e76a81999e6b66a6b4ee6e58c5ade97dab3da6d",
+    "eval_i2v.json": "6504de57189a2d2eee14df8190c0ea9cde8af52b740840844d9fb692aada5181",
+}
+
+
 class TestEval:
     def test_reports_both_directions(self, workspace, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -211,6 +227,29 @@ class TestEval:
             assert 0.0 <= report["rank1"] <= 1.0
             assert 0.0 <= report["mean_ap"] <= 1.0
             assert report["num_query"] > 0
+
+    def test_reports_match_golden_digests(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data)] + EVAL_GOLDEN_FLAGS) == EXIT_OK
+        cfg = config.build_config(None, {
+            EVAL_GOLDEN_FLAGS[i][2:].replace("-", "_"): EVAL_GOLDEN_FLAGS[i + 1]
+            for i in range(0, len(EVAL_GOLDEN_FLAGS), 2)
+        })
+        manifest = synthbench.load_manifest(data)
+        train_rows = [manifest.rows[i]
+                      for i in manifest.rows_for_split(synthbench.SPLIT_TRAIN)]
+        model_cfg = cfg.train_config().model_config(
+            len({row.identity for row in train_rows}),
+            len({row.clothing for row in train_rows}))
+        ckpt.save(tmp_path / "model.bin", model.build_model(model_cfg), None,
+                  model.model_config_text(model_cfg))
+        out = tmp_path / "eval"
+        assert main(["eval", "--data-dir", str(data), "--checkpoint",
+                     str(tmp_path / "model.bin"), "--out", str(out),
+                     "--direction", "both"] + EVAL_GOLDEN_FLAGS) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in EVAL_GOLDEN_SHA256}
+        assert digests == EVAL_GOLDEN_SHA256
 
     def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         # the checkpoint's model takes 16x8 images; this dataset holds 32x16

@@ -313,6 +313,26 @@ class TestConv2dAgainstLoops:
             assert_rel_close(param.grad, want)
 
 
+    def test_constant_input_gets_no_gradient(self):
+        # a constant x, like the pixel batch: the rule returns None for it,
+        # and grad_w and grad_b equal those of a run where x needs a gradient
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 3, 9, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        upstream = rng.normal(size=(2, 4, 5, 4))
+        returned = []
+        for x_tensor in (dc.constant(x), dc.parameter(x)):
+            with dc.Tape() as tape:
+                dc.conv2d(x_tensor, dc.parameter(w), dc.parameter(b),
+                          stride=2, padding=1)
+            (node,) = tape.nodes
+            returned.append(node.backward_fn(node.ctx, upstream))
+        (none, grad_w, grad_b), (grad_x, want_w, want_b) = returned
+        assert none is None and grad_x.shape == x.shape
+        assert np.array_equal(grad_w, want_w) and np.array_equal(grad_b, want_b)
+
+
 class TestBackwardVsFiniteDifferences:
     """Every differentiable primitive against the local FD oracle."""
 

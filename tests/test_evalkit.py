@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from piareid import evalkit
 from piareid.diffcore import normalize_rows
@@ -14,7 +16,6 @@ from piareid.evalkit import (
     cmc_curve,
     distance_matrix,
     distance_stats,
-    hit_matrix,
     mean_ap,
     protocol_from_table,
     rank,
@@ -59,6 +60,19 @@ def oracle_map(orderings, query_ids, gallery_ids) -> float:
     return float(np.mean(rows))
 
 
+def positives(orderings, query_ids, gallery_ids):
+    """``(rows, ranks)`` of the same-identity items in the given orderings."""
+    return np.nonzero(gallery_ids[orderings] == query_ids[:, None])
+
+
+def cmc_of(orderings, query_ids, gallery_ids):
+    return cmc_curve(*positives(orderings, query_ids, gallery_ids), *orderings.shape)
+
+
+def map_of(orderings, query_ids, gallery_ids):
+    return mean_ap(*positives(orderings, query_ids, gallery_ids), orderings.shape[0])
+
+
 def random_instance(rng):
     """Orderings plus labels where every query has at least one gallery match."""
     num_query = int(rng.integers(1, 5))
@@ -80,7 +94,7 @@ class TestCmcCurve:
         rng = np.random.default_rng(20)
         for _ in range(500):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            ours = cmc_curve(hit_matrix(orderings, query_ids, gallery_ids))
+            ours = cmc_of(orderings, query_ids, gallery_ids)
             theirs = oracle_cmc(orderings, query_ids, gallery_ids)
             assert np.array_equal(ours, theirs)
 
@@ -88,7 +102,7 @@ class TestCmcCurve:
         rng = np.random.default_rng(21)
         for _ in range(100):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            curve = cmc_curve(hit_matrix(orderings, query_ids, gallery_ids))
+            curve = cmc_of(orderings, query_ids, gallery_ids)
             assert (np.diff(curve) >= 0).all()
             assert curve[-1] == 1.0
             assert (curve >= 0).all() and (curve <= 1).all()
@@ -98,13 +112,12 @@ class TestCmcCurve:
         orderings = np.array([[0, 1, 2], [2, 1, 0]])
         query_ids = np.array([7, 8])
         gallery_ids = np.array([7, 8, 9])
-        hits = hit_matrix(orderings, query_ids, gallery_ids)
-        assert cmc_curve(hits).tolist() == [0.5, 1.0, 1.0]
+        assert cmc_of(orderings, query_ids, gallery_ids).tolist() == [0.5, 1.0, 1.0]
 
 
 def _row_ap(hit_row) -> float:
-    """AP of one ranked boolean row, through ``mean_ap`` of a one-query matrix."""
-    return mean_ap(np.asarray(hit_row)[None, :])
+    """AP of one ranked boolean row, through ``mean_ap`` of its one query."""
+    return mean_ap(*np.nonzero(np.asarray(hit_row)[None, :]), 1)
 
 
 class TestAveragePrecision:
@@ -136,7 +149,7 @@ class TestMeanAp:
         rng = np.random.default_rng(23)
         for _ in range(500):
             orderings, query_ids, gallery_ids = random_instance(rng)
-            assert mean_ap(hit_matrix(orderings, query_ids, gallery_ids)) == oracle_map(
+            assert map_of(orderings, query_ids, gallery_ids) == oracle_map(
                 orderings, query_ids, gallery_ids
             )
 
@@ -148,7 +161,7 @@ class TestMeanAp:
             gallery_ids = rng.integers(0, 4, size=60)
             query_ids = gallery_ids[rng.integers(60, size=12)]
             orderings = np.stack([rng.permutation(60) for _ in range(12)])
-            ours = mean_ap(hit_matrix(orderings, query_ids, gallery_ids))
+            ours = map_of(orderings, query_ids, gallery_ids)
             assert ours == pytest.approx(oracle_map(orderings, query_ids, gallery_ids),
                                          rel=1e-12, abs=0.0)
 
@@ -176,6 +189,11 @@ def make_set(query_features, query_ids, gallery_features, gallery_ids,
     )
 
 
+def same_of(retrieval):
+    """The [Q, G] identity mask of a retrieval set."""
+    return retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
+
+
 class TestDistanceAndRank:
     def test_distance_matrix_orthonormal_hand_case(self):
         eye = np.eye(3)
@@ -195,24 +213,44 @@ class TestDistanceAndRank:
         assert (distances >= -1e-12).all() and (distances <= 2.0 + 1e-12).all()
 
     def test_rank_orders_by_ascending_distance(self):
-        # one query at angle 0; gallery at increasing angles
+        # one query at angle 0; gallery at angles 0.3, 0.1, 0.2, so the
+        # ascending order is [1, 2, 0] and gallery items rank [2, 0, 1]
         angles = np.array([0.3, 0.1, 0.2])
         gallery = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 1, 2])
-        assert rank(distance_matrix(retrieval))[0].tolist() == [1, 2, 0]
+        retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 0, 0])
+        rows, ranks = rank(distance_matrix(retrieval), same_of(retrieval))
+        assert rows.tolist() == [0, 0, 0]
+        assert ranks.tolist() == [2, 0, 1]
 
     def test_rank_ties_are_stable(self):
         gallery = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 1, 2])
-        assert rank(distance_matrix(retrieval))[0].tolist() == [0, 1, 2]
+        retrieval = make_set([[1.0, 0.0]], [0], gallery, [0, 0, 0])
+        assert rank(distance_matrix(retrieval), same_of(retrieval))[1].tolist() == [0, 1, 2]
+
+    @given(num_query=st.integers(1, 4), num_gallery=st.integers(1, 8),
+           values=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, np.nan]),
+                           min_size=32, max_size=32),
+           seed=st.integers(0, 2**16))
+    @example(num_query=1, num_gallery=5, values=[np.nan] * 32, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_rank_is_the_stable_argsort_position(self, num_query, num_gallery,
+                                                 values, seed):
+        # few distinct values, signed zeros and NaNs: ties everywhere
+        distances = np.array(values[: num_query * num_gallery]).reshape(
+            num_query, num_gallery)
+        same = np.random.default_rng(seed).random(distances.shape) < 0.6
+        position = np.argsort(np.argsort(distances, axis=1, kind="stable"), axis=1)
+        rows, ranks = rank(distances, same)
+        expected_rows, expected_cols = np.nonzero(same)
+        assert rows.tolist() == expected_rows.tolist()
+        assert ranks.tolist() == position[expected_rows, expected_cols].tolist()
 
 
 class TestDistanceStats:
     def test_hand_case(self):
         # query matches gallery 0 exactly (distance 0) and is orthogonal to gallery 1
         retrieval = make_set([[1.0, 0.0]], [5], [[1.0, 0.0], [0.0, 1.0]], [5, 6])
-        stats = distance_stats(distance_matrix(retrieval), retrieval.query_identities,
-                               retrieval.gallery_identities)
+        stats = distance_stats(distance_matrix(retrieval), same_of(retrieval))
         assert stats["pos_dist_mean"] == pytest.approx(0.0, abs=1e-12)
         assert stats["neg_dist_mean"] == pytest.approx(1.0, abs=1e-12)
         assert stats["pos_dist_std"] == pytest.approx(0.0, abs=1e-12)
@@ -220,8 +258,7 @@ class TestDistanceStats:
 
     def test_no_negatives_reports_zero(self):
         retrieval = make_set([[1.0, 0.0]], [5], [[0.0, 1.0]], [5])
-        stats = distance_stats(distance_matrix(retrieval), retrieval.query_identities,
-                               retrieval.gallery_identities)
+        stats = distance_stats(distance_matrix(retrieval), same_of(retrieval))
         assert stats["neg_dist_mean"] == 0.0
         assert stats["neg_dist_std"] == 0.0
 
@@ -234,12 +271,11 @@ class TestReportFromSet:
             rng.normal(size=(6, 5)), [0, 1, 0, 1, 2, 2],
         )
         report = report_from_set(retrieval)
-        hits = hit_matrix(rank(distance_matrix(retrieval)), retrieval.query_identities,
-                          retrieval.gallery_identities)
-        curve = cmc_curve(hits)
+        rows, ranks = rank(distance_matrix(retrieval), same_of(retrieval))
+        curve = cmc_curve(rows, ranks, 4, 6)
         assert report.rank1 == curve[0]
         assert report.cmc == [float(v) for v in curve]
-        assert report.mean_ap == mean_ap(hits)
+        assert report.mean_ap == mean_ap(rows, ranks, 4)
         assert report.num_query == 4 and report.num_gallery == 6
 
     def test_computes_the_distance_matrix_once(self, monkeypatch):
@@ -263,6 +299,42 @@ class TestReportFromSet:
         )
         report = report_from_set(retrieval)
         assert report.rank5 == report.rank10 == report.rank20 == report.cmc[-1] == 1.0
+
+    def test_rejects_a_query_without_a_gallery_match(self):
+        # identity 5 is not in the gallery, so that query cannot match
+        retrieval = make_set(np.eye(2), [0, 5], np.eye(2), [0, 1])
+        with pytest.raises(ProtocolError, match="1 of 2 queries"):
+            report_from_set(retrieval)
+
+    @given(num_query=st.integers(1, 6), num_gallery=st.integers(1, 8),
+           dim=st.integers(1, 3), levels=st.integers(0, 2),
+           zero_rows=st.booleans(), seed=st.integers(0, 2**16))
+    @example(num_query=3, num_gallery=1, dim=2, levels=1, zero_rows=False, seed=0)
+    @example(num_query=4, num_gallery=6, dim=2, levels=0, zero_rows=False, seed=1)
+    @example(num_query=5, num_gallery=7, dim=1, levels=1, zero_rows=True, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_stable_argsort(self, num_query, num_gallery, dim, levels,
+                                             zero_rows, seed):
+        # integer features in [-levels, levels] tie often; levels=0 makes every
+        # row zero, so every distance is 1 and every query's positives tie
+        rng = np.random.default_rng(seed)
+        query = rng.integers(-levels, levels + 1, size=(num_query, dim))
+        gallery = rng.integers(-levels, levels + 1, size=(num_gallery, dim))
+        if zero_rows:
+            query[rng.random(num_query) < 0.3] = 0
+            gallery[rng.random(num_gallery) < 0.3] = 0
+        gallery_ids = rng.integers(0, 3, size=num_gallery)
+        query_ids = gallery_ids[rng.integers(num_gallery, size=num_query)]
+        retrieval = make_set(query, query_ids, gallery, gallery_ids)
+
+        orderings = np.argsort(distance_matrix(retrieval), axis=1, kind="stable")
+        report = report_from_set(retrieval)
+        curve = oracle_cmc(orderings, query_ids, gallery_ids)
+        assert report.cmc == curve.tolist()
+        assert report.rank1 == curve[0]
+        assert report.rank5 == curve[min(5, num_gallery) - 1]
+        assert report.mean_ap == pytest.approx(
+            oracle_map(orderings, query_ids, gallery_ids), rel=1e-12, abs=0.0)
 
     def test_json_round_trip(self):
         import json
