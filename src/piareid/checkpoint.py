@@ -17,8 +17,8 @@ Layout (all integers little-endian):
 Tensor records cover model parameters, batch-norm running buffers, and the
 prototype bank (prototypes, init flags as 0/1, alpha, iteration).  Equal
 states serialize to equal bytes.  A malformed file raises ``CheckpointError``;
-so does a record that is missing or whose shape differs from what the
-configured model and bank expect.
+so does a record that is missing, whose shape differs from what the
+configured model and bank expect, or that holds a non-finite value.
 """
 
 from __future__ import annotations
@@ -153,12 +153,16 @@ def load_raw(path) -> LoadedCheckpoint:
 
 
 def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) -> np.ndarray:
-    """A copy of record ``name``, which must have the shape of ``like``."""
+    """A copy of record ``name``, which must have the shape of ``like`` and
+    hold only finite values."""
     if name not in loaded.arrays:
         raise CheckpointError(f"checkpoint missing {kind} {name}")
     stored = loaded.arrays[name]
     if stored.shape != like.shape:
         raise CheckpointError(f"{kind} {name}: stored shape {stored.shape} != model {like.shape}")
+    bad = stored.size - np.count_nonzero(np.isfinite(stored))
+    if bad:
+        raise CheckpointError(f"{kind} {name}: {bad} non-finite of {stored.size} values")
     return stored.copy()
 
 

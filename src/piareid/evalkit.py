@@ -76,7 +76,7 @@ def _split_modality_rows(manifest: Manifest) -> tuple[list[int], list[int]]:
 def _batches_of(manifest: Manifest, row_indices: list[int]):
     for start in range(0, len(row_indices), EVAL_BATCH):
         chunk = row_indices[start : start + EVAL_BATCH]
-        yield np.stack([manifest.load_pixels(i) for i in chunk])
+        yield manifest.pixel_batch(chunk)
 
 
 @dataclass

@@ -316,6 +316,13 @@ class ManifestRow:
 
 
 class Manifest:
+    """The rows of a dataset and a cache of the images they name.
+
+    The cache holds each image as its file holds it: the decoded, read-only
+    uint8 ``[H, W, 3]`` raster, read once on first use.  ``pixel_batch`` is
+    the only place the dataset's pixels become float64.
+    """
+
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
         self.base_dir = Path(base_dir)
         self.rows = rows
@@ -333,12 +340,17 @@ class Manifest:
         if cached is None:
             path = self.base_dir / self.rows[index].path
             try:
-                raw = pnm.read_ppm(path)
+                cached = pnm.read_ppm(path)
             except pnm.PnmError as exc:
                 raise ManifestError(f"{path}: invalid image: {exc}") from exc
-            cached = raw.astype(np.float64).transpose(2, 0, 1) / 255.0
+            cached.flags.writeable = False
             self._pixel_cache[index] = cached
         return cached
+
+    def pixel_batch(self, indices) -> np.ndarray:
+        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last."""
+        rasters = np.stack([self.load_pixels(i) for i in indices])
+        return rasters.astype(np.float64).transpose(0, 3, 1, 2) / 255.0
 
 
 def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:

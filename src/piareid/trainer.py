@@ -418,12 +418,12 @@ def train(manifest: Manifest, cfg: TrainConfig,
     cfg.validate()
     sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
     train_rows = manifest.rows_for_split(SPLIT_TRAIN)
-    expected = (3, cfg.image_height, cfg.image_width)
-    found = manifest.load_pixels(train_rows[0]).shape
+    expected = (cfg.image_height, cfg.image_width)
+    found = manifest.load_pixels(train_rows[0]).shape[:2]
     if found != expected:
         raise ImageSizeError(
-            f"config image size {expected[1]}x{expected[2]} does not match the "
-            f"dataset's {found[1]}x{found[2]} images"
+            f"config image size {expected[0]}x{expected[1]} does not match the "
+            f"dataset's {found[0]}x{found[1]} images"
         )
     id_remap = _dense_remap([manifest.rows[i].identity for i in train_rows], "identity")
     clothing_remap = _dense_remap([manifest.rows[i].clothing for i in train_rows], "clothing")
@@ -450,7 +450,7 @@ def train(manifest: Manifest, cfg: TrainConfig,
 
         for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
             rows, raw_ids, is_visible = sampler.assemble(group, rng)
-            pixels = np.stack([manifest.load_pixels(i) for i in rows])
+            pixels = manifest.pixel_batch(rows)
             flips = rng.random(len(rows)) < cfg.flip_probability
             pixels[flips] = pixels[flips][..., ::-1]
             y_id = np.array([id_remap[i] for i in raw_ids])

@@ -206,6 +206,23 @@ class TestSaveRestore:
         with pytest.raises(CheckpointError, match="bank.protos_v: stored shape"):
             restore(deserialize(serialize("", arrays)), SMALL)
 
+    @pytest.mark.parametrize("kind, name, bad", [
+        pytest.param(kind, name, bad, id=name) for kind, name, bad in (
+            ("parameter", "backbone.conv0.weight", np.nan),
+            ("parameter", "attention.lambda_raw", np.inf),
+            ("buffer", "bn_identity.running_var", -np.inf),
+            ("bank record", "bank.protos_i", np.nan),
+            ("bank record", "bank.alpha", np.inf),
+        )
+    ])
+    def test_non_finite_record_rejected(self, kind, name, bad):
+        arrays = collect_arrays(small_state(), small_bank())
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[:2] = bad
+        with pytest.raises(CheckpointError,
+                           match=f"{kind} {name}: {min(2, arrays[name].size)} non-finite"):
+            restore(deserialize(serialize("", arrays)), SMALL)
+
     def test_restore_copies_do_not_alias(self):
         state = small_state()
         loaded = deserialize(serialize("", collect_arrays(state, None)))

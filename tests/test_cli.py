@@ -206,6 +206,46 @@ EVAL_GOLDEN_SHA256 = {
     "eval_i2v.json": "6504de57189a2d2eee14df8190c0ea9cde8af52b740840844d9fb692aada5181",
 }
 
+#: sha256 of the train outputs at perfbench's tiny train_full flags
+#: (``TRAIN_GOLDEN_DATA`` for ``gen-data``, plus ``TRAIN_GOLDEN_CALL`` for
+#: ``train``, seed 0), computed while the pixel cache still held float64
+#: copies of the images.
+TRAIN_GOLDEN_DATA = [
+    "--n-identities", "8", "--images-per-identity-per-modality", "4",
+    "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
+    "--seed", "0",
+]
+TRAIN_GOLDEN_CALL = [
+    "--widths", "4,4", "--strides", "2,1", "--attention-kernel-size", "3",
+    "--ablation", "full", "--epochs", "2", "--stage2-start", "1",
+    "--eval-every", "1", "--ids-per-batch", "2", "--instances-per-modality", "2",
+]
+TRAIN_GOLDEN_SHA256 = {
+    "checkpoint.bin": "ecfdc1335be35f659784eabec7eb204d2a04e917a06b1df6e571d6073c26f9b6",
+    "train_log.jsonl": "4499b8ff19228198fbcaf3ede941d16126ee0e7df89b2e8a7e284eb19e7164c5",
+}
+
+
+def _untrained_eval_inputs(tmp_path):
+    """The ``EVAL_GOLDEN_FLAGS`` dataset and the seeded, untrained checkpoint
+    of its training split; returns ``(data_dir, checkpoint_path)``."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data)] + EVAL_GOLDEN_FLAGS) == EXIT_OK
+    cfg = config.build_config(None, {
+        EVAL_GOLDEN_FLAGS[i][2:].replace("-", "_"): EVAL_GOLDEN_FLAGS[i + 1]
+        for i in range(0, len(EVAL_GOLDEN_FLAGS), 2)
+    })
+    manifest = synthbench.load_manifest(data)
+    train_rows = [manifest.rows[i]
+                  for i in manifest.rows_for_split(synthbench.SPLIT_TRAIN)]
+    model_cfg = cfg.train_config().model_config(
+        len({row.identity for row in train_rows}),
+        len({row.clothing for row in train_rows}))
+    path = tmp_path / "model.bin"
+    ckpt.save(path, model.build_model(model_cfg), None,
+              model.model_config_text(model_cfg))
+    return data, path
+
 
 class TestEval:
     def test_reports_both_directions(self, workspace, tmp_path, capsys):
@@ -229,27 +269,38 @@ class TestEval:
             assert report["num_query"] > 0
 
     def test_reports_match_golden_digests(self, tmp_path):
-        data = tmp_path / "data"
-        assert main(["gen-data", "--out", str(data)] + EVAL_GOLDEN_FLAGS) == EXIT_OK
-        cfg = config.build_config(None, {
-            EVAL_GOLDEN_FLAGS[i][2:].replace("-", "_"): EVAL_GOLDEN_FLAGS[i + 1]
-            for i in range(0, len(EVAL_GOLDEN_FLAGS), 2)
-        })
-        manifest = synthbench.load_manifest(data)
-        train_rows = [manifest.rows[i]
-                      for i in manifest.rows_for_split(synthbench.SPLIT_TRAIN)]
-        model_cfg = cfg.train_config().model_config(
-            len({row.identity for row in train_rows}),
-            len({row.clothing for row in train_rows}))
-        ckpt.save(tmp_path / "model.bin", model.build_model(model_cfg), None,
-                  model.model_config_text(model_cfg))
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
         out = tmp_path / "eval"
         assert main(["eval", "--data-dir", str(data), "--checkpoint",
-                     str(tmp_path / "model.bin"), "--out", str(out),
+                     str(checkpoint), "--out", str(out),
                      "--direction", "both"] + EVAL_GOLDEN_FLAGS) == EXIT_OK
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in EVAL_GOLDEN_SHA256}
         assert digests == EVAL_GOLDEN_SHA256
+
+    def test_train_outputs_match_golden_digests(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--out", str(data)] + TRAIN_GOLDEN_DATA) == EXIT_OK
+        assert main(["train", "--data-dir", str(data), "--out", str(run)]
+                    + TRAIN_GOLDEN_DATA + TRAIN_GOLDEN_CALL) == EXIT_OK
+        digests = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+                   for name in TRAIN_GOLDEN_SHA256}
+        assert digests == TRAIN_GOLDEN_SHA256
+
+    def test_non_finite_weight_is_invalid_checkpoint(self, tmp_path, capsys):
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded = ckpt.load_raw(checkpoint)
+        arrays = dict(loaded.arrays)
+        arrays["backbone.conv0.weight"].flat[0] = np.nan
+        checkpoint.write_bytes(ckpt.serialize(loaded.config_text, arrays))
+        out = tmp_path / "eval"
+        rc = main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out), "--direction", "both"] + EVAL_GOLDEN_FLAGS)
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "invalid checkpoint" in err and "backbone.conv0.weight" in err
+        assert not out.exists()
 
     def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         # the checkpoint's model takes 16x8 images; this dataset holds 32x16

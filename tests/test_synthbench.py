@@ -282,11 +282,41 @@ class TestGenerateDataset:
 
     def test_pixels_round_trip_through_ppm(self, dataset):
         cfg, manifest, _ = dataset
-        pixels = manifest.load_pixels(0)
+        pixels = manifest.pixel_batch([0])[0]
         assert pixels.shape == (3, cfg.image_height, cfg.image_width)
         rendered = render(cfg, manifest.rows[0].identity, 0, "V", 0)
         # files hold the 8-bit quantization of the float render
         assert np.abs(pixels - rendered).max() <= 0.5 / 255.0 + 1e-12
+
+    def test_load_pixels_caches_the_raw_raster(self, dataset):
+        cfg, manifest, _ = dataset
+        raster = manifest.load_pixels(1)
+        assert raster.dtype == np.uint8
+        assert raster.shape == (cfg.image_height, cfg.image_width, 3)
+        assert raster.nbytes == cfg.image_height * cfg.image_width * 3
+        assert manifest.load_pixels(1) is raster
+
+    def test_pixel_batch_scales_the_file_rasters(self, dataset):
+        _, manifest, out = dataset
+        rows = [0, 3, len(manifest) - 1, 3]
+        batch = manifest.pixel_batch(rows)
+        expected = np.stack([
+            pnm.read_ppm(out / manifest.rows[i].path).astype(np.float64)
+            .transpose(2, 0, 1) / 255.0
+            for i in rows
+        ])
+        assert batch.dtype == np.float64
+        assert np.array_equal(batch, expected)
+        # channels-last memory, which conv2d's im2col reads without a copy
+        assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_cached_rasters_are_read_only(self, dataset):
+        _, manifest, _ = dataset
+        before = manifest.pixel_batch([0])
+        raster = manifest.load_pixels(0)
+        with pytest.raises(ValueError, match="read-only"):
+            raster[0, 0, 0] = 255 - raster[0, 0, 0]
+        assert np.array_equal(manifest.pixel_batch([0]), before)
 
     def test_load_manifest_round_trip(self, dataset):
         cfg, manifest, out = dataset
