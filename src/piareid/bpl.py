@@ -1,7 +1,9 @@
 """Per-modality prototype banks and the prototypical contrastive losses.
 
 Each training identity owns one visible and one infrared prototype, stored
-raw (never renormalized) so a momentum update is an exact entrywise convex
+raw (never renormalized).  ``absorb_batch`` is the only update: per
+modality, an identity's first batch sets its prototype to the batch mean,
+and every later batch applies the momentum rule, an exact entrywise convex
 combination of the old prototype and the batch mean:
 
     p <- alpha * p + (1 - alpha) * mean(batch features of that identity)
@@ -28,7 +30,7 @@ DEFAULT_TAU = 1.0 / 16.0
 
 
 class UninitializedPrototypeError(RuntimeError):
-    """Raised when a loss or update touches an identity with no prototype yet."""
+    """Raised when a loss references an identity with no prototype yet."""
 
 
 @dataclass
@@ -127,62 +129,27 @@ class ModalityBatch:
         }
 
 
-def _check_bank_ids(bank: PrototypeBank, identities: np.ndarray) -> None:
-    if identities.min() < 0 or identities.max() >= bank.num_identities:
+def absorb_batch(bank: PrototypeBank, batch: ModalityBatch) -> None:
+    """The bank's one update: fold ``batch`` in, then advance ``bank.iteration``.
+
+    Per modality, an identity met for the first time takes its batch mean
+    exactly; a seen one takes ``alpha * old + (1 - alpha) * mean``.
+    """
+    ids = batch.identities
+    if ids.min() < 0 or ids.max() >= bank.num_identities:
         raise ValueError(
-            f"batch identities [{identities.min()}, {identities.max()}] fall "
+            f"batch identities [{ids.min()}, {ids.max()}] fall "
             f"outside the bank's {bank.num_identities} slots"
         )
-
-
-def init_prototypes(bank: PrototypeBank, batch: ModalityBatch) -> np.ndarray:
-    """Fill missing prototypes with batch means.  Returns the ids just set."""
-    _check_bank_ids(bank, batch.identities)
-    freshly_set = []
     for modality in (VISIBLE, INFRARED):
         protos, flags = bank._side(modality)
-        means = batch.identity_means(modality)
-        for identity, mean in means.items():
-            if not flags[identity]:
+        for identity, mean in batch.identity_means(modality).items():
+            if flags[identity]:
+                protos[identity] = bank.alpha * protos[identity] + (1.0 - bank.alpha) * mean
+            else:
                 protos[identity] = mean
                 flags[identity] = True
-                freshly_set.append(identity)
-    return np.unique(freshly_set)
-
-
-def momentum_update(bank: PrototypeBank, batch: ModalityBatch,
-                    only_ids: np.ndarray | None = None) -> None:
-    """Convex-combination update of every (or the given) batch identity.
-
-    All touched identities must already be initialized.  The bank iteration
-    counter advances by one whether or not ``only_ids`` narrows the set.
-    """
-    _check_bank_ids(bank, batch.identities)
-    targets = batch.identities if only_ids is None else np.asarray(only_ids, dtype=np.int64)
-    for modality in (VISIBLE, INFRARED):
-        protos, flags = bank._side(modality)
-        if targets.size and not flags[targets].all():
-            missing = targets[~flags[targets]]
-            raise UninitializedPrototypeError(
-                f"momentum update touched uninitialized {modality} prototypes {missing.tolist()}"
-            )
-        means = batch.identity_means(modality)
-        for identity in targets:
-            mean = means[int(identity)]
-            protos[identity] = bank.alpha * protos[identity] + (1.0 - bank.alpha) * mean
     bank.iteration += 1
-
-
-def absorb_batch(bank: PrototypeBank, batch: ModalityBatch) -> None:
-    """Lazy init of unseen identities, momentum update of the rest.
-
-    Identities initialized by this very batch skip the momentum step; with
-    old == mean the convex combination is a no-op only up to rounding, and
-    skipping keeps the entrywise bounds exact.
-    """
-    fresh = init_prototypes(bank, batch)
-    rest = np.setdiff1d(batch.identities, fresh)
-    momentum_update(bank, batch, only_ids=rest)
 
 
 class ProtoLossTerms(NamedTuple):

@@ -13,8 +13,12 @@ are replaced atomically.  There is one ``--field-name`` flag per
 and ``out_dir`` for the others.  ``eval`` and ``dump-attention`` rebuild
 the model from the checkpoint's own config block, not from the run config.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 I/O error.
+Exit codes: 0 success; 1 a ``gradcheck`` row over its tolerance; 2 a
+configuration error (``ConfigError``, ``GenConfigError``, ``CheckSuiteError``,
+``TrainerError``, ``ProtocolError``, and ``ShapeMismatchError`` when the
+dataset's images do not fit the model); 3 an I/O error (``OSError``,
+``ManifestError``, which covers images of mixed sizes, ``CheckpointError``
+and ``PnmError``).
 """
 
 from __future__ import annotations
@@ -195,6 +199,8 @@ def _cmd_train(args) -> int:
         result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
     except trainer.TrainerError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
+    except dc.ShapeMismatchError as exc:
+        raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the model: {exc}")
     except (OSError, synthbench.ManifestError) as exc:
         raise _CliError(EXIT_IO_ERROR, str(exc))
     _write_resolved(cfg, out_dir)
@@ -210,16 +216,11 @@ def _cmd_eval(args) -> int:
     cfg = _validated(_resolve_config(args))
     state, _ = _load_checkpoint(cfg)
     manifest = _load_manifest(cfg)
-    directions = list(evalkit.DIRECTIONS) if args.direction == "both" else [args.direction]
+    directions = evalkit.DIRECTIONS if args.direction == "both" else (args.direction,)
     out_dir = Path(cfg.out_dir)
     try:
         table = evalkit.test_feature_table(manifest, state)
-        reports = {
-            direction: evalkit.report_from_set(
-                evalkit.protocol_from_table(manifest, table, direction)
-            )
-            for direction in directions
-        }
+        reports = evalkit.evaluate(manifest, table, directions)
     except evalkit.ProtocolError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except dc.ShapeMismatchError as exc:

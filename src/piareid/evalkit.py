@@ -222,9 +222,10 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
     )
 
 
-def evaluate_both(manifest: Manifest, table: FeatureTable) -> dict[str, EvalReport]:
-    """Both retrieval directions from one feature table."""
+def evaluate(manifest: Manifest, table: FeatureTable,
+             directions=DIRECTIONS) -> dict[str, EvalReport]:
+    """A report per retrieval direction, all from one feature table."""
     return {
         direction: report_from_set(protocol_from_table(manifest, table, direction))
-        for direction in DIRECTIONS
+        for direction in directions
     }

@@ -319,8 +319,9 @@ class Manifest:
     """The rows of a dataset and a cache of the images they name.
 
     The cache holds each image as its file holds it: the decoded, read-only
-    uint8 ``[H, W, 3]`` raster, read once on first use.  ``pixel_batch`` is
-    the only place the dataset's pixels become float64.
+    uint8 ``[H, W, 3]`` raster, read once on first use.  Every raster must
+    have the shape of the first one decoded.  ``pixel_batch`` is the only
+    place the dataset's pixels become float64.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
@@ -328,6 +329,7 @@ class Manifest:
         self.rows = rows
         self.fingerprint = fingerprint
         self._pixel_cache: dict[int, np.ndarray] = {}
+        self._first_raster: tuple[tuple[int, ...], Path] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -343,6 +345,12 @@ class Manifest:
                 cached = pnm.read_ppm(path)
             except pnm.PnmError as exc:
                 raise ManifestError(f"{path}: invalid image: {exc}") from exc
+            shape, first = self._first_raster = self._first_raster or (cached.shape, path)
+            if cached.shape != shape:
+                raise ManifestError(
+                    f"{path}: {cached.shape[0]}x{cached.shape[1]} image, but "
+                    f"{first} is {shape[0]}x{shape[1]}; images must share one size"
+                )
             cached.flags.writeable = False
             self._pixel_cache[index] = cached
         return cached

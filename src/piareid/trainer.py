@@ -10,6 +10,13 @@ inter-modality prototype-contrastive terms.  ``stage_terms`` and
 and the ``stage1_loss``/``stage2_loss`` gradient checks call them, and
 ``LossReport.expected_total`` re-verifies a logged total with the same
 weighting (``_combine``) from the per-iteration terms of the run's own log.
+
+``_step`` runs one batch: forward, ``bpl.absorb_batch`` when a prototype
+term is on in Stage II, the terms, backward, ``adam_step``.  ``train`` keeps
+sampling, flips, label remaps, the per-epoch record and the output files.
+It extracts the test split at most once per epoch, in the last Stage-I epoch
+of a dual-branch model (for ``val_abs_cos``, the mean |cos(f, f_c)|) and in
+every ``eval_every``-th epoch (for the retrieval report).
 """
 
 from __future__ import annotations
@@ -51,10 +58,6 @@ class MissingGradientError(TrainerError):
 
 class StageTermMismatchError(TrainerError):
     """Prototype-loss terms were supplied in the stage that excludes them."""
-
-
-class ImageSizeError(TrainerError):
-    """The run config's image size differs from the dataset's images."""
 
 
 @dataclass(frozen=True)
@@ -386,8 +389,6 @@ class TrainResult:
     bank: bpl.PrototypeBank
     config: TrainConfig
     epoch_records: list[dict]
-    abs_cos_init: float | None = None
-    abs_cos_stage1_end: float | None = None
     checkpoint_path: Path | None = None
     log_path: Path | None = None
 
@@ -408,6 +409,25 @@ def _epoch_means(reports: list[LossReport]) -> dict[str, float]:
     return means
 
 
+def _step(cfg: TrainConfig, state: model_mod.ModelState, bank: bpl.PrototypeBank,
+          adam: AdamState, tape: dc.Tape, pixels: np.ndarray, y_id: np.ndarray,
+          y_clothing: np.ndarray, is_visible: np.ndarray, epoch: int, iteration: int,
+          stage: int, lr: float) -> LossReport:
+    """One optimizer step on one assembled batch, recorded on the open ``tape``;
+    returns its logged scalars."""
+    f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
+    batch = bpl.ModalityBatch(f, y_id, is_visible)
+    if stage == 2 and (cfg.use_intra or cfg.use_inter):
+        bpl.absorb_batch(bank, batch)
+    terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing, batch, bank)
+    total = stage_loss(stage, terms, cfg)
+    dc.backward(total, tape)
+    params = state.named_parameters()
+    adam_step(params, adam, lr)
+    dc.zero_grads(params.values())
+    return LossReport.from_terms(epoch, iteration, stage, lr, total, terms)
+
+
 def train(manifest: Manifest, cfg: TrainConfig,
           out_dir: str | Path | None = None) -> TrainResult:
     """Run the full two-stage schedule over the manifest's training split.
@@ -418,13 +438,6 @@ def train(manifest: Manifest, cfg: TrainConfig,
     cfg.validate()
     sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
     train_rows = manifest.rows_for_split(SPLIT_TRAIN)
-    expected = (cfg.image_height, cfg.image_width)
-    found = manifest.load_pixels(train_rows[0]).shape[:2]
-    if found != expected:
-        raise ImageSizeError(
-            f"config image size {expected[0]}x{expected[1]} does not match the "
-            f"dataset's {found[0]}x{found[1]} images"
-        )
     id_remap = _dense_remap([manifest.rows[i].identity for i in train_rows], "identity")
     clothing_remap = _dense_remap([manifest.rows[i].clothing for i in train_rows], "clothing")
 
@@ -433,48 +446,33 @@ def train(manifest: Manifest, cfg: TrainConfig,
     bank = bpl.PrototypeBank.create(len(id_remap), model_cfg.embedding_dim, alpha=cfg.alpha)
     adam = AdamState()
     rng = np.random.default_rng([cfg.seed, 1])
-
-    abs_cos_init = None
-    if cfg.use_dbdl:
-        table = evalkit.test_feature_table(manifest, state)
-        abs_cos_init = dbdl.mean_abs_cosine(table.features, table.clothing_features)
-    abs_cos_stage1_end = None
     stage1_end_epoch = min(cfg.stage2_start_epoch, cfg.epochs) - 1
 
     epoch_records: list[dict] = []
     for epoch in range(cfg.epochs):
         stage = 2 if epoch >= cfg.stage2_start_epoch else 1
-        prototype_losses_on = stage == 2 and (cfg.use_intra or cfg.use_inter)
         lr = lr_at(epoch, cfg)
         reports: list[LossReport] = []
-
         for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
             rows, raw_ids, is_visible = sampler.assemble(group, rng)
             pixels = manifest.pixel_batch(rows)
             flips = rng.random(len(rows)) < cfg.flip_probability
             pixels[flips] = pixels[flips][..., ::-1]
             y_id = np.array([id_remap[i] for i in raw_ids])
-            y_clothing = np.array(
-                [clothing_remap[manifest.rows[i].clothing] for i in rows]
-            )
-
+            y_clothing = np.array([clothing_remap[manifest.rows[i].clothing] for i in rows])
+            # The tape (the step's activations and gradients) lives until the next
+            # batch is built: freed earlier, glibc malloc returns the heap top and
+            # refaults it each step (10x the page faults, ~10% slower train_full).
             with dc.Tape() as tape:
-                f, f_c, _ = model_mod.forward_embeddings(
-                    state, dc.constant(pixels), training=True
-                )
-                batch = bpl.ModalityBatch(f, y_id, is_visible)
-                if prototype_losses_on:
-                    bpl.absorb_batch(bank, batch)
-                terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing,
-                                    batch, bank)
-                total = stage_loss(stage, terms, cfg)
-                dc.backward(total, tape)
+                reports.append(_step(cfg, state, bank, adam, tape, pixels, y_id, y_clothing,
+                                     is_visible, epoch, iteration, stage, lr))
 
-            params = state.named_parameters()
-            adam_step(params, adam, lr)
-            dc.zero_grads(params.values())
-            reports.append(LossReport.from_terms(epoch, iteration, stage, lr, total, terms))
-
+        # the first epoch that absorbs batches must reach every identity
+        if bank.iteration and not bank.fully_initialized:
+            raise TrainerError(
+                "prototype bank not fully initialized after the first "
+                "prototype-stage epoch; the sampler did not reach every identity"
+            )
         record: dict = {
             "epoch": epoch,
             "stage": stage,
@@ -482,35 +480,19 @@ def train(manifest: Manifest, cfg: TrainConfig,
             "iterations": [r.to_dict() for r in reports],
             "means": _epoch_means(reports),
         }
-
-        if prototype_losses_on and epoch == cfg.stage2_start_epoch and not bank.fully_initialized:
-            raise TrainerError(
-                "prototype bank not fully initialized after the first "
-                "prototype-stage epoch; the sampler did not reach every identity"
-            )
-        # one extraction pass serves both the stage-1-end probe and the eval
-        table = None
-        if cfg.use_dbdl and epoch == stage1_end_epoch:
+        probe_due = cfg.use_dbdl and epoch == stage1_end_epoch
+        eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
+        if probe_due or eval_due:
             table = evalkit.test_feature_table(manifest, state)
-            abs_cos_stage1_end = dbdl.mean_abs_cosine(table.features, table.clothing_features)
-            record["val_abs_cos"] = abs_cos_stage1_end
-        if cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-            if table is None:
-                table = evalkit.test_feature_table(manifest, state)
-            record["eval"] = {
-                direction: report.to_dict()
-                for direction, report in evalkit.evaluate_both(manifest, table).items()
-            }
+            if probe_due:
+                record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
+                                                             table.clothing_features)
+            if eval_due:
+                record["eval"] = {direction: report.to_dict() for direction, report
+                                  in evalkit.evaluate(manifest, table).items()}
         epoch_records.append(record)
 
-    result = TrainResult(
-        state=state,
-        bank=bank,
-        config=cfg,
-        epoch_records=epoch_records,
-        abs_cos_init=abs_cos_init,
-        abs_cos_stage1_end=abs_cos_stage1_end,
-    )
+    result = TrainResult(state=state, bank=bank, config=cfg, epoch_records=epoch_records)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
-"""Prototype bank tests: initialization and momentum against hand
-computations, loss values against a pure-Python softmax oracle, warm-up
-denominator restriction, and gradient flow."""
+"""Prototype bank tests: first-contact initialization and momentum, both
+through ``absorb_batch``, against hand computations, loss values against a
+pure-Python softmax oracle, warm-up denominator restriction, and gradient
+flow."""
 
 import math
 
@@ -52,11 +53,10 @@ class TestBankLifecycle:
         assert bank.iteration == 0
         assert not bank.fully_initialized
 
-    def test_init_prototypes_uses_batch_means(self, rng):
+    def test_first_contact_sets_batch_means_and_flags(self, rng):
         bank = bpl.PrototypeBank.create(4, 3)
         batch, values = make_batch(rng, [1, 3], per_count=2, dim=3)
-        fresh = bpl.init_prototypes(bank, batch)
-        np.testing.assert_array_equal(fresh, [1, 3])
+        bpl.absorb_batch(bank, batch)
         # group-by oracle over raw rows
         for identity in (1, 3):
             vis_rows = values[: values.shape[0] // 2][
@@ -68,17 +68,30 @@ class TestBankLifecycle:
             np.testing.assert_allclose(bank.protos_v[identity], vis_rows.mean(axis=0), atol=1e-15)
             np.testing.assert_allclose(bank.protos_i[identity], ir_rows.mean(axis=0), atol=1e-15)
         assert bank.initialized_v[[1, 3]].all() and not bank.initialized_v[[0, 2]].any()
-        assert bank.iteration == 0  # init alone does not advance the counter
+        assert bank.initialized_i[[1, 3]].all() and not bank.initialized_i[[0, 2]].any()
+        assert bank.iteration == 1  # a first contact is an update like any other
 
-    def test_init_skips_already_set_identities(self, rng):
-        bank = bpl.PrototypeBank.create(3, 2)
-        batch, _ = make_batch(rng, [0], per_count=2, dim=2)
-        bpl.init_prototypes(bank, batch)
-        frozen = bank.protos_v[0].copy()
-        batch2, _ = make_batch(rng, [0], per_count=2, dim=2)
-        fresh = bpl.init_prototypes(bank, batch2)
-        assert fresh.size == 0
-        np.testing.assert_array_equal(bank.protos_v[0], frozen)
+    def test_absorb_mixes_first_contact_and_seen_identities(self, rng):
+        bank = bpl.PrototypeBank.create(3, 2, alpha=0.8)
+        first, _ = make_batch(rng, [0], per_count=2, dim=2)
+        bpl.absorb_batch(bank, first)
+        old_v, old_i = bank.protos_v.copy(), bank.protos_i.copy()
+        mixed, _ = make_batch(rng, [0, 1], per_count=2, dim=2)
+        bpl.absorb_batch(bank, mixed)
+        for modality, old, new in (("V", old_v, bank.protos_v), ("I", old_i, bank.protos_i)):
+            means = mixed.identity_means(modality)
+            np.testing.assert_array_equal(new[1], means[1])  # fresh: the mean, exactly
+            np.testing.assert_array_equal(new[0], 0.8 * old[0] + (1.0 - 0.8) * means[0])
+            np.testing.assert_array_equal(new[2], old[2])  # absent: untouched
+        assert bank.initialized_v.tolist() == bank.initialized_i.tolist() == [True, True, False]
+        assert bank.iteration == 2
+
+    def test_absorb_rejects_identities_outside_the_bank(self, rng):
+        bank = bpl.PrototypeBank.create(2, 2)
+        batch, _ = make_batch(rng, [0, 2], per_count=1, dim=2)
+        with pytest.raises(ValueError, match="outside the bank's 2 slots"):
+            bpl.absorb_batch(bank, batch)
+        assert bank.iteration == 0 and not bank.initialized_v.any()
 
     def test_momentum_hand_case(self):
         bank = bpl.PrototypeBank.create(1, 2, alpha=0.9)
@@ -87,7 +100,7 @@ class TestBankLifecycle:
         bank.initialized_v[0] = bank.initialized_i[0] = True
         values = np.array([[0.0, 1.0]] * 4)  # 2 visible + 2 infrared rows
         batch, _ = make_batch(None, [0], per_count=2, dim=2, values=values)
-        bpl.momentum_update(bank, batch)
+        bpl.absorb_batch(bank, batch)
         np.testing.assert_allclose(bank.protos_v[0], [0.9, 0.1], atol=1e-15)
         np.testing.assert_allclose(bank.protos_i[0], [0.9, 0.1], atol=1e-15)
         assert bank.iteration == 1
@@ -95,12 +108,12 @@ class TestBankLifecycle:
     def test_momentum_respects_entrywise_convex_bounds(self, rng):
         bank = bpl.PrototypeBank.create(3, 4)
         batch, _ = make_batch(rng, [0, 1, 2], per_count=2, dim=4)
-        bpl.init_prototypes(bank, batch)
+        bpl.absorb_batch(bank, batch)
         for _ in range(30):
             batch, _ = make_batch(rng, [0, 1, 2], per_count=2, dim=4)
             old_v = bank.protos_v.copy()
             old_i = bank.protos_i.copy()
-            bpl.momentum_update(bank, batch)
+            bpl.absorb_batch(bank, batch)
             for modality, old, new in (
                 ("V", old_v, bank.protos_v), ("I", old_i, bank.protos_i),
             ):
@@ -109,12 +122,6 @@ class TestBankLifecycle:
                     low = np.minimum(old[identity], mean)
                     high = np.maximum(old[identity], mean)
                     assert np.all(new[identity] >= low) and np.all(new[identity] <= high)
-
-    def test_momentum_requires_initialization(self, rng):
-        bank = bpl.PrototypeBank.create(2, 3)
-        batch, _ = make_batch(rng, [0, 1], per_count=2, dim=3)
-        with pytest.raises(bpl.UninitializedPrototypeError):
-            bpl.momentum_update(bank, batch)
 
     def test_absorb_batch_first_contact_equals_means(self, rng):
         bank = bpl.PrototypeBank.create(2, 3)
@@ -147,7 +154,7 @@ class TestBankLifecycle:
         mean = values[0]
         start_gap = np.linalg.norm(bank.protos_v[0] - mean)
         for step in range(1, 21):
-            bpl.momentum_update(bank, batch)
+            bpl.absorb_batch(bank, batch)
             gap = np.linalg.norm(bank.protos_v[0] - mean)
             assert gap == pytest.approx(start_gap * 0.9**step, rel=1e-9)
 

@@ -181,6 +181,32 @@ class TestTrain:
         assert rc == EXIT_IO_ERROR
         assert str(bad) in capsys.readouterr().err
 
+    def test_odd_image_past_the_first_batch(self, workspace, tmp_path, capsys,
+                                            monkeypatch):
+        batches = []
+        pixel_batch = synthbench.Manifest.pixel_batch
+
+        def recorded(manifest, indices):
+            batches.append((manifest, list(indices)))
+            return pixel_batch(manifest, indices)
+
+        monkeypatch.setattr(synthbench.Manifest, "pixel_batch", recorded)
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        assert main(["train", "--data-dir", str(data), "--out", str(tmp_path / "ok")]
+                    + TINY_TRAIN) == EXIT_OK
+        (manifest, first), (_, second) = batches[:2]
+        odd = data / manifest.rows[next(i for i in second if i not in first)].path
+        pnm.write_ppm(odd, np.zeros((32, 16, 3), np.uint8))
+        capsys.readouterr()
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(data), "--out", str(run)] + TINY_TRAIN)
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(odd) in err and "32x16" in err and "16x8" in err
+        assert not run.exists()
+
 
 class TestReproduce:
     def test_rerun_from_resolved_config_is_byte_identical(self, workspace, tmp_path):
@@ -452,6 +478,24 @@ class TestEval:
         ])
         assert rc == EXIT_IO_ERROR
         assert str(bad) in capsys.readouterr().err
+
+    def test_odd_test_image(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        odd = data / "images" / "I" / "0003" / "001.ppm"  # a test image
+        pnm.write_ppm(odd, np.zeros((32, 16, 3), np.uint8))
+        out = tmp_path / "e"
+        rc = main([
+            "eval",
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--data-dir", str(data),
+            "--out", str(out),
+        ])
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(odd) in err and "32x16" in err and "16x8" in err
+        assert not out.exists()
 
     def test_untrained_model_scores_chance_level(self, tmp_path, capsys):
         # a 12-identity set splits 8 train / 4 test, so random features

@@ -402,6 +402,18 @@ class TestGenerateDataset:
         with pytest.raises(ManifestError, match=re.escape(str(bad))):
             manifest.load_pixels(0)
 
+    def test_image_of_another_size_names_both_files(self, tmp_path):
+        cfg = GenConfig(**TINY)
+        manifest = generate_dataset(cfg, tmp_path)
+        odd = tmp_path / manifest.rows[-1].path
+        pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
+        manifest.pixel_batch([0, 1])  # the first raster fixes the size
+        with pytest.raises(ManifestError) as caught:
+            manifest.pixel_batch([2, len(manifest) - 1])  # a later batch
+        message = str(caught.value)
+        assert str(odd) in message and str(tmp_path / manifest.rows[0].path) in message
+        assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
+
 
 class TestLoadManifestErrors:
     def test_missing_file(self, tmp_path):

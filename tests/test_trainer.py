@@ -10,7 +10,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from piareid import bpl, checkpoint, config, diffcore as dc, encoder, synthbench, trainer
+from piareid import (bpl, checkpoint, config, diffcore as dc, encoder, evalkit,
+                     synthbench, trainer)
 from piareid.trainer import (
     AdamState,
     BalancedSampler,
@@ -374,8 +375,9 @@ class TestTrainLoop:
             assert report["total"] == expected
 
     def test_disentanglement_probes_recorded(self, tiny_run):
-        assert tiny_run.abs_cos_init is not None
-        assert tiny_run.abs_cos_stage1_end is not None
+        stage1_end, stage2 = tiny_run.epoch_records
+        assert 0.0 <= stage1_end["val_abs_cos"] <= 1.0
+        assert "val_abs_cos" not in stage2
 
     def test_deterministic_repeat(self, manifest):
         first = train(manifest, tiny_train_config())
@@ -416,7 +418,26 @@ class TestTrainLoop:
         result = train(manifest, cfg)
         for item in iteration_records(result):
             assert "ce_clothing" not in item and "orth" not in item
-        assert result.abs_cos_init is None
+        assert all("val_abs_cos" not in record for record in result.epoch_records)
+
+    @pytest.mark.parametrize("preset, eval_every, passes", [
+        ("full", 0, 1),  # the stage-1-end probe alone
+        ("full", 1, 2),  # one per epoch; the probe shares epoch 0's pass
+        ("base", 0, 0),  # no dual branch, no eval: no pass
+    ])
+    def test_test_split_passes(self, manifest, monkeypatch, preset, eval_every, passes):
+        calls = []
+        extract = evalkit.test_feature_table
+
+        def counted(*args):
+            calls.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(evalkit, "test_feature_table", counted)
+        result = train(manifest, tiny_train_config(eval_every=eval_every,
+                                                   **config.ABLATION_PRESETS[preset]))
+        assert len(calls) == passes
+        assert [("eval" in r) for r in result.epoch_records] == [bool(eval_every)] * 2
 
     def test_undersized_image_pool_raises(self, manifest):
         with pytest.raises(InsufficientSamplesError):
