@@ -8,6 +8,11 @@ full [Q, G] ordering is built: one value sort per query row places each
 positive by binary search, and equal distances go to the lower gallery
 index, so a positive's rank is its position in a stable argsort of the row.
 Queries whose identity never appears in the gallery are dropped and counted.
+
+Each direction holds one [Q, G] distance buffer.  ``rank`` reads it first;
+``distance_stats`` then overwrites it, compacting the negatives into its
+prefix.  Any later ranking of a direction (the clothes-changing one, say)
+must run before ``distance_stats``.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ DIRECTION_I2V = "i2v"
 DIRECTIONS = (DIRECTION_V2I, DIRECTION_I2V)
 
 EVAL_BATCH = 64
+# distances moved per step when distance_stats compacts the negatives
+COMPACT_CHUNK = 1 << 16
 
 
 class ProtocolError(ValueError):
@@ -129,8 +136,10 @@ def protocol_from_table(manifest: Manifest, table: FeatureTable,
 
 
 def distance_matrix(retrieval: RetrievalSet) -> np.ndarray:
-    """Cosine distances in [0, 2]: 1 - q . g on normalized rows."""
-    return 1.0 - retrieval.query_features @ retrieval.gallery_features.T
+    """Cosine distances in [0, 2]: 1 - q . g on normalized rows, written over
+    the product, so the result is the only [Q, G] array made."""
+    products = retrieval.query_features @ retrieval.gallery_features.T
+    return np.subtract(1.0, products, out=products)
 
 
 def rank(distances: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +149,19 @@ def rank(distances: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns ``(rows, ranks)`` in ``np.nonzero(same)`` order.  A rank counts
     the gallery items at a lower distance (a left-side search of the row's
     sorted values), plus, only where the distance is tied, the equal ones at
-    a lower gallery index.
+    a lower gallery index.  Rows are sorted one at a time, so no sorted
+    [Q, G] copy exists; ``distances`` is only read.
     """
-    ordered = np.sort(distances, axis=1)
     rows, cols = np.nonzero(same)
     values = distances[rows, cols]
     bounds = np.searchsorted(rows, np.arange(same.shape[0] + 1)).tolist()
     ranks = np.empty(rows.size, dtype=np.intp)
     right = np.empty(rows.size, dtype=np.intp)
-    for row, lo, hi in zip(ordered, bounds, bounds[1:]):
-        ranks[lo:hi] = row.searchsorted(values[lo:hi], side="left")
-        right[lo:hi] = row.searchsorted(values[lo:hi], side="right")
+    for row, lo, hi in zip(distances, bounds, bounds[1:]):
+        ordered = row.copy()
+        ordered.sort()  # np.sort's own steps, less its per-call overhead
+        ranks[lo:hi] = ordered.searchsorted(values[lo:hi], side="left")
+        right[lo:hi] = ordered.searchsorted(values[lo:hi], side="right")
     for i in np.flatnonzero(right - ranks > 1):  # tied: count equal ones placed before
         earlier = distances[rows[i], : cols[i]]
         # NaN sorts last and never equals itself
@@ -179,19 +190,52 @@ def mean_ap(rows: np.ndarray, ranks: np.ndarray, num_query: int) -> float:
     return float(ap.mean())
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """``values.mean()`` and ``values.std()`` bit for bit, by numpy's own steps
+    (a keepdims sum over n, subtract, square, sum over n, sqrt), but with the
+    deviations written over ``values``."""
+    mean = np.add.reduce(values, keepdims=True)
+    mean /= values.size
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean[0]), float(np.sqrt(np.add.reduce(values) / values.size))
+
+
 def distance_stats(distances: np.ndarray, same: np.ndarray) -> dict[str, float]:
-    """Distance mean/std over all pairs, split by identity match."""
-    positives = distances[same]
-    negatives = distances[~same]
+    """Distance mean/std over all pairs, split by identity match.
+
+    Consumes ``distances``: the positives are gathered into their own array,
+    then the negatives are compacted, in order, into a prefix of the same
+    buffer, ``COMPACT_CHUNK`` at a time (the write position never passes the
+    read position), and their deviations are taken there in place.  So the
+    buffer holds no distances afterwards, and ``rank`` and any other ranking
+    must read it first.  The values equal numpy's ``.mean()`` and ``.std()``
+    of ``distances[same]`` and ``distances[~same]`` bit for bit.
+    """
+    pos_mean, pos_std = _mean_std(distances[same])
+    flat, same_flat = distances.reshape(-1), same.reshape(-1)
+    end = 0
+    for start in range(0, flat.size, COMPACT_CHUNK):
+        stop = start + COMPACT_CHUNK
+        kept = flat[start:stop][~same_flat[start:stop]]
+        flat[end : end + kept.size] = kept
+        end += kept.size
+    neg_mean, neg_std = _mean_std(flat[:end]) if end else (0.0, 0.0)
     return {
-        "pos_dist_mean": float(positives.mean()),
-        "pos_dist_std": float(positives.std()),
-        "neg_dist_mean": float(negatives.mean()) if negatives.size else 0.0,
-        "neg_dist_std": float(negatives.std()) if negatives.size else 0.0,
+        "pos_dist_mean": pos_mean,
+        "pos_dist_std": pos_std,
+        "neg_dist_mean": neg_mean,
+        "neg_dist_std": neg_std,
     }
 
 
 def report_from_set(retrieval: RetrievalSet) -> EvalReport:
+    """The report of one direction, from its one [Q, G] distance buffer.
+
+    ``rank`` reads the buffer, then ``distance_stats`` overwrites it; a later
+    ranking of this direction (the clothes-changing one, say) must also run
+    before ``distance_stats``.  The retrieval set's arrays are not modified.
+    """
     same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
     num_query, num_gallery = same.shape
     unmatched = num_query - int(same.any(axis=1).sum())
@@ -199,9 +243,9 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
         raise ProtocolError(
             f"{unmatched} of {num_query} queries have no same-identity gallery item"
         )
-    distances = distance_matrix(retrieval)  # once per direction
-    stats = distance_stats(distances, same)
+    distances = distance_matrix(retrieval)  # the direction's one [Q, G] buffer
     rows, ranks = rank(distances, same)
+    stats = distance_stats(distances, same)  # overwrites distances: rank first
     curve = cmc_curve(rows, ranks, num_query, num_gallery)
 
     def rank_at(k: int) -> float:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -212,6 +214,16 @@ class TestDistanceAndRank:
         distances = distance_matrix(retrieval)
         assert (distances >= -1e-12).all() and (distances <= 2.0 + 1e-12).all()
 
+    @pytest.mark.parametrize("num_query, num_gallery, dim",
+                             [(1, 1, 1), (5, 7, 3), (64, 48, 16)])
+    def test_distance_matrix_is_one_minus_the_product(self, num_query, num_gallery,
+                                                      dim):
+        rng = np.random.default_rng(num_query)
+        retrieval = make_set(rng.normal(size=(num_query, dim)), np.zeros(num_query),
+                             rng.normal(size=(num_gallery, dim)), np.zeros(num_gallery))
+        expected = 1.0 - retrieval.query_features @ retrieval.gallery_features.T
+        assert distance_matrix(retrieval).tobytes() == expected.tobytes()
+
     def test_rank_orders_by_ascending_distance(self):
         # one query at angle 0; gallery at angles 0.3, 0.1, 0.2, so the
         # ascending order is [1, 2, 0] and gallery items rank [2, 0, 1]
@@ -263,6 +275,40 @@ class TestDistanceStats:
         assert stats["neg_dist_std"] == 0.0
 
 
+    @given(num_query=st.integers(1, 300), num_gallery=st.integers(1, 300),
+           palette=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 2.0, np.nan]),
+                                      st.floats(0.0, 2.0)),
+                            min_size=1, max_size=6),
+           match=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @example(num_query=1, num_gallery=1, palette=[0.5], match=1.0, seed=0)
+    @example(num_query=30, num_gallery=40, palette=[0.1, 0.7], match=1.0, seed=1)
+    @example(num_query=256, num_gallery=256, palette=[-0.0, 0.3, 1.1], match=0.1, seed=2)
+    @example(num_query=257, num_gallery=256, palette=[0.0, -0.0, 1.5], match=0.2, seed=3)
+    @example(num_query=300, num_gallery=300, palette=[0.4, np.nan], match=0.0, seed=4)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_numpy_mean_and_std_bit_for_bit(self, num_query, num_gallery,
+                                                   palette, match, seed):
+        # few distinct values with signed zeros and NaNs; Q*G spans both sides
+        # of the compaction chunk, and match=1 leaves no negatives
+        assert 1 < evalkit.COMPACT_CHUNK < 300 * 300
+        rng = np.random.default_rng(seed)
+        distances = np.array(palette)[rng.integers(len(palette),
+                                                   size=(num_query, num_gallery))]
+        same = rng.random(distances.shape) < match
+        same.flat[rng.integers(same.size)] = True
+        copy = distances.copy()
+        positives, negatives = copy[same], copy[~same]
+        expected = {
+            "pos_dist_mean": positives.mean(),
+            "pos_dist_std": positives.std(),
+            "neg_dist_mean": negatives.mean() if negatives.size else 0.0,
+            "neg_dist_std": negatives.std() if negatives.size else 0.0,
+        }
+        stats = distance_stats(distances, same)
+        assert {k: np.float64(v).tobytes() for k, v in stats.items()} == {
+            k: np.float64(v).tobytes() for k, v in expected.items()}
+
+
 class TestReportFromSet:
     def test_report_consistent_with_metrics(self):
         rng = np.random.default_rng(6)
@@ -291,6 +337,34 @@ class TestReportFromSet:
         report_from_set(make_set(rng.normal(size=(3, 4)), [0, 1, 2],
                                  rng.normal(size=(5, 4)), [0, 1, 2, 0, 1]))
         assert len(calls) == 1
+
+    def test_leaves_the_retrieval_set_unchanged(self):
+        rng = np.random.default_rng(8)
+        retrieval = make_set(rng.normal(size=(4, 3)), [0, 1, 0, 1],
+                             rng.normal(size=(5, 3)), [0, 1, 0, 1, 2])
+        names = ("query_features", "query_identities",
+                 "gallery_features", "gallery_identities")
+        before = {name: getattr(retrieval, name).copy() for name in names}
+        report_from_set(retrieval)
+        for name in names:
+            assert getattr(retrieval, name).tobytes() == before[name].tobytes(), name
+
+    def test_peak_memory_is_one_distance_buffer(self):
+        # tracemalloc sees numpy's buffers: one [Q, G] float64 buffer plus the
+        # identity mask and the compaction scratch stay under 1.75 of them
+        size = 600
+        rng = np.random.default_rng(9)
+        gallery_ids = np.repeat(np.arange(size // 4), 4)
+        retrieval = make_set(rng.normal(size=(size, 16)), rng.permutation(gallery_ids),
+                             rng.normal(size=(size, 16)), gallery_ids)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report_from_set(retrieval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.75 * size * size * 8
 
     def test_rank_k_clips_to_gallery_size(self):
         # gallery smaller than 5: rank5/10/20 all collapse to the final CMC value
