@@ -15,10 +15,10 @@ the model from the checkpoint's own config block, not from the run config.
 
 Exit codes: 0 success; 1 a ``gradcheck`` row over its tolerance; 2 a
 configuration error (``ConfigError``, ``GenConfigError``, ``CheckSuiteError``,
-``TrainerError``, ``ProtocolError``, and ``ShapeMismatchError`` when the
-dataset's images do not fit the model); 3 an I/O error (``OSError``,
-``ManifestError``, which covers images of mixed sizes, ``CheckpointError``
-and ``PnmError``).
+``TrainerError``, ``ProtocolError``, which covers a non-finite test-image
+embedding, and ``ShapeMismatchError`` when the dataset's images do not fit
+the model); 3 an I/O error (``OSError``, ``ManifestError``, which covers
+images of mixed sizes, ``CheckpointError`` and ``PnmError``).
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _cmd_train(args) -> int:
     out_dir = Path(cfg.out_dir)
     try:
         result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
-    except trainer.TrainerError as exc:
+    except (trainer.TrainerError, evalkit.ProtocolError) as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except dc.ShapeMismatchError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the model: {exc}")
@@ -215,12 +215,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _validated(_resolve_config(args))
     state, _ = _load_checkpoint(cfg)
-    manifest = _load_manifest(cfg)
     directions = evalkit.DIRECTIONS if args.direction == "both" else (args.direction,)
     out_dir = Path(cfg.out_dir)
     try:
-        table = evalkit.test_feature_table(manifest, state)
-        reports = evalkit.evaluate(manifest, table, directions)
+        # No name holds the manifest: it, and its block of decoded test images,
+        # is freed once the table is built, before any [Q, G] distance buffer.
+        table = evalkit.test_feature_table(_load_manifest(cfg), state)
+        reports = evalkit.evaluate(table, directions)
     except evalkit.ProtocolError as exc:
         raise _CliError(EXIT_CONFIG_ERROR, str(exc))
     except dc.ShapeMismatchError as exc:

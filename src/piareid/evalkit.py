@@ -9,6 +9,13 @@ positive by binary search, and equal distances go to the lower gallery
 index, so a positive's rank is its position in a stable argsort of the row.
 Queries whose identity never appears in the gallery are dropped and counted.
 
+``test_feature_table`` is the one step that reads the manifest: it embeds
+the test split and copies each row's identity, clothing and modality label
+onto the ``FeatureTable``.  Every later step (``protocol_from_table``,
+``evaluate``) takes only the table, so the manifest and its decoded images
+can be freed before any [Q, G] buffer exists.  ``check_protocol`` raises a
+protocol's ``ProtocolError`` from the labels alone, before any extraction.
+
 Each direction holds one [Q, G] distance buffer.  ``rank`` reads it first;
 ``distance_stats`` then overwrites it, compacting the negatives into its
 prefix.  Any later ranking of a direction (the clothes-changing one, say)
@@ -37,6 +44,10 @@ COMPACT_CHUNK = 1 << 16
 
 class ProtocolError(ValueError):
     """Raised when a retrieval protocol cannot be formed."""
+
+
+class NonFiniteEmbeddingError(ProtocolError):
+    """Raised when a test image's identity embedding cannot be ranked."""
 
 
 @dataclass
@@ -73,64 +84,94 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _split_modality_rows(manifest: Manifest) -> tuple[list[int], list[int]]:
-    test_rows = manifest.rows_for_split(SPLIT_TEST)
-    visible = [i for i in test_rows if manifest.rows[i].modality == VISIBLE]
-    infrared = [i for i in test_rows if manifest.rows[i].modality == INFRARED]
-    return visible, infrared
-
-
 def _batches_of(manifest: Manifest, row_indices: list[int]):
     for start in range(0, len(row_indices), EVAL_BATCH):
         chunk = row_indices[start : start + EVAL_BATCH]
         yield manifest.pixel_batch(chunk)
 
 
-@dataclass
-class FeatureTable:
-    """Identity embeddings of the test split, and its clothing embeddings
-    when the model has the dual branch."""
-    row_indices: list[int]
-    features: np.ndarray             # [n, D], not yet normalized
-    clothing_features: np.ndarray | None
-
-    def rows_of(self, picked: list[int]) -> np.ndarray:
-        position = {row: i for i, row in enumerate(self.row_indices)}
-        return self.features[[position[r] for r in picked]]
-
-
-def test_feature_table(manifest: Manifest, state: model_mod.ModelState) -> FeatureTable:
+def _test_labels(manifest: Manifest) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The test rows, and their identity, clothing and modality labels."""
     rows = manifest.rows_for_split(SPLIT_TEST)
     if not rows:
         raise ProtocolError("manifest has no test rows")
-    return FeatureTable(rows, *model_mod.extract_embeddings(state, _batches_of(manifest, rows)))
+    picked = [manifest.rows[i] for i in rows]
+    return (rows, np.array([r.identity for r in picked]),
+            np.array([r.clothing for r in picked]), np.array([r.modality for r in picked]))
 
 
-def protocol_from_table(manifest: Manifest, table: FeatureTable,
-                        direction: str) -> RetrievalSet:
+@dataclass
+class FeatureTable:
+    """The test split's labels and identity embeddings, and its clothing
+    embeddings when the model has the dual branch.  Entry i of every array
+    belongs to manifest row ``row_indices[i]``; the table needs no manifest,
+    so a caller can drop the manifest, and its decoded images, once the
+    table is built."""
+    row_indices: list[int]
+    identities: np.ndarray           # [n]
+    clothing: np.ndarray             # [n]
+    modalities: np.ndarray           # [n], VISIBLE or INFRARED
+    features: np.ndarray             # [n, D], not yet normalized
+    clothing_features: np.ndarray | None
+
+
+def test_feature_table(manifest: Manifest, state: model_mod.ModelState) -> FeatureTable:
+    """Embed the test split.  Raises ``NonFiniteEmbeddingError``, naming the
+    first such image, when an identity embedding or its squared L2 norm is
+    not finite: ``normalize_rows`` would turn it into zeros, and every
+    distance into a tie."""
+    rows, identities, clothing, modalities = _test_labels(manifest)
+    features, clothing_features = model_mod.extract_embeddings(
+        state, _batches_of(manifest, rows))
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.square(features).sum(axis=1)))
+    if bad.size:
+        problem = ("its squared L2 norm overflows" if np.isfinite(features[bad[0]]).all()
+                   else "it holds non-finite values")
+        raise NonFiniteEmbeddingError(
+            f"{manifest.base_dir / manifest.rows[rows[bad[0]]].path}: cannot rank the "
+            f"identity embedding: {problem} ({bad.size} of {len(rows)} test images)"
+        )
+    return FeatureTable(rows, identities, clothing, modalities, features, clothing_features)
+
+
+def _protocol_positions(identities: np.ndarray, modalities: np.ndarray,
+                        direction: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Table positions of one direction's matchable queries and its gallery,
+    and the number of queries dropped for lacking a gallery match."""
     if direction not in DIRECTIONS:
         raise ProtocolError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    visible, infrared = _split_modality_rows(manifest)
-    if not visible or not infrared:
+    visible = np.flatnonzero(modalities == VISIBLE)
+    infrared = np.flatnonzero(modalities == INFRARED)
+    if not visible.size or not infrared.size:
         raise ProtocolError("test split must contain both modalities")
-    query_rows, gallery_rows = (
-        (visible, infrared) if direction == DIRECTION_V2I else (infrared, visible)
-    )
-    query_ids = np.array([manifest.rows[i].identity for i in query_rows])
-    gallery_ids = np.array([manifest.rows[i].identity for i in gallery_rows])
-
-    matchable = np.isin(query_ids, gallery_ids)
-    dropped = int((~matchable).sum())
-    kept = [row for row, ok in zip(query_rows, matchable) if ok]
-    if not kept:
+    query, gallery = (visible, infrared) if direction == DIRECTION_V2I else (infrared, visible)
+    matchable = np.isin(identities[query], identities[gallery])
+    if not matchable.any():
         raise ProtocolError("every query lacks a same-identity gallery image")
+    return query[matchable], gallery, int((~matchable).sum())
 
+
+def check_protocol(manifest: Manifest) -> None:
+    """Raise the ``ProtocolError`` that evaluating ``manifest``'s test split in
+    both directions would raise, without extracting a feature."""
+    _, identities, _, modalities = _test_labels(manifest)
+    for direction in DIRECTIONS:
+        _protocol_positions(identities, modalities, direction)
+
+
+def protocol_from_table(table: FeatureTable, direction: str) -> RetrievalSet:
+    """One direction's retrieval set, from the table's labels and features
+    alone: visible queries against the infrared gallery for ``v2i``, the
+    reverse for ``i2v``."""
+    query, gallery, dropped = _protocol_positions(table.identities, table.modalities,
+                                                  direction)
     return RetrievalSet(
         direction=direction,
-        query_features=dc.normalize_rows(table.rows_of(kept)),
-        query_identities=query_ids[matchable],
-        gallery_features=dc.normalize_rows(table.rows_of(gallery_rows)),
-        gallery_identities=gallery_ids,
+        query_features=dc.normalize_rows(table.features[query]),
+        query_identities=table.identities[query],
+        gallery_features=dc.normalize_rows(table.features[gallery]),
+        gallery_identities=table.identities[gallery],
         dropped_queries=dropped,
     )
 
@@ -266,10 +307,9 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
     )
 
 
-def evaluate(manifest: Manifest, table: FeatureTable,
-             directions=DIRECTIONS) -> dict[str, EvalReport]:
+def evaluate(table: FeatureTable, directions=DIRECTIONS) -> dict[str, EvalReport]:
     """A report per retrieval direction, all from one feature table."""
     return {
-        direction: report_from_set(protocol_from_table(manifest, table, direction))
+        direction: report_from_set(protocol_from_table(table, direction))
         for direction in directions
     }

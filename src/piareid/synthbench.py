@@ -318,18 +318,22 @@ class ManifestRow:
 class Manifest:
     """The rows of a dataset and a cache of the images they name.
 
-    The cache holds each image as its file holds it: the decoded, read-only
-    uint8 ``[H, W, 3]`` raster, read once on first use.  Every raster must
-    have the shape of the first one decoded.  ``pixel_batch`` is the only
-    place the dataset's pixels become float64.
+    The cache is one uint8 block ``[len(rows), H, W, 3]`` holding each image
+    as its file holds it, decoded once on first use, beside a per-row
+    "loaded" mask.  The first decode allocates the block, so its shape fixes
+    the image size every later image must have.  Rows never read take no
+    resident memory, and dropping the manifest returns the whole block at
+    once.  ``pixel_batch`` is the only place the dataset's pixels become
+    float64.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
         self.base_dir = Path(base_dir)
         self.rows = rows
         self.fingerprint = fingerprint
-        self._pixel_cache: dict[int, np.ndarray] = {}
-        self._first_raster: tuple[tuple[int, ...], Path] | None = None
+        self._pixels: np.ndarray | None = None  # the block, from the first decode
+        self._first_path: Path | None = None
+        self._loaded = np.zeros(len(rows), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -338,26 +342,33 @@ class Manifest:
         return [i for i, row in enumerate(self.rows) if row.split == split]
 
     def load_pixels(self, index: int) -> np.ndarray:
-        cached = self._pixel_cache.get(index)
-        if cached is None:
+        """Row ``index``'s uint8 ``[H, W, 3]`` raster, a read-only view of the block."""
+        if not self._loaded[index]:
             path = self.base_dir / self.rows[index].path
             try:
-                cached = pnm.read_ppm(path)
+                raster = pnm.read_ppm(path)
             except pnm.PnmError as exc:
                 raise ManifestError(f"{path}: invalid image: {exc}") from exc
-            shape, first = self._first_raster = self._first_raster or (cached.shape, path)
-            if cached.shape != shape:
+            if self._pixels is None:
+                self._pixels = np.empty((len(self.rows), *raster.shape), dtype=np.uint8)
+                self._first_path = path
+            shape = self._pixels.shape[1:]
+            if raster.shape != shape:
                 raise ManifestError(
-                    f"{path}: {cached.shape[0]}x{cached.shape[1]} image, but "
-                    f"{first} is {shape[0]}x{shape[1]}; images must share one size"
+                    f"{path}: {raster.shape[0]}x{raster.shape[1]} image, but "
+                    f"{self._first_path} is {shape[0]}x{shape[1]}; images must share one size"
                 )
-            cached.flags.writeable = False
-            self._pixel_cache[index] = cached
-        return cached
+            self._pixels[index] = raster
+            self._loaded[index] = True
+        view = self._pixels[index]
+        view.flags.writeable = False
+        return view
 
     def pixel_batch(self, indices) -> np.ndarray:
         """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last."""
-        rasters = np.stack([self.load_pixels(i) for i in indices])
+        for i in indices:
+            self.load_pixels(i)
+        rasters = self._pixels[list(indices)]
         return rasters.astype(np.float64).transpose(0, 3, 1, 2) / 255.0
 
 
@@ -425,6 +436,7 @@ def load_manifest(path) -> Manifest:
     if not path.is_file():
         raise FileNotFoundError(f"no manifest at {path}")
     base_dir = path.parent
+    base = str(base_dir)
     rows: list[ManifestRow] = []
     fingerprint = ""
     try:
@@ -463,7 +475,7 @@ def load_manifest(path) -> Manifest:
             raise ManifestError(f"{path}:{number}: negative label")
         if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
             raise ManifestError(f"{path}:{number}: image path {rel!r} leaves the dataset")
-        if not (base_dir / rel).is_file():
+        if not os.path.isfile(os.path.join(base, rel)):
             raise ManifestError(f"{path}:{number}: missing image {rel}")
         rows.append(ManifestRow(rel, identity, clothing, modality, split))
     if not rows:

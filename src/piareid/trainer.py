@@ -433,10 +433,14 @@ def train(manifest: Manifest, cfg: TrainConfig,
     """Run the full two-stage schedule over the manifest's training split.
 
     Writes ``checkpoint.bin`` and ``train_log.jsonl`` into ``out_dir`` when
-    given.  Identical manifest + config reproduce the run bit-for-bit.
+    given.  Identical manifest + config reproduce the run bit-for-bit.  A
+    test split that cannot form the eval protocol raises its
+    ``evalkit.ProtocolError`` before the first step when any epoch evaluates.
     """
     cfg.validate()
     sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
+    if cfg.eval_every and cfg.eval_every <= cfg.epochs:  # some epoch evaluates
+        evalkit.check_protocol(manifest)
     train_rows = manifest.rows_for_split(SPLIT_TRAIN)
     id_remap = _dense_remap([manifest.rows[i].identity for i in train_rows], "identity")
     clothing_remap = _dense_remap([manifest.rows[i].clothing for i in train_rows], "clothing")
@@ -466,6 +470,9 @@ def train(manifest: Manifest, cfg: TrainConfig,
             with dc.Tape() as tape:
                 reports.append(_step(cfg, state, bank, adam, tape, pixels, y_id, y_clothing,
                                      is_visible, epoch, iteration, stage, lr))
+        # The epoch's last tape goes before the test-split extraction, which
+        # would otherwise stack its batches on top of that step's ~13 MB.
+        del tape
 
         # the first epoch that absorbs batches must reach every identity
         if bank.iteration and not bank.fully_initialized:
@@ -489,7 +496,7 @@ def train(manifest: Manifest, cfg: TrainConfig,
                                                              table.clothing_features)
             if eval_due:
                 record["eval"] = {direction: report.to_dict() for direction, report
-                                  in evalkit.evaluate(manifest, table).items()}
+                                  in evalkit.evaluate(table).items()}
         epoch_records.append(record)
 
     result = TrainResult(state=state, bank=bank, config=cfg, epoch_records=epoch_records)

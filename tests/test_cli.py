@@ -6,12 +6,13 @@ import hashlib
 import json
 import shutil
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from piareid import checkpoint as ckpt
-from piareid import checksuite, cli, config, model, pnm, synthbench
+from piareid import checksuite, cli, config, evalkit, model, pnm, synthbench, trainer
 from piareid.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -207,6 +208,42 @@ class TestTrain:
         assert str(odd) in err and "32x16" in err and "16x8" in err
         assert not run.exists()
 
+    def test_one_modality_test_split_fails_before_training(self, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = data / "manifest.csv"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines
+                                    if not line.rstrip().endswith(",I,test")))
+        steps = []
+        monkeypatch.setattr(trainer, "_step", lambda *args: steps.append(args))
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(data), "--out", str(run)]
+                  + TINY_TRAIN + ["--eval-every", "1"])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "both modalities" in err
+        assert steps == []
+        assert not run.exists()
+
+    def test_non_finite_test_embedding_is_config_error(self, workspace, tmp_path, capsys,
+                                                       monkeypatch):
+        extract = model.extract_embeddings
+
+        def overflowing(state, batches):
+            features, clothing_features = extract(state, batches)
+            return features * 1e300, clothing_features
+
+        monkeypatch.setattr(model, "extract_embeddings", overflowing)
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(workspace / "data"), "--out", str(run)]
+                  + TINY_TRAIN + ["--eval-every", "1"])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "squared L2 norm overflows" in err
+        assert not run.exists()
+
 
 class TestReproduce:
     def test_rerun_from_resolved_config_is_byte_identical(self, workspace, tmp_path):
@@ -327,6 +364,48 @@ class TestEval:
         assert "Traceback" not in err
         assert "invalid checkpoint" in err and "backbone.conv0.weight" in err
         assert not out.exists()
+
+    def test_huge_finite_weights_are_config_error(self, tmp_path, capsys):
+        # every squared embedding norm overflows, which would make every
+        # embedding zero and every distance a tie
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded = ckpt.load_raw(checkpoint)
+        arrays = dict(loaded.arrays)
+        arrays["backbone.conv0.weight"][...] = 1e300
+        checkpoint.write_bytes(ckpt.serialize(loaded.config_text, arrays))
+        out = tmp_path / "eval"
+        with np.errstate(all="ignore"):
+            rc = main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                       "--out", str(out), "--direction", "both"] + EVAL_GOLDEN_FLAGS)
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "identity embedding" in err
+        manifest = synthbench.load_manifest(data)
+        first = manifest.rows[manifest.rows_for_split(synthbench.SPLIT_TEST)[0]]
+        assert str(data / first.path) in err
+        assert not out.exists()
+
+    def test_ranks_with_no_manifest_alive(self, tmp_path, monkeypatch):
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded, alive_at_ranking = [], []
+        load_manifest = synthbench.load_manifest
+        report_from_set = evalkit.report_from_set
+
+        def recorded_load(path):
+            manifest = load_manifest(path)
+            loaded.append(weakref.ref(manifest))
+            return manifest
+
+        def recorded_report(retrieval):
+            alive_at_ranking.append(loaded[0]() is not None)
+            return report_from_set(retrieval)
+
+        monkeypatch.setattr(synthbench, "load_manifest", recorded_load)
+        monkeypatch.setattr(evalkit, "report_from_set", recorded_report)
+        assert main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "eval"), "--direction", "both"]
+                    + EVAL_GOLDEN_FLAGS) == EXIT_OK
+        assert len(loaded) == 1 and alive_at_ranking == [False, False]
 
     def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         # the checkpoint's model takes 16x8 images; this dataset holds 32x16

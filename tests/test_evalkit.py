@@ -13,6 +13,7 @@ from piareid import evalkit
 from piareid.diffcore import normalize_rows
 from piareid.evalkit import (
     EvalReport,
+    FeatureTable,
     ProtocolError,
     RetrievalSet,
     cmc_curve,
@@ -420,17 +421,18 @@ class TestReportFromSet:
         assert decoded["direction"] == "v2i"
 
 
-class FakeTable:
-    """Stands in for a feature table: row index -> one-hot-ish feature."""
-
-    def __init__(self, manifest, dim=8):
-        rng = np.random.default_rng(99)
-        self.features_by_row = {
-            i: rng.normal(size=dim) for i in range(len(manifest))
-        }
-
-    def rows_of(self, picked):
-        return np.stack([self.features_by_row[r] for r in picked])
+def fake_table(manifest, dim=8):
+    """A feature table of the manifest's test rows with seeded random features."""
+    rows = manifest.rows_for_split("test")
+    picked = [manifest.rows[i] for i in rows]
+    return FeatureTable(
+        rows,
+        np.array([row.identity for row in picked]),
+        np.array([row.clothing for row in picked]),
+        np.array([row.modality for row in picked]),
+        np.random.default_rng(99).normal(size=(len(rows), dim)),
+        None,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -450,9 +452,9 @@ def tiny_manifest(tmp_path_factory):
 
 class TestProtocol:
     def test_direction_selects_modalities(self, tiny_manifest):
-        table = FakeTable(tiny_manifest)
+        table = fake_table(tiny_manifest)
         for direction, query_modality in (("v2i", "V"), ("i2v", "I")):
-            retrieval = protocol_from_table(tiny_manifest, table, direction)
+            retrieval = protocol_from_table(table, direction)
             test_rows = tiny_manifest.rows_for_split("test")
             expected_q = [
                 i for i in test_rows
@@ -466,10 +468,53 @@ class TestProtocol:
 
     def test_rejects_unknown_direction(self, tiny_manifest):
         with pytest.raises(ProtocolError):
-            protocol_from_table(tiny_manifest, FakeTable(tiny_manifest), "sideways")
+            protocol_from_table(fake_table(tiny_manifest), "sideways")
 
     def test_identities_line_up_with_manifest(self, tiny_manifest):
-        retrieval = protocol_from_table(tiny_manifest, FakeTable(tiny_manifest), "v2i")
+        retrieval = protocol_from_table(fake_table(tiny_manifest), "v2i")
         test_ids = {row.identity for row in tiny_manifest.rows if row.split == "test"}
         assert set(retrieval.query_identities.tolist()) <= test_ids
         assert set(retrieval.gallery_identities.tolist()) <= test_ids
+
+
+@pytest.fixture(scope="module")
+def tiny_state():
+    from piareid import model
+
+    return model.build_model(model.ModelConfig(
+        image_height=16, image_width=8, widths=(4, 4), strides=(2, 1),
+        attention_kernel_size=3, num_identities=2, num_clothing_classes=4,
+    ))
+
+
+class TestFeatureTable:
+    def test_labels_equal_the_manifest_test_rows(self, tiny_manifest, tiny_state):
+        table = evalkit.test_feature_table(tiny_manifest, tiny_state)
+        rows = tiny_manifest.rows_for_split("test")
+        picked = [tiny_manifest.rows[i] for i in rows]
+        assert table.row_indices == rows
+        assert table.identities.tolist() == [row.identity for row in picked]
+        assert table.clothing.tolist() == [row.clothing for row in picked]
+        assert table.modalities.tolist() == [row.modality for row in picked]
+        assert table.features.shape[0] == len(rows)
+
+    @pytest.mark.parametrize("value, what", [
+        (1e300, "squared L2 norm overflows"), (np.inf, "non-finite"), (np.nan, "non-finite"),
+    ])
+    def test_rejects_an_embedding_that_cannot_be_ranked(self, tiny_manifest, tiny_state,
+                                                        monkeypatch, value, what):
+        extract = evalkit.model_mod.extract_embeddings
+        bad = 3  # the fourth test image
+
+        def spoiled(state, batches):
+            features, clothing_features = extract(state, batches)
+            features[bad:, 0] = value
+            return features, clothing_features
+
+        monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", spoiled)
+        with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
+            evalkit.test_feature_table(tiny_manifest, tiny_state)
+        first = tiny_manifest.rows[tiny_manifest.rows_for_split("test")[bad]]
+        message = str(caught.value)
+        assert str(tiny_manifest.base_dir / first.path) in message and what in message
+        assert isinstance(caught.value, ProtocolError)

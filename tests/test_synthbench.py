@@ -288,13 +288,19 @@ class TestGenerateDataset:
         # files hold the 8-bit quantization of the float render
         assert np.abs(pixels - rendered).max() <= 0.5 / 255.0 + 1e-12
 
-    def test_load_pixels_caches_the_raw_raster(self, dataset):
-        cfg, manifest, _ = dataset
+    def test_load_pixels_caches_the_raw_raster(self, dataset, monkeypatch):
+        cfg, _, out = dataset
+        manifest = load_manifest(out)
+        reads = []
+        read_ppm = pnm.read_ppm
+        monkeypatch.setattr(pnm, "read_ppm", lambda path: reads.append(path) or read_ppm(path))
         raster = manifest.load_pixels(1)
         assert raster.dtype == np.uint8
         assert raster.shape == (cfg.image_height, cfg.image_width, 3)
         assert raster.nbytes == cfg.image_height * cfg.image_width * 3
-        assert manifest.load_pixels(1) is raster
+        again = manifest.load_pixels(1)
+        assert reads == [out / manifest.rows[1].path]  # the second call decodes nothing
+        assert np.shares_memory(again, raster)
 
     def test_pixel_batch_scales_the_file_rasters(self, dataset):
         _, manifest, out = dataset
@@ -412,6 +418,18 @@ class TestGenerateDataset:
             manifest.pixel_batch([2, len(manifest) - 1])  # a later batch
         message = str(caught.value)
         assert str(odd) in message and str(tmp_path / manifest.rows[0].path) in message
+        assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
+
+    def test_first_decoded_row_fixes_the_size(self, tmp_path):
+        cfg = GenConfig(**TINY)
+        manifest = generate_dataset(cfg, tmp_path)
+        odd = tmp_path / manifest.rows[-1].path
+        pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
+        manifest.pixel_batch([5, 0])  # row 5 is decoded first and fixes the size
+        with pytest.raises(ManifestError) as caught:
+            manifest.pixel_batch([len(manifest) - 1])
+        message = str(caught.value)
+        assert str(odd) in message and str(tmp_path / manifest.rows[5].path) in message
         assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
 
 

@@ -1,12 +1,23 @@
 """The benchmark's tracer wraps piareid functions by owner and attribute
-name; a rename in ``src/`` would otherwise show up only as failed traced
-samples.  This reads ``perfbench/tracing.py`` and changes nothing in it."""
+name, and reads a few attributes off their arguments and results; a rename
+in ``src/`` would otherwise show up only as failed traced samples or wrong
+counts.  This reads ``perfbench/tracing.py`` and changes nothing in it."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+TINY_DATA = [
+    "--n-identities", "4", "--images-per-identity-per-modality", "2",
+    "--image-height", "16", "--image-width", "8", "--seed", "3",
+]
+TINY_TRAIN = [
+    "--widths", "4,4", "--strides", "2,1", "--attention-kernel-size", "3",
+    "--epochs", "2", "--stage2-start", "1", "--eval-every", "1",
+    "--ids-per-batch", "2", "--instances-per-modality", "1",
+]
 
 
 def test_every_traced_function_still_exists(monkeypatch):
@@ -18,3 +29,33 @@ def test_every_traced_function_still_exists(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _ in targets if attr not in owner.__dict__]
     assert not missing, f"traced but missing from their owners: {missing}"
+
+
+def test_traced_counts_match_the_run(monkeypatch, tmp_path):
+    # images_extracted reads FeatureTable.row_indices off test_feature_table's
+    # result; the byte counts read the path argument of write_ppm and save;
+    # the cache hit ratio needs every decode nested in a load_pixels call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from piareid import cli, synthbench
+
+    data, run = tmp_path / "data", tmp_path / "run"
+    tracer = tracing.Tracer({})
+    with tracer.installed():
+        assert cli.main(["gen-data", "--out", str(data)] + TINY_DATA) == 0
+        assert cli.main(["train", "--data-dir", str(data), "--out", str(run)]
+                        + TINY_DATA + TINY_TRAIN) == 0
+    metrics = tracer.layer_metrics()
+    manifest = synthbench.load_manifest(data)
+    assert metrics["evalkit.images_extracted"] == 2 * len(
+        manifest.rows_for_split(synthbench.SPLIT_TEST))
+    assert metrics["pnm.bytes_written"] == sum(
+        (data / row.path).stat().st_size for row in manifest.rows)
+    assert metrics["checkpoint.bytes"] == (run / "checkpoint.bin").stat().st_size
+    names = [span[0] for span in tracer.spans]
+    reads = [span for span in tracer.spans if span[0] == "pnm.read"]
+    assert reads and all(names[parent] == "synthbench.load_pixels"
+                         for _, _, _, parent in reads)
+    assert len(reads) <= len(manifest) < names.count("synthbench.load_pixels")
+    assert 0 < metrics["synthbench.pixel_cache_hit_ratio"] < 1
