@@ -13,18 +13,30 @@ are replaced atomically.  There is one ``--field-name`` flag per
 and ``out_dir`` for the others.  ``eval`` and ``dump-attention`` rebuild
 the model from the checkpoint's own config block, not from the run config.
 
-Exit codes: 0 success; 1 a ``gradcheck`` row over its tolerance; 2 a
-configuration error (``ConfigError``, ``GenConfigError``, ``CheckSuiteError``,
-``TrainerError``, ``ProtocolError``, which covers a non-finite test-image
-embedding, and ``ShapeMismatchError`` when the dataset's images do not fit
-the model); 3 an I/O error (``OSError``, ``ManifestError``, which covers
-images of mixed sizes, ``CheckpointError`` and ``PnmError``).
+Exit codes: 0 success; 1 a ``gradcheck`` row over its tolerance.  Any other
+code comes from the ``_EXIT_CODES`` table, which ``main`` consults for every
+typed error a command raises, printing the error's own message after
+``error:``.  2 is a configuration error: ``ConfigError``, ``GenConfigError``,
+``CheckSuiteError``, ``TrainerError``, ``ProtocolError`` (which covers a
+non-finite test-image embedding), ``ShapeMismatchError`` (the dataset's
+images do not fit the model), ``EncoderConfigError`` and
+``DegenerateFeatureError`` (an embedding row fell below the norm guard
+in training).  3 is an I/O error: ``OSError``, ``ManifestError`` (which covers
+unreadable and mixed-size dataset images), ``CheckpointError`` and
+``PnmError``.  Three errors are converted on the way, because their code or
+message differs from their class's entry: a config file that is not UTF-8
+raises ``ConfigError`` ("config file is not UTF-8 text"); any ``ValueError``
+while loading a checkpoint, its unparsable config block or a ``restore``
+error included, raises ``CheckpointError`` ("invalid checkpoint", exit 3);
+and a ``dump-attention`` sample of the wrong size raises ``PnmError``
+("sample does not fit the model", exit 3).  An exception outside the table
+is a program bug: it ends in a traceback with Python's exit code 1, the same
+value as ``EXIT_CHECK_FAILURE``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,7 +46,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import checksuite
 from . import config as cfgmod
+from . import dbdl
 from . import diffcore as dc
+from . import encoder
 from . import evalkit
 from . import fileio
 from . import model as mdl
@@ -50,10 +64,22 @@ EXIT_IO_ERROR = 3
 RESOLVED_CONFIG_NAME = "run_config.txt"
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+#: The exit code each typed error a command raises ends in.  ``main`` looks
+#: it up with ``isinstance``, so a subclass shares its base's code.
+_EXIT_CODES = {
+    cfgmod.ConfigError: EXIT_CONFIG_ERROR,
+    synthbench.GenConfigError: EXIT_CONFIG_ERROR,
+    checksuite.CheckSuiteError: EXIT_CONFIG_ERROR,
+    trainer.TrainerError: EXIT_CONFIG_ERROR,
+    evalkit.ProtocolError: EXIT_CONFIG_ERROR,
+    dc.ShapeMismatchError: EXIT_CONFIG_ERROR,
+    encoder.EncoderConfigError: EXIT_CONFIG_ERROR,
+    dbdl.DegenerateFeatureError: EXIT_CONFIG_ERROR,
+    OSError: EXIT_IO_ERROR,
+    synthbench.ManifestError: EXIT_IO_ERROR,
+    ckpt.CheckpointError: EXIT_IO_ERROR,
+    pnm.PnmError: EXIT_IO_ERROR,
+}
 
 
 def _add_override_options(parser: argparse.ArgumentParser) -> None:
@@ -111,10 +137,8 @@ def _resolve_config(args: argparse.Namespace) -> cfgmod.RunConfig:
     if args.config is not None:
         try:
             file_text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _CliError(EXIT_IO_ERROR, f"cannot read config file: {exc}")
         except UnicodeDecodeError as exc:
-            raise _CliError(EXIT_CONFIG_ERROR, f"config file is not UTF-8 text: {exc}")
+            raise cfgmod.ConfigError(f"config file is not UTF-8 text: {exc}") from exc
     overrides = {}
     for f in fields(cfgmod.RunConfig):
         value = getattr(args, f.name, None)
@@ -123,53 +147,30 @@ def _resolve_config(args: argparse.Namespace) -> cfgmod.RunConfig:
     if args.out is not None:
         out_field = "data_dir" if args.command == "gen-data" else "out_dir"
         overrides[out_field] = args.out
-    try:
-        cfg = cfgmod.build_config(file_text, overrides)
-        if getattr(args, "ablation", None) is not None:
-            cfg = cfg.with_ablation(args.ablation)
-        return cfg
-    except cfgmod.ConfigError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
-
-
-def _validated(cfg: cfgmod.RunConfig) -> cfgmod.RunConfig:
-    try:
-        cfg.validate()
-    except cfgmod.ConfigError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
+    cfg = cfgmod.build_config(file_text, overrides)
+    if getattr(args, "ablation", None) is not None:
+        cfg = cfg.with_ablation(args.ablation)
+    cfg.validate()
     return cfg
 
 
 def _write_resolved(cfg: cfgmod.RunConfig, directory: Path) -> None:
-    try:
-        text = cfgmod.format_config(cfg)
-        fileio.write_atomic(directory / RESOLVED_CONFIG_NAME, text.encode("utf-8"))
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot write resolved config: {exc}")
+    text = cfgmod.format_config(cfg)
+    fileio.write_atomic(directory / RESOLVED_CONFIG_NAME, text.encode("utf-8"))
 
 
-def _load_manifest(cfg: cfgmod.RunConfig) -> synthbench.Manifest:
-    try:
-        return synthbench.load_manifest(Path(cfg.data_dir))
-    except (OSError, synthbench.ManifestError) as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot load dataset manifest: {exc}")
-
-
-def _load_checkpoint(cfg: cfgmod.RunConfig):
+def _load_checkpoint(cfg: cfgmod.RunConfig) -> mdl.ModelState:
     if not cfg.checkpoint:
-        raise _CliError(EXIT_CONFIG_ERROR, "no checkpoint given (set --checkpoint)")
+        raise cfgmod.ConfigError("no checkpoint given (set --checkpoint)")
     try:
         loaded = ckpt.load_raw(Path(cfg.checkpoint))
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot read checkpoint: {exc}")
-    except ckpt.CheckpointError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"invalid checkpoint: {exc}")
-    try:
         model_cfg = mdl.parse_model_config_text(loaded.config_text)
-        state, bank = ckpt.restore(loaded, model_cfg)
-    except (ValueError, ckpt.CheckpointError) as exc:
-        raise _CliError(EXIT_IO_ERROR, f"invalid checkpoint: {exc}")
-    return state, bank
+        state, _ = ckpt.restore(loaded, model_cfg)
+    except ValueError as exc:
+        # a config block that does not parse raises ConfigError (exit 2), but
+        # it is the checkpoint that is broken
+        raise ckpt.CheckpointError(f"invalid checkpoint: {exc}") from exc
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +178,9 @@ def _load_checkpoint(cfg: cfgmod.RunConfig):
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _validated(_resolve_config(args))
+    cfg = _resolve_config(args)
     target = Path(cfg.data_dir)
-    try:
-        manifest = synthbench.generate_dataset(cfg.gen_config(), target)
-    except synthbench.GenConfigError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, str(exc))
+    manifest = synthbench.generate_dataset(cfg.gen_config(), target)
     _write_resolved(cfg, target)
     print(f"dataset: {target}  rows: {len(manifest.rows)}  "
           f"fingerprint: {manifest.fingerprint[:16]}")
@@ -192,17 +188,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _validated(_resolve_config(args))
-    manifest = _load_manifest(cfg)
+    cfg = _resolve_config(args)
+    manifest = synthbench.load_manifest(Path(cfg.data_dir))
     out_dir = Path(cfg.out_dir)
-    try:
-        result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
-    except (trainer.TrainerError, evalkit.ProtocolError) as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
-    except dc.ShapeMismatchError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the model: {exc}")
-    except (OSError, synthbench.ManifestError) as exc:
-        raise _CliError(EXIT_IO_ERROR, str(exc))
+    result = trainer.train(manifest, cfg.train_config(), out_dir=out_dir)
     _write_resolved(cfg, out_dir)
     last = result.epoch_records[-1]
     print(f"trained {cfg.epochs} epochs  final stage {last['stage']}  "
@@ -213,29 +202,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _validated(_resolve_config(args))
-    state, _ = _load_checkpoint(cfg)
+    cfg = _resolve_config(args)
+    state = _load_checkpoint(cfg)
     directions = evalkit.DIRECTIONS if args.direction == "both" else (args.direction,)
+    # No name holds the manifest: it, and its block of decoded test images,
+    # is freed once the table is built, before any [Q, G] distance buffer.
+    table = evalkit.test_feature_table(synthbench.load_manifest(Path(cfg.data_dir)), state)
+    reports = evalkit.evaluate(table, directions)
     out_dir = Path(cfg.out_dir)
-    try:
-        # No name holds the manifest: it, and its block of decoded test images,
-        # is freed once the table is built, before any [Q, G] distance buffer.
-        table = evalkit.test_feature_table(_load_manifest(cfg), state)
-        reports = evalkit.evaluate(table, directions)
-    except evalkit.ProtocolError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
-    except dc.ShapeMismatchError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, f"dataset images do not fit the checkpoint: {exc}")
-    except (OSError, synthbench.ManifestError) as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot read dataset image: {exc}")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for direction, report in reports.items():
-            fileio.write_atomic(
-                out_dir / f"eval_{direction}.json", report.to_json().encode("utf-8")
-            )
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot write report: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for direction, report in reports.items():
+        fileio.write_atomic(
+            out_dir / f"eval_{direction}.json", report.to_json().encode("utf-8")
+        )
     for report in reports.values():
         sys.stdout.write(report.to_json())
     return EXIT_OK
@@ -245,42 +224,31 @@ def _cmd_gradcheck(args) -> int:
     names = None
     if args.only is not None:
         names = [args.only]
-    seed = _validated(_resolve_config(args)).seed
-    try:
-        suite = checksuite.run_all(
-            names, configs=args.configs, tol=args.tol, step=args.step, seed=seed,
-        )
-    except checksuite.CheckSuiteError as exc:
-        raise _CliError(EXIT_CONFIG_ERROR, str(exc))
+    seed = _resolve_config(args).seed
+    suite = checksuite.run_all(
+        names, configs=args.configs, tol=args.tol, step=args.step, seed=seed,
+    )
     print(suite.format_table())
     return EXIT_OK if suite.passed else EXIT_CHECK_FAILURE
 
 
 def _cmd_dump_attention(args) -> int:
-    cfg = _validated(_resolve_config(args))
-    state, _ = _load_checkpoint(cfg)
+    cfg = _resolve_config(args)
+    state = _load_checkpoint(cfg)
     if not state.cfg.use_dbdl:
-        raise _CliError(EXIT_CONFIG_ERROR,
-                        "attention masks need the dual-branch model")
-    try:
-        pixels = pnm.read_ppm(Path(args.sample)).astype(np.float64) / 255.0
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot read sample: {exc}")
-    except pnm.PnmError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"invalid sample image: {exc}")
+        raise cfgmod.ConfigError("attention masks need the dual-branch model")
+    pixels = pnm.read_ppm(Path(args.sample)).astype(np.float64) / 255.0
     batch = pixels.transpose(2, 0, 1)[None, :, :, :]
     try:
         _, _, masks = mdl.forward_embeddings(state, dc.constant(batch), training=False)
     except dc.ShapeMismatchError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"sample does not fit the model: {exc}")
+        # the sample file, not the run's configuration, is at fault: exit 3
+        raise pnm.PnmError(f"sample does not fit the model: {exc}") from exc
     out_dir = Path(cfg.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, mask in (("m_c", masks.clothing), ("m_id", masks.identity)):
-            grey = np.round(mask.data[0, 0] * 255.0).astype(np.uint8)
-            fileio.write_atomic(out_dir / f"{name}.pgm", pnm.encode_pgm(grey))
-    except OSError as exc:
-        raise _CliError(EXIT_IO_ERROR, f"cannot write masks: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, mask in (("m_c", masks.clothing), ("m_id", masks.identity)):
+        grey = np.round(mask.data[0, 0] * 255.0).astype(np.uint8)
+        fileio.write_atomic(out_dir / f"{name}.pgm", pnm.encode_pgm(grey))
     print(f"wrote {out_dir / 'm_c.pgm'} and {out_dir / 'm_id.pgm'}")
     return EXIT_OK
 
@@ -299,9 +267,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -123,10 +123,6 @@ class TrainConfig(model_mod.ArchConfig):
         )
         dbdl.validate_attention_kernel(self.attention_kernel_size)
 
-    @property
-    def batch_size(self) -> int:
-        return 2 * self.ids_per_batch * self.instances_per_modality
-
     def model_config(self, num_identities: int, num_clothing_classes: int) -> model_mod.ModelConfig:
         return kvconfig.project(self, model_mod.ModelConfig, num_identities=num_identities,
                                 num_clothing_classes=num_clothing_classes)

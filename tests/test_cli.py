@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import shutil
 import struct
 import weakref
@@ -11,8 +13,11 @@ import weakref
 import numpy as np
 import pytest
 
+import piareid
+from piareid import bpl
 from piareid import checkpoint as ckpt
 from piareid import checksuite, cli, config, evalkit, model, pnm, synthbench, trainer
+from piareid import diffcore as dc
 from piareid.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -242,6 +247,28 @@ class TestTrain:
         assert rc == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "Traceback" not in err and "squared L2 norm overflows" in err
+        assert not run.exists()
+
+    def test_collapsed_embedding_is_config_error(self, tmp_path, capsys):
+        # perfbench's tiny train_full run, but without the final BN a learning
+        # rate of 1 zeroes a row of f, which the orthogonality loss refuses
+        data = [
+            "--n-identities", "8", "--images-per-identity-per-modality", "4",
+            "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
+        ]
+        assert main(["gen-data", "--out", str(tmp_path / "d")] + data) == EXIT_OK
+        capsys.readouterr()
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(tmp_path / "d"), "--out", str(run)]
+                  + data + TINY_NET + [
+                      "--ablation", "full", "--epochs", "2", "--stage2-start", "1",
+                      "--eval-every", "1", "--ids-per-batch", "2",
+                      "--instances-per-modality", "2",
+                      "--use-final-bn", "false", "--base-lr", "1",
+                  ])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: f contains a row with norm" in err
         assert not run.exists()
 
 
@@ -740,3 +767,42 @@ class TestConfigPrecedence:
         assert rc == EXIT_CONFIG_ERROR
         assert "not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+
+#: Typed errors that only a bug can raise, so no exit code covers them.
+PROGRAMMING_ERRORS = (
+    dc.TapeError,
+    dc.InvalidAttributeError,
+    dc.NonDeterministicClosureError,
+    bpl.UninitializedPrototypeError,
+    dc.DiffcoreError,
+)
+
+
+def _package_exceptions() -> set[type]:
+    """Every ``Exception`` subclass defined in a ``piareid`` module."""
+    found = set()
+    for info in pkgutil.walk_packages(piareid.__path__, "piareid."):
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if (isinstance(value, type) and issubclass(value, Exception)
+                    and value.__module__ == module.__name__):
+                found.add(value)
+    return found
+
+
+class TestExitCodeTable:
+    def test_every_typed_error_has_one_exit_code_or_is_a_bug(self):
+        found = _package_exceptions()
+        assert set(PROGRAMMING_ERRORS) <= found
+        for kind in found:
+            codes = {code for entry, code in cli._EXIT_CODES.items()
+                     if issubclass(kind, entry)}
+            if kind in PROGRAMMING_ERRORS:
+                assert not codes, kind
+            else:
+                assert len(codes) == 1, kind
+
+    def test_docstring_names_every_table_entry(self):
+        for kind in cli._EXIT_CODES:
+            assert f"``{kind.__name__}``" in cli.__doc__, kind

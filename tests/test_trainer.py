@@ -76,9 +76,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**overrides).validate()
 
-    def test_batch_size(self):
-        assert TrainConfig(ids_per_batch=8, instances_per_modality=4).batch_size == 64
-
     def test_model_config_carries_shape(self):
         cfg = TrainConfig(**SMALL_NET)
         model_cfg = cfg.model_config(5, 10)
