@@ -237,8 +237,7 @@ def _cmd_dump_attention(args) -> int:
     state = _load_checkpoint(cfg)
     if not state.cfg.use_dbdl:
         raise cfgmod.ConfigError("attention masks need the dual-branch model")
-    pixels = pnm.read_ppm(Path(args.sample)).astype(np.float64) / 255.0
-    batch = pixels.transpose(2, 0, 1)[None, :, :, :]
+    batch = synthbench.unit_pixels(pnm.read_ppm(Path(args.sample))[None])
     try:
         _, _, masks = mdl.forward_embeddings(state, dc.constant(batch), training=False)
     except dc.ShapeMismatchError as exc:

@@ -11,10 +11,12 @@ needs no gradient instead of computing it.
 Conventions:
   - spatial inputs are [N, C, H, W] and dense inputs are [N, D]; any other
     rank raises ``ShapeMismatchError``
-  - ``conv2d`` lowers to im2col on a channels-last layout: ``cols`` is
-    [N*Ho*Wo, kh*kw*C_in] with K ordered (kh, kw, C_in), and its [N, C, H, W]
-    output is a transposed view of [N, Ho, Wo, C_out] memory, so spatial
-    results may be non-contiguous
+  - ``conv2d`` lowers to im2col on a channels-last layout: the input is
+    written once into a padded buffer whose border alone is zeroed, ``cols``
+    is [N*Ho*Wo, kh*kw*C_in] with K ordered (kh, kw, C_in), and its
+    [N, C, H, W] output is a transposed view of [N, Ho, Wo, C_out] memory, so
+    spatial results may be non-contiguous; the input gradient is summed one
+    kernel tap at a time into a padded buffer of the same layout
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 
@@ -261,12 +263,14 @@ def _abs():
 
 @register("conv2d")
 def _conv2d():
-    # Forward: pad the input channels-last once, take a strided window view
-    # of it and copy that once into cols [N*Ho*Wo, kh*kw*C_in], K ordered
-    # (kh, kw, C_in); one matmul with the weight flattened in the same order.
-    # Backward: grad_w = g^T cols and, unless x needs no gradient (the pixel
-    # batch), grad_cols = g w_flat, then a kh x kw col2im scatter into a
-    # channels-last padded buffer.
+    # Forward: write the input channels-last once into an uninitialised
+    # padded buffer whose four border strips alone are zeroed, take a strided
+    # window view of it and copy that once into cols [N*Ho*Wo, kh*kw*C_in],
+    # K ordered (kh, kw, C_in); one matmul with the weight flattened in the
+    # same order.  Backward: grad_w = g^T cols and, unless x needs no gradient
+    # (the pixel batch), each tap's g @ w_tap is added straight into its
+    # strided window of a channels-last padded buffer, so no
+    # [kh*kw, N*Ho*Wo, C_in] block of input gradients is ever built.
     def forward(ctx, arrays, attrs):
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
@@ -295,8 +299,10 @@ def _conv2d():
         h_out = (h_pad - kh) // stride + 1
         w_out = (w_pad - kw) // stride + 1
 
-        pad = (padding, padding)
-        xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), pad, pad, (0, 0)))  # [n, Hp, Wp, c_in]
+        xp = np.empty((n, h_pad, w_pad, c_in), dtype=np.float64)
+        xp[:, :padding] = xp[:, padding + height :] = 0.0
+        xp[:, :, :padding] = xp[:, :, padding + width :] = 0.0
+        xp[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
         windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h_out * w_out, kh * kw * c_in)
         w_flat = w.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
@@ -329,9 +335,7 @@ def _conv2d():
         grad_w = (g.T @ ctx["cols"]).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         if not ctx["needs_grad"][0]:
             return [None, grad_w, grad_b]
-        # grad_cols as [kh*kw, N*Ho*Wo, C_in], so each tap's slice is contiguous
-        taps = w_flat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
-        grad_cols = np.matmul(g, taps).reshape(kh, kw, n, h_out, w_out, c_in)
+        taps = w_flat.reshape(c_out, kh, kw, c_in)
         grad_xp = np.zeros(ctx["xp_shape"], dtype=np.float64)
         for i in range(kh):
             for j in range(kw):
@@ -339,7 +343,7 @@ def _conv2d():
                     :,
                     i : i + stride * (h_out - 1) + 1 : stride,
                     j : j + stride * (w_out - 1) + 1 : stride,
-                ] += grad_cols[i, j]
+                ] += (g @ taps[:, i, j]).reshape(n, h_out, w_out, c_in)
         grad_x = grad_xp[:, padding : padding + height, padding : padding + width]
         return [grad_x.transpose(0, 3, 1, 2), grad_w, grad_b]
 
@@ -423,8 +427,6 @@ def _batch_norm():
         x, gamma, beta = arrays
         state = attrs.get("state")
         training = attrs.get("training")
-        momentum = float(attrs.get("momentum", BN_MOMENTUM))
-        eps = float(attrs.get("eps", BN_EPS))
         if state is None:
             raise InvalidAttributeError("batch_norm: attribute 'state' is required")
         if not isinstance(training, (bool, np.bool_)):
@@ -444,12 +446,12 @@ def _batch_norm():
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)  # biased
-            state.running_mean[:] = (1.0 - momentum) * state.running_mean + momentum * mean
-            state.running_var[:] = (1.0 - momentum) * state.running_var + momentum * var
+            state.running_mean[:] = (1.0 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+            state.running_var[:] = (1.0 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * var
         else:
             mean = state.running_mean
             var = state.running_var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
         out = gamma * x_hat + beta
 
@@ -677,12 +679,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return apply("linear", [x, weight, bias])
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, state, training: bool,
-               momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> Tensor:
-    return apply(
-        "batch_norm", [x, gamma, beta],
-        state=state, training=training, momentum=momentum, eps=eps,
-    )
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, state, training: bool) -> Tensor:
+    return apply("batch_norm", [x, gamma, beta], state=state, training=training)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -99,5 +99,10 @@ def decode_pgm(data: bytes) -> np.ndarray:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Decode the PPM file at ``path``; a ``PnmError`` names the file."""
     with open(path, "rb") as handle:
-        return decode_ppm(handle.read())
+        data = handle.read()
+    try:
+        return decode_ppm(data)
+    except PnmError as exc:
+        raise PnmError(f"{path}: invalid image: {exc}") from exc

@@ -306,6 +306,15 @@ def _outfit_for(cfg: GenConfig, modality: str, image_index: int) -> int:
 # dataset and manifest
 
 
+def unit_pixels(rasters: np.ndarray) -> np.ndarray:
+    """uint8 ``[N, H, W, 3]`` rasters as float64 ``[N, 3, H, W]`` in [0, 1].
+
+    One division straight from uint8, so the result is the only float64
+    buffer; it keeps the rasters' channels-last memory order.
+    """
+    return np.divide(rasters.transpose(0, 3, 1, 2), 255.0, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class ManifestRow:
     path: str
@@ -324,7 +333,7 @@ class Manifest:
     the image size every later image must have.  Rows never read take no
     resident memory, and dropping the manifest returns the whole block at
     once.  ``pixel_batch`` is the only place the dataset's pixels become
-    float64.
+    float64, through ``unit_pixels``.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
@@ -348,7 +357,7 @@ class Manifest:
             try:
                 raster = pnm.read_ppm(path)
             except pnm.PnmError as exc:
-                raise ManifestError(f"{path}: invalid image: {exc}") from exc
+                raise ManifestError(str(exc)) from exc
             if self._pixels is None:
                 self._pixels = np.empty((len(self.rows), *raster.shape), dtype=np.uint8)
                 self._first_path = path
@@ -364,12 +373,19 @@ class Manifest:
         view.flags.writeable = False
         return view
 
-    def pixel_batch(self, indices) -> np.ndarray:
-        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last."""
+    def pixel_batch(self, indices, flips=None) -> np.ndarray:
+        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last.
+
+        ``flips``, a boolean mask over ``indices``, mirrors those images left
+        to right.  The mirroring happens on the gathered uint8 copy, never on
+        the cached block, and ``unit_pixels`` then converts the batch once.
+        """
         for i in indices:
             self.load_pixels(i)
-        rasters = self._pixels[list(indices)]
-        return rasters.astype(np.float64).transpose(0, 3, 1, 2) / 255.0
+        rasters = self._pixels[list(indices)]  # a gathered copy of the rows
+        if flips is not None:
+            rasters[flips] = rasters[flips][:, :, ::-1]
+        return unit_pixels(rasters)
 
 
 def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:

@@ -455,14 +455,14 @@ def train(manifest: Manifest, cfg: TrainConfig,
         reports: list[LossReport] = []
         for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
             rows, raw_ids, is_visible = sampler.assemble(group, rng)
-            pixels = manifest.pixel_batch(rows)
             flips = rng.random(len(rows)) < cfg.flip_probability
-            pixels[flips] = pixels[flips][..., ::-1]
+            pixels = manifest.pixel_batch(rows, flips)
             y_id = np.array([id_remap[i] for i in raw_ids])
             y_clothing = np.array([clothing_remap[manifest.rows[i].clothing] for i in rows])
             # The tape (the step's activations and gradients) lives until the next
             # batch is built: freed earlier, glibc malloc returns the heap top and
-            # refaults it each step (10x the page faults, ~10% slower train_full).
+            # refaults it each step (train_full: 143k-163k minor faults against
+            # 26k-30k, and slower).
             with dc.Tape() as tape:
                 reports.append(_step(cfg, state, bank, adam, tape, pixels, y_id, y_clothing,
                                      is_visible, epoch, iteration, stage, lr))

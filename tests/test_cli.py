@@ -192,9 +192,9 @@ class TestTrain:
         batches = []
         pixel_batch = synthbench.Manifest.pixel_batch
 
-        def recorded(manifest, indices):
+        def recorded(manifest, indices, flips=None):
             batches.append((manifest, list(indices)))
-            return pixel_batch(manifest, indices)
+            return pixel_batch(manifest, indices, flips)
 
         monkeypatch.setattr(synthbench.Manifest, "pixel_batch", recorded)
         data = tmp_path / "data"
@@ -718,6 +718,21 @@ class TestDumpAttention:
             "--sample", str(tmp_path / "missing.ppm"),
         ])
         assert rc == EXIT_IO_ERROR
+
+    def test_empty_sample_names_its_file(self, workspace, tmp_path, capsys):
+        sample = tmp_path / "empty.ppm"
+        sample.write_bytes(b"")
+        rc = main([
+            "dump-attention",
+            "--config", str(workspace / "run" / "run_config.txt"),
+            "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+            "--out", str(tmp_path / "attn"),
+            "--sample", str(sample),
+        ])
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert str(sample) in err and "expected P6 file" in err
+        assert not (tmp_path / "attn").exists()
 
     def test_wrong_size_sample(self, workspace, tmp_path, capsys):
         sample = tmp_path / "small.ppm"

@@ -8,10 +8,12 @@ product checker is never used to validate its own machinery.
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -331,6 +333,114 @@ class TestConv2dAgainstLoops:
         (none, grad_w, grad_b), (grad_x, want_w, want_b) = returned
         assert none is None and grad_x.shape == x.shape
         assert np.array_equal(grad_w, want_w) and np.array_equal(grad_b, want_b)
+
+
+def reference_conv2d(x, w, b, grad, stride, padding):
+    """(out, grad_x, grad_w, grad_b) by the earlier im2col rule: ``np.pad`` for
+    the padded input and one [kh*kw, N*Ho*Wo, C_in] block of tap gradients."""
+    n, c_in, height, width = x.shape
+    c_out, _, kh, kw = w.shape
+    pad = (padding, padding)
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), pad, pad, (0, 0)))
+    h_out = (xp.shape[1] - kh) // stride + 1
+    w_out = (xp.shape[2] - kw) // stride + 1
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h_out * w_out, kh * kw * c_in)
+    w_flat = w.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
+    out = cols @ w_flat.T
+    out += b
+    out = out.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+
+    g = grad.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+    grad_b = g.sum(axis=0)
+    grad_w = (g.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+    taps = w_flat.reshape(c_out, kh * kw, c_in).transpose(1, 0, 2)
+    grad_cols = np.matmul(g, taps).reshape(kh, kw, n, h_out, w_out, c_in)
+    grad_xp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[
+                :,
+                i : i + stride * (h_out - 1) + 1 : stride,
+                j : j + stride * (w_out - 1) + 1 : stride,
+            ] += grad_cols[i, j]
+    grad_x = grad_xp[:, padding : padding + height, padding : padding + width]
+    return out, grad_x.transpose(0, 3, 1, 2), grad_w, grad_b
+
+
+class TestConv2dBitsMatchReference:
+    """The padded buffer and the per-tap input gradient change no bit of the
+    earlier rule's results, bar one input layout (see the test body)."""
+
+    @given(
+        n=st.integers(1, 3), c_in=st.integers(1, 32), c_out=st.integers(1, 32),
+        k=st.integers(1, 7), stride=st.integers(1, 4), padding=st.integers(0, 3),
+        extra_h=st.integers(0, 5), extra_w=st.integers(0, 5),
+        channels_last=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    # the model's attention conv: two channels in, one out, 7x7, padding 3
+    @example(n=1, c_in=2, c_out=1, k=7, stride=1, padding=3, extra_h=1, extra_w=0,
+             channels_last=True, seed=0)
+    # one image of one row: np.pad kept the reference's buffer Fortran-ordered
+    @example(n=1, c_in=2, c_out=1, k=1, stride=1, padding=0, extra_h=0, extra_w=1,
+             channels_last=False, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_gradients_are_bit_equal(self, n, c_in, c_out, k, stride, padding,
+                                                 extra_h, extra_w, channels_last, seed):
+        h = max(1, k - 2 * padding) + extra_h
+        wd = max(1, k - 2 * padding) + extra_w
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c_in, h, wd))
+        if channels_last:  # how every conv after the first sees its input
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        w = rng.normal(size=(c_out, c_in, k, k))
+        b = rng.normal(size=c_out)
+        params = [dc.parameter(x), dc.parameter(w), dc.parameter(b)]
+        with dc.Tape() as tape:
+            out = dc.conv2d(*params, stride=stride, padding=padding)
+        upstream = rng.normal(size=out.shape)
+        (node,) = tape.nodes
+        got = [out.data, *node.backward_fn(node.ctx, upstream)]
+        # np.pad lays out a Fortran-ordered input in Fortran order, and the
+        # channels-last view of an [N, C, H, W] input is one when N = H = 1
+        # (and W, C > 1).  The reference's matmuls then read other strides
+        # and may round otherwise; the rule's buffer is always C-ordered.
+        exact = not x.transpose(0, 2, 3, 1).flags.fnc
+        for name, have, want in zip(("out", "grad_x", "grad_w", "grad_b"), got,
+                                    reference_conv2d(x, w, b, upstream, stride, padding)):
+            assert have.shape == want.shape, name
+            if exact:
+                assert np.array_equal(have, want), name
+            else:
+                assert_rel_close(have, want)
+
+
+class TestConv2dBackwardMemory:
+    def test_no_block_of_tap_gradients(self):
+        # conv2's shape at a batch of 8: the earlier rule held a 2.4 MB
+        # [9, N*Ho*Wo, C_in] block of tap gradients at once (3.4 MB peak); a
+        # per-tap sum needs the padded gradient, the channels-last upstream
+        # and a tap or two in flight (1.3 MB)
+        rng = np.random.default_rng(3)
+        n, c_in, c_out, size = 8, 16, 32, 16
+        x = dc.parameter(rng.normal(size=(n, c_in, size, size)))
+        w = dc.parameter(rng.normal(size=(c_out, c_in, 3, 3)))
+        b = dc.parameter(rng.normal(size=c_out))
+        with dc.Tape() as tape:
+            out = dc.conv2d(x, w, b, stride=1, padding=1)
+        upstream = rng.normal(size=out.shape)
+        (node,) = tape.nodes
+        rows = n * size * size
+        padded = n * (size + 2) ** 2 * c_in * 8
+        bound = padded + rows * c_out * 8 + 3 * rows * c_in * 8 + 64 * 1024
+        block = 9 * rows * c_in * 8
+        tracemalloc.start()
+        try:
+            node.backward_fn(node.ctx, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < block, (peak, bound)
 
 
 class TestBackwardVsFiniteDifferences:

@@ -316,6 +316,20 @@ class TestGenerateDataset:
         # channels-last memory, which conv2d's im2col reads without a copy
         assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
 
+    def test_pixel_batch_flips_the_gathered_rows(self, dataset):
+        _, manifest, _ = dataset
+        rows = [0, 3, len(manifest) - 1, 3]
+        flips = np.array([True, False, True, True])
+        views = [manifest.load_pixels(i).copy() for i in rows]
+        expected = manifest.pixel_batch(rows)
+        expected[flips] = expected[flips][..., ::-1]
+        batch = manifest.pixel_batch(rows, flips)
+        assert np.array_equal(batch, expected)
+        assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
+        # the duplicate row 3 is flipped once and kept once; the cache is not
+        for i, view in zip(rows, views):
+            assert np.array_equal(manifest.load_pixels(i), view)
+
     def test_cached_rasters_are_read_only(self, dataset):
         _, manifest, _ = dataset
         before = manifest.pixel_batch([0])
