@@ -17,6 +17,12 @@ Conventions:
     [N, C, H, W] output is a transposed view of [N, Ho, Wo, C_out] memory, so
     spatial results may be non-contiguous; the input gradient is summed one
     kernel tap at a time into a padded buffer of the same layout
+  - ``cols`` is a strided view of the padded buffer whenever numpy can give
+    one, because a matmul over those strides rounds otherwise than over a
+    contiguous copy; a needed copy comes from ``borrow_reshape``: inside a
+    workspace it goes into the workspace's buffer, which gets it back when
+    backward releases the node (or at once, off the tape), else it is
+    numpy's own copy
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 
@@ -44,6 +50,7 @@ from .tensor import (
     InvalidAttributeError,
     ShapeMismatchError,
     Tensor,
+    borrow_reshape,
     record,
 )
 
@@ -265,12 +272,14 @@ def _abs():
 def _conv2d():
     # Forward: write the input channels-last once into an uninitialised
     # padded buffer whose four border strips alone are zeroed, take a strided
-    # window view of it and copy that once into cols [N*Ho*Wo, kh*kw*C_in],
-    # K ordered (kh, kw, C_in); one matmul with the weight flattened in the
-    # same order.  Backward: grad_w = g^T cols and, unless x needs no gradient
-    # (the pixel batch), each tap's g @ w_tap is added straight into its
-    # strided window of a channels-last padded buffer, so no
-    # [kh*kw, N*Ho*Wo, C_in] block of input gradients is ever built.
+    # window view of it and reshape that to cols [N*Ho*Wo, kh*kw*C_in], K
+    # ordered (kh, kw, C_in), copying once (into a workspace buffer inside a
+    # workspace) when no view fits; one matmul with the weight flattened in
+    # the same order.
+    # Backward: grad_w = g^T cols and, unless x needs no gradient (the pixel
+    # batch), each tap's g @ w_tap is added straight into its strided window
+    # of a channels-last padded buffer, so no [kh*kw, N*Ho*Wo, C_in] block of
+    # input gradients is ever built.
     def forward(ctx, arrays, attrs):
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
@@ -304,7 +313,8 @@ def _conv2d():
         xp[:, :, :padding] = xp[:, :, padding + width :] = 0.0
         xp[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
         windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h_out * w_out, kh * kw * c_in)
+        cols = borrow_reshape(ctx, windows.transpose(0, 1, 2, 4, 5, 3),
+                              (n * h_out * w_out, kh * kw * c_in))
         w_flat = w.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
         out = cols @ w_flat.T
         out += b

@@ -5,6 +5,19 @@ is active and at least one input requires gradients.  ``backward`` walks the
 node list once, in reverse recording order, which is a valid topological
 order for any define-by-run graph.  Gradients of leaf tensors accumulate
 into ``Tensor.grad``; interior results never expose a ``grad``.
+
+Once a node's backward rule has run, ``backward`` releases the node: its
+saved arrays (``ctx``), ``inputs`` and ``output`` are dropped, and any
+buffer its forward rule borrowed goes back to its workspace.  So the tape
+frees the step's activations as the walk goes, and it pins no constant's
+data afterwards; only each node's ``kind`` and ``backward_fn`` stay, so
+``len(tape)`` still counts the recorded nodes.
+
+A forward rule reshapes through ``borrow_reshape``: when the reshape needs
+a copy and a ``Workspace`` is active (at most one is, per thread), the copy
+goes into a buffer borrowed from it.  The buffer goes back to the workspace
+when its node is released, or at once when the application is not recorded,
+so no buffer is lent twice at a time.
 """
 
 from __future__ import annotations
@@ -83,6 +96,11 @@ class Node:
         self.backward_fn = backward_fn
         self.ctx = ctx
 
+    def release(self) -> None:
+        """Drop the saved arrays and return the borrowed buffers."""
+        _give_back(self.ctx)
+        self.ctx = self.inputs = self.output = None
+
 
 _ACTIVE = threading.local()
 
@@ -98,6 +116,77 @@ def _stack() -> list:
 def current_tape() -> "Tape | None":
     stack = _stack()
     return stack[-1] if stack else None
+
+
+def current_workspace() -> "Workspace | None":
+    return getattr(_ACTIVE, "workspace", None)
+
+
+class Workspace:
+    """Float64 buffers kept by shape for reuse, while the context is active.
+
+    ``take`` lends an idle buffer of the shape, or a fresh uninitialised
+    one; ``give`` makes it idle again.  ``kept`` returns the one buffer the
+    workspace keeps for a shape, the same array on every call.  Entering
+    while another workspace is active raises ``TapeError``; leaving the
+    context drops every buffer it holds.
+    """
+
+    def __init__(self):
+        self._idle: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._kept: dict[tuple[int, ...], np.ndarray] = {}
+
+    def take(self, shape) -> np.ndarray:
+        idle = self._idle.get(tuple(shape))
+        return idle.pop() if idle else np.empty(shape, dtype=np.float64)
+
+    def kept(self, shape) -> np.ndarray:
+        """The workspace's buffer of ``shape``, never lent by ``take``: a
+        caller must be done with what it last wrote there."""
+        shape = tuple(shape)
+        if shape not in self._kept:
+            self._kept[shape] = np.empty(shape, dtype=np.float64)
+        return self._kept[shape]
+
+    def give(self, buffer: np.ndarray) -> None:
+        self._idle.setdefault(buffer.shape, []).append(buffer)
+
+    def __enter__(self) -> "Workspace":
+        if current_workspace() is not None:
+            raise TapeError("a workspace is already active")
+        _ACTIVE.workspace = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._idle.clear()
+        self._kept.clear()
+        _ACTIVE.workspace = None
+
+
+def borrow_reshape(ctx: dict, array: np.ndarray, shape) -> np.ndarray:
+    """``array.reshape(shape)`` for the forward rule that owns ``ctx``.
+
+    With no active workspace this is numpy's ``reshape``: a view when one
+    fits, else a new copy.  Inside a workspace the view is taken whenever
+    numpy can give one, and only a needed copy is written into a buffer
+    borrowed from the workspace, which gets it back when ``ctx`` is released.
+    """
+    workspace = current_workspace()
+    if workspace is None:
+        return array.reshape(shape)
+    try:
+        return array.reshape(shape, copy=False)
+    except ValueError:
+        pass
+    buffer = workspace.take(shape)
+    ctx.setdefault("borrowed", []).append((workspace, buffer))
+    buffer.reshape(array.shape)[...] = array
+    return buffer
+
+
+def _give_back(ctx: dict) -> None:
+    for workspace, buffer in ctx.pop("borrowed", ()):
+        workspace.give(buffer)
 
 
 class Tape:
@@ -121,16 +210,21 @@ class Tape:
 
 
 def record(kind: str, inputs: Sequence[Tensor], output: Tensor, backward_fn, ctx) -> None:
+    """Put a node on the active tape; an application left off the tape
+    returns what its forward rule borrowed at once."""
     tape = current_tape()
     if tape is not None and output.requires_grad:
         tape.nodes.append(Node(kind, tuple(inputs), output, backward_fn, ctx))
+    else:
+        _give_back(ctx)
 
 
 def backward(output: Tensor, tape: Tape) -> None:
     """Accumulate d(output)/d(leaf) into each leaf's ``grad``.
 
     ``output`` must be a scalar produced under ``tape``.  The tape is marked
-    consumed; replaying it raises.
+    consumed; replaying it raises.  Each node is released once its rule has
+    run (see the module docstring).
     """
     if not isinstance(tape, Tape):
         raise TapeError("backward needs the Tape that recorded the forward pass")
@@ -144,32 +238,28 @@ def backward(output: Tensor, tape: Tape) -> None:
 
     produced = {id(node.output) for node in tape.nodes}
     grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
+    leaves: dict[int, Tensor] = {}
 
     for node in reversed(tape.nodes):
         grad_out = grads.pop(id(node.output), None)
-        if grad_out is None:
-            continue
-        input_grads = node.backward_fn(node.ctx, grad_out)
-        for tens, grad_in in zip(node.inputs, input_grads):
-            if grad_in is None or not tens.requires_grad:
-                continue
-            held = grads.get(id(tens))
-            grads[id(tens)] = grad_in if held is None else held + grad_in
+        if grad_out is not None:
+            input_grads = node.backward_fn(node.ctx, grad_out)
+            for tens, grad_in in zip(node.inputs, input_grads):
+                if grad_in is None or not tens.requires_grad:
+                    continue
+                key = id(tens)
+                if key not in produced:
+                    leaves[key] = tens
+                held = grads.get(key)
+                grads[key] = grad_in if held is None else held + grad_in
+        node.release()
 
     def deposit(tens: Tensor, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
         tens.grad = grad.copy() if tens.grad is None else tens.grad + grad
 
-    seen: set[int] = set()
-    for node in tape.nodes:
-        for tens in node.inputs:
-            key = id(tens)
-            if key in seen or key in produced or not tens.requires_grad:
-                continue
-            seen.add(key)
-            grad = grads.get(key)
-            if grad is not None:
-                deposit(tens, grad)
+    for key, tens in leaves.items():
+        deposit(tens, grads[key])
     if id(output) not in produced and output.requires_grad:
         deposit(output, grads[id(output)])
 

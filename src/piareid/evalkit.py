@@ -31,7 +31,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import model as model_mod
-from .synthbench import INFRARED, Manifest, SPLIT_TEST, VISIBLE
+from .synthbench import INFRARED, Manifest, SPLIT_TEST, VISIBLE, unit_pixels
 
 DIRECTION_V2I = "v2i"
 DIRECTION_I2V = "i2v"
@@ -84,10 +84,13 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _batches_of(manifest: Manifest, row_indices: list[int]):
+def _batches_of(manifest: Manifest, row_indices: list[int],
+                workspace: dc.Workspace | None = None):
+    """The rows' float64 pixel batches; given ``workspace``, each is written
+    into its kept buffer for the batch's shape, over the batch before it."""
     for start in range(0, len(row_indices), EVAL_BATCH):
-        chunk = row_indices[start : start + EVAL_BATCH]
-        yield manifest.pixel_batch(chunk)
+        rasters = manifest.raster_batch(row_indices[start : start + EVAL_BATCH])
+        yield unit_pixels(rasters, None if workspace is None else workspace.kept(rasters.shape))
 
 
 def _test_labels(manifest: Manifest) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -115,14 +118,17 @@ class FeatureTable:
     clothing_features: np.ndarray | None
 
 
-def test_feature_table(manifest: Manifest, state: model_mod.ModelState) -> FeatureTable:
-    """Embed the test split.  Raises ``NonFiniteEmbeddingError``, naming the
-    first such image, when an identity embedding or its squared L2 norm is
-    not finite: ``normalize_rows`` would turn it into zeros, and every
-    distance into a tie."""
+def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
+                       workspace: dc.Workspace | None = None) -> FeatureTable:
+    """Embed the test split, its pixel batches in ``workspace``'s kept
+    buffers when one is given (inside ``train``).  Raises
+    ``NonFiniteEmbeddingError``, naming the first such image, when an
+    identity embedding or its squared L2 norm is not finite:
+    ``normalize_rows`` would turn it into zeros, and every distance into a
+    tie."""
     rows, identities, clothing, modalities = _test_labels(manifest)
     features, clothing_features = model_mod.extract_embeddings(
-        state, _batches_of(manifest, rows))
+        state, _batches_of(manifest, rows, workspace))
     with np.errstate(over="ignore"):
         bad = np.flatnonzero(~np.isfinite(np.square(features).sum(axis=1)))
     if bad.size:

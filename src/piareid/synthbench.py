@@ -306,13 +306,18 @@ def _outfit_for(cfg: GenConfig, modality: str, image_index: int) -> int:
 # dataset and manifest
 
 
-def unit_pixels(rasters: np.ndarray) -> np.ndarray:
+def unit_pixels(rasters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """uint8 ``[N, H, W, 3]`` rasters as float64 ``[N, 3, H, W]`` in [0, 1].
 
     One division straight from uint8, so the result is the only float64
-    buffer; it keeps the rasters' channels-last memory order.
+    buffer; it keeps the rasters' channels-last memory order.  Given ``out``,
+    a float64 array of the rasters' shape, the division writes there instead
+    and returns its ``[N, 3, H, W]`` transposed view: the same values in the
+    same memory order, with no new array.
     """
-    return np.divide(rasters.transpose(0, 3, 1, 2), 255.0, dtype=np.float64)
+    if out is not None:
+        out = out.transpose(0, 3, 1, 2)
+    return np.divide(rasters.transpose(0, 3, 1, 2), 255.0, out=out, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -332,8 +337,8 @@ class Manifest:
     "loaded" mask.  The first decode allocates the block, so its shape fixes
     the image size every later image must have.  Rows never read take no
     resident memory, and dropping the manifest returns the whole block at
-    once.  ``pixel_batch`` is the only place the dataset's pixels become
-    float64, through ``unit_pixels``.
+    once.  The dataset's pixels become float64 only through ``unit_pixels``,
+    one ``raster_batch`` at a time.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
@@ -373,19 +378,24 @@ class Manifest:
         view.flags.writeable = False
         return view
 
-    def pixel_batch(self, indices, flips=None) -> np.ndarray:
-        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last.
+    def raster_batch(self, indices, flips=None) -> np.ndarray:
+        """The uint8 ``[N, H, W, 3]`` rasters of ``indices``, a gathered copy.
 
         ``flips``, a boolean mask over ``indices``, mirrors those images left
-        to right.  The mirroring happens on the gathered uint8 copy, never on
-        the cached block, and ``unit_pixels`` then converts the batch once.
+        to right.  The mirroring happens on the copy, never on the cached
+        block.  ``unit_pixels`` converts the result to float64.
         """
         for i in indices:
             self.load_pixels(i)
         rasters = self._pixels[list(indices)]  # a gathered copy of the rows
         if flips is not None:
             rasters[flips] = rasters[flips][:, :, ::-1]
-        return unit_pixels(rasters)
+        return rasters
+
+    def pixel_batch(self, indices, flips=None) -> np.ndarray:
+        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last:
+        ``raster_batch`` converted once by ``unit_pixels`` into a new array."""
+        return unit_pixels(self.raster_batch(indices, flips))
 
 
 def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:

@@ -11,12 +11,24 @@ and the ``stage1_loss``/``stage2_loss`` gradient checks call them, and
 ``LossReport.expected_total`` re-verifies a logged total with the same
 weighting (``_combine``) from the per-iteration terms of the run's own log.
 
-``_step`` runs one batch: forward, ``bpl.absorb_batch`` when a prototype
-term is on in Stage II, the terms, backward, ``adam_step``.  ``train`` keeps
-sampling, flips, label remaps, the per-epoch record and the output files.
-It extracts the test split at most once per epoch, in the last Stage-I epoch
-of a dual-branch model (for ``val_abs_cos``, the mean |cos(f, f_c)|) and in
-every ``eval_every``-th epoch (for the retrieval report).
+``_step`` runs one batch on a tape of its own: forward, ``bpl.absorb_batch``
+when a prototype term is on in Stage II, the terms, backward, ``adam_step``.
+``train`` keeps sampling, flips, label remaps, the per-epoch record and the
+output files.  It extracts the test split at most once per epoch, in the last
+Stage-I epoch of a dual-branch model (for ``val_abs_cos``, the mean
+|cos(f, f_c)|) and in every ``eval_every``-th epoch (for the retrieval
+report).
+
+A steady-state step allocates none of its large arrays afresh.  ``train``
+runs its epochs inside a ``diffcore.Workspace``: each taped conv's ``cols``
+comes from it and goes back as backward releases the conv's node, a tapeless
+conv of the test-split extraction returns its buffer as soon as it has run,
+and ``train`` hands ``unit_pixels`` the one buffer the workspace keeps for a
+batch's shape, so every pixel batch, the steps' and the extraction's, is
+converted there.  So a step after the first epoch takes almost no page
+faults, whether or not glibc malloc trimmed the heap in between.  The
+buffers go when ``train`` returns or raises; ``eval`` and the other commands
+run with no workspace, as a pool kept alive there raises eval's peak RSS.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from . import bpl, checkpoint, dbdl, encoder, evalkit, fileio, kvconfig
 from . import diffcore as dc
 from . import model as model_mod
 from .diffcore import Tensor
-from .synthbench import Manifest, SPLIT_TRAIN, VISIBLE
+from .synthbench import Manifest, SPLIT_TRAIN, VISIBLE, unit_pixels
 
 DEFAULT_BASE_LR = 3.5e-4
 DEFAULT_LR_DECAY = 0.1
@@ -406,17 +418,22 @@ def _epoch_means(reports: list[LossReport]) -> dict[str, float]:
 
 
 def _step(cfg: TrainConfig, state: model_mod.ModelState, bank: bpl.PrototypeBank,
-          adam: AdamState, tape: dc.Tape, pixels: np.ndarray, y_id: np.ndarray,
+          adam: AdamState, pixels: np.ndarray, y_id: np.ndarray,
           y_clothing: np.ndarray, is_visible: np.ndarray, epoch: int, iteration: int,
           stage: int, lr: float) -> LossReport:
-    """One optimizer step on one assembled batch, recorded on the open ``tape``;
-    returns its logged scalars."""
-    f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
-    batch = bpl.ModalityBatch(f, y_id, is_visible)
-    if stage == 2 and (cfg.use_intra or cfg.use_inter):
-        bpl.absorb_batch(bank, batch)
-    terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing, batch, bank)
-    total = stage_loss(stage, terms, cfg)
+    """One optimizer step on one assembled batch; returns its logged scalars.
+
+    The step records on a tape of its own, and backward frees that tape's
+    activations as it walks them, so nothing of the step but the returned
+    scalars, the updated weights and the bank outlives the call.
+    """
+    with dc.Tape() as tape:
+        f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
+        batch = bpl.ModalityBatch(f, y_id, is_visible)
+        if stage == 2 and (cfg.use_intra or cfg.use_inter):
+            bpl.absorb_batch(bank, batch)
+        terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing, batch, bank)
+        total = stage_loss(stage, terms, cfg)
     dc.backward(total, tape)
     params = state.named_parameters()
     adam_step(params, adam, lr)
@@ -449,51 +466,46 @@ def train(manifest: Manifest, cfg: TrainConfig,
     stage1_end_epoch = min(cfg.stage2_start_epoch, cfg.epochs) - 1
 
     epoch_records: list[dict] = []
-    for epoch in range(cfg.epochs):
-        stage = 2 if epoch >= cfg.stage2_start_epoch else 1
-        lr = lr_at(epoch, cfg)
-        reports: list[LossReport] = []
-        for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
-            rows, raw_ids, is_visible = sampler.assemble(group, rng)
-            flips = rng.random(len(rows)) < cfg.flip_probability
-            pixels = manifest.pixel_batch(rows, flips)
-            y_id = np.array([id_remap[i] for i in raw_ids])
-            y_clothing = np.array([clothing_remap[manifest.rows[i].clothing] for i in rows])
-            # The tape (the step's activations and gradients) lives until the next
-            # batch is built: freed earlier, glibc malloc returns the heap top and
-            # refaults it each step (train_full: 143k-163k minor faults against
-            # 26k-30k, and slower).
-            with dc.Tape() as tape:
-                reports.append(_step(cfg, state, bank, adam, tape, pixels, y_id, y_clothing,
+    with dc.Workspace() as workspace:
+        for epoch in range(cfg.epochs):
+            stage = 2 if epoch >= cfg.stage2_start_epoch else 1
+            lr = lr_at(epoch, cfg)
+            reports: list[LossReport] = []
+            for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
+                rows, raw_ids, is_visible = sampler.assemble(group, rng)
+                flips = rng.random(len(rows)) < cfg.flip_probability
+                rasters = manifest.raster_batch(rows, flips)
+                pixels = unit_pixels(rasters, workspace.kept(rasters.shape))
+                y_id = np.array([id_remap[i] for i in raw_ids])
+                y_clothing = np.array([clothing_remap[manifest.rows[i].clothing]
+                                       for i in rows])
+                reports.append(_step(cfg, state, bank, adam, pixels, y_id, y_clothing,
                                      is_visible, epoch, iteration, stage, lr))
-        # The epoch's last tape goes before the test-split extraction, which
-        # would otherwise stack its batches on top of that step's ~13 MB.
-        del tape
 
-        # the first epoch that absorbs batches must reach every identity
-        if bank.iteration and not bank.fully_initialized:
-            raise TrainerError(
-                "prototype bank not fully initialized after the first "
-                "prototype-stage epoch; the sampler did not reach every identity"
-            )
-        record: dict = {
-            "epoch": epoch,
-            "stage": stage,
-            "lr": lr,
-            "iterations": [r.to_dict() for r in reports],
-            "means": _epoch_means(reports),
-        }
-        probe_due = cfg.use_dbdl and epoch == stage1_end_epoch
-        eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
-        if probe_due or eval_due:
-            table = evalkit.test_feature_table(manifest, state)
-            if probe_due:
-                record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
-                                                             table.clothing_features)
-            if eval_due:
-                record["eval"] = {direction: report.to_dict() for direction, report
-                                  in evalkit.evaluate(table).items()}
-        epoch_records.append(record)
+            # the first epoch that absorbs batches must reach every identity
+            if bank.iteration and not bank.fully_initialized:
+                raise TrainerError(
+                    "prototype bank not fully initialized after the first "
+                    "prototype-stage epoch; the sampler did not reach every identity"
+                )
+            record: dict = {
+                "epoch": epoch,
+                "stage": stage,
+                "lr": lr,
+                "iterations": [r.to_dict() for r in reports],
+                "means": _epoch_means(reports),
+            }
+            probe_due = cfg.use_dbdl and epoch == stage1_end_epoch
+            eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
+            if probe_due or eval_due:
+                table = evalkit.test_feature_table(manifest, state, workspace)
+                if probe_due:
+                    record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
+                                                                 table.clothing_features)
+                if eval_due:
+                    record["eval"] = {direction: report.to_dict() for direction, report
+                                      in evalkit.evaluate(table).items()}
+            epoch_records.append(record)
 
     result = TrainResult(state=state, bank=bank, config=cfg, epoch_records=epoch_records)
     if out_dir is not None:

@@ -190,13 +190,13 @@ class TestTrain:
     def test_odd_image_past_the_first_batch(self, workspace, tmp_path, capsys,
                                             monkeypatch):
         batches = []
-        pixel_batch = synthbench.Manifest.pixel_batch
+        raster_batch = synthbench.Manifest.raster_batch
 
         def recorded(manifest, indices, flips=None):
             batches.append((manifest, list(indices)))
-            return pixel_batch(manifest, indices, flips)
+            return raster_batch(manifest, indices, flips)
 
-        monkeypatch.setattr(synthbench.Manifest, "pixel_batch", recorded)
+        monkeypatch.setattr(synthbench.Manifest, "raster_batch", recorded)
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         assert main(["train", "--data-dir", str(data), "--out", str(tmp_path / "ok")]
@@ -280,6 +280,45 @@ class TestReproduce:
         assert rc == EXIT_OK
         for name in ("checkpoint.bin", "train_log.jsonl"):
             assert (rerun / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_no_state_outlives_a_train_call(self, tmp_path, monkeypatch):
+        # perfbench's tiny train_full: a second run in the process, and one
+        # after a run that raised mid-epoch, write the first run's bytes
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data)] + TRAIN_GOLDEN_DATA) == EXIT_OK
+        flags = ["--data-dir", str(data)] + TRAIN_GOLDEN_DATA + TRAIN_GOLDEN_CALL
+
+        def outputs(run):
+            return [(run / name).read_bytes() for name in ("checkpoint.bin",
+                                                            "train_log.jsonl")]
+
+        assert main(["train", "--out", str(tmp_path / "a")] + flags) == EXIT_OK
+        assert main(["train", "--out", str(tmp_path / "b")] + flags) == EXIT_OK
+        assert outputs(tmp_path / "a") == outputs(tmp_path / "b")
+
+        adam_step, steps = trainer.adam_step, []
+
+        def failing(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 2:  # the second step of the first epoch
+                raise trainer.TrainerError("injected")
+            adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", failing)
+        assert main(["train", "--out", str(tmp_path / "c")] + flags) == EXIT_CONFIG_ERROR
+        assert dc.current_workspace() is None
+        monkeypatch.undo()
+        assert main(["train", "--out", str(tmp_path / "d")] + flags) == EXIT_OK
+        assert outputs(tmp_path / "a") == outputs(tmp_path / "d")
+
+        active = []
+        extract = evalkit.test_feature_table
+        monkeypatch.setattr(evalkit, "test_feature_table", lambda *args: (
+            active.append(dc.current_workspace()) or extract(*args)))
+        assert main(["eval", "--config", str(tmp_path / "a" / "run_config.txt"),
+                     "--checkpoint", str(tmp_path / "a" / "checkpoint.bin"),
+                     "--out", str(tmp_path / "eval")]) == EXIT_OK
+        assert active == [None]
 
 
 #: sha256 of the eval reports of a seeded, untrained model on an 8-identity

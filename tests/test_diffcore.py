@@ -9,6 +9,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -714,6 +715,14 @@ class TestTapeSemantics:
         with pytest.raises(dc.TapeError):
             dc.backward(out, tape)
 
+    def test_backward_of_a_leaf_that_the_tape_also_read(self):
+        # d x / d x is 1, however many recorded nodes read x
+        x = dc.parameter(3.0)
+        with dc.Tape() as tape:
+            dc.mul(x, x)
+        dc.backward(x, tape)
+        assert float(x.grad) == 1.0
+
     def test_tape_single_use(self):
         x = dc.parameter(1.5)
         with dc.Tape() as tape:
@@ -749,6 +758,122 @@ class TestTapeSemantics:
             loss = dc.tensor_sum(mid)
         dc.backward(loss, tape)
         assert mid.grad is None
+
+
+class TestBackwardReleasesTheTape:
+    def test_nodes_keep_nothing_and_constants_are_not_pinned(self, rng):
+        pixels = rng.normal(size=(2, 3, 6, 5))
+        held = weakref.ref(pixels)
+        w = dc.parameter(rng.normal(size=(4, 3, 3, 3)))
+        b = dc.parameter(rng.normal(size=4))
+        with dc.Tape() as tape:
+            loss = dc.tensor_sum(dc.relu(dc.conv2d(dc.constant(pixels), w, b, padding=1)))
+        count = len(tape)
+        dc.backward(loss, tape)
+        assert len(tape) == count == 3
+        assert all(n.ctx is None and n.inputs is None and n.output is None
+                   for n in tape.nodes)
+        assert [n.kind for n in tape.nodes] == ["conv2d", "relu", "sum"]
+        with pytest.raises(dc.TapeError):
+            dc.backward(loss, tape)
+        del pixels
+        assert held() is None  # the tape no longer holds the batch
+        assert w.grad is not None and b.grad is not None
+
+
+class _Ledger(dc.Workspace):
+    """A workspace that logs every buffer it lends and gets back."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken, self.given = [], []
+
+    def take(self, shape):
+        buffer = super().take(shape)
+        self.taken.append(buffer)
+        return buffer
+
+    def give(self, buffer):
+        self.given.append(buffer)
+        super().give(buffer)
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+class TestWorkspace:
+    """Conv ``cols`` buffers come from the active workspace and go back as
+    backward releases their node; bits match a run without one."""
+
+    def _two_convs(self, rng_seed=4):
+        rng = np.random.default_rng(rng_seed)
+        x = dc.parameter(rng.normal(size=(2, 3, 6, 5)))
+        params = [dc.parameter(rng.normal(size=s)) for s in ((4, 3, 3, 3), (4,)) * 2]
+        return x, params
+
+    def _step(self, x, params):
+        for t in (x, *params):
+            t.grad = None
+        with dc.Tape() as tape:
+            a = dc.conv2d(x, params[0], params[1], padding=1)
+            c = dc.conv2d(x, params[2], params[3], padding=1)  # same cols shape
+            loss = dc.tensor_sum(dc.mul(a, c))
+        cols = [node.ctx["cols"] for node in tape.nodes if node.kind == "conv2d"]
+        dc.backward(loss, tape)
+        return [a.data, c.data, *(t.grad for t in (x, *params))], cols
+
+    def test_no_buffer_lent_twice_within_one_tape(self):
+        x, params = self._two_convs()
+        reference, _ = self._step(x, params)
+        with _Ledger() as ledger:
+            first, cols = self._step(x, params)
+            assert len(ledger.taken) == 2 and _same(cols, ledger.taken)
+            assert not np.shares_memory(cols[0], cols[1])
+            assert _same(ledger.given, cols[::-1])  # released in reverse order
+            ledger.taken.clear()
+            second, again = self._step(x, params)
+        assert {id(c) for c in again} == {id(c) for c in cols}  # no new allocation
+        for have, want in zip(first + second, reference * 2):
+            assert np.array_equal(have, want)
+
+    def test_tapeless_conv_returns_its_buffer_before_the_call_ends(self):
+        x, params = self._two_convs()
+        with _Ledger() as ledger:
+            out = dc.conv2d(x, params[0], params[1], padding=1)
+            assert len(ledger.taken) == 1 and _same(ledger.given, ledger.taken)
+            assert ledger.take(ledger.taken[0].shape) is ledger.taken[0]
+        want = dc.conv2d(x, params[0], params[1], padding=1)
+        assert np.array_equal(out.data, want.data)
+
+    def test_cols_stays_a_view_when_numpy_gives_one(self):
+        # the first @example of TestConv2dBitsMatchReference: its windows
+        # reshape to a strided view of the padded input, whose matmul rounds
+        # otherwise than a contiguous copy's
+        rng = np.random.default_rng(0)
+        x = dc.constant(rng.normal(size=(1, 2, 2, 1)))
+        w, b = dc.parameter(rng.normal(size=(1, 2, 7, 7))), dc.parameter(rng.normal(size=1))
+        with _Ledger() as ledger, dc.Tape() as tape:
+            dc.conv2d(x, w, b, padding=3)
+        assert ledger.taken == [] and not tape.nodes[0].ctx["cols"].flags.owndata
+
+    def test_kept_buffer_and_leaving(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with dc.Workspace() as workspace:
+                assert dc.current_workspace() is workspace
+                kept = workspace.kept((2, 3))
+                assert workspace.kept((2, 3)) is kept
+                lent = workspace.take((2, 3))
+                assert lent is not kept
+                workspace.give(lent)
+                with pytest.raises(dc.TapeError, match="already active"):
+                    with dc.Workspace():
+                        pass
+                assert dc.current_workspace() is workspace
+                raise RuntimeError("inside")
+        assert dc.current_workspace() is None
+        assert workspace.take((2, 3)) is not lent  # leaving dropped the idle buffer
+        assert workspace.kept((2, 3)) is not kept
 
 
 class TestValidation:

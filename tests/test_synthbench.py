@@ -330,6 +330,15 @@ class TestGenerateDataset:
         for i, view in zip(rows, views):
             assert np.array_equal(manifest.load_pixels(i), view)
 
+    def test_unit_pixels_into_a_given_buffer(self, dataset):
+        _, manifest, _ = dataset
+        rows = [0, 3, len(manifest) - 1]
+        rasters = manifest.raster_batch(rows)
+        out = np.full(rasters.shape, np.nan)
+        batch = synthbench.unit_pixels(rasters, out)
+        assert batch.base is out and batch.strides == manifest.pixel_batch(rows).strides
+        assert np.array_equal(batch, manifest.pixel_batch(rows))
+
     def test_cached_rasters_are_read_only(self, dataset):
         _, manifest, _ = dataset
         before = manifest.pixel_batch([0])
