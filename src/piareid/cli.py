@@ -211,12 +211,11 @@ def _cmd_eval(args) -> int:
     reports = evalkit.evaluate(table, directions)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for direction, report in reports.items():
-        fileio.write_atomic(
-            out_dir / f"eval_{direction}.json", report.to_json().encode("utf-8")
-        )
-    for report in reports.values():
-        sys.stdout.write(report.to_json())
+    texts = {direction: report.to_json() for direction, report in reports.items()}
+    for direction, text in texts.items():
+        fileio.write_atomic(out_dir / f"eval_{direction}.json", text.encode("utf-8"))
+    for text in texts.values():
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ must run before ``distance_stats``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -78,7 +78,8 @@ class EvalReport:
     neg_dist_std: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; ``cmc`` is the report's own list, not a copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"

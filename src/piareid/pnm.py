@@ -7,6 +7,8 @@ comments.  Pixels travel as uint8 arrays shaped [H, W, 3] for PPM and
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -24,11 +26,13 @@ def _encode_header(magic: bytes, width: int, height: int) -> bytes:
 
 
 def encode_ppm(pixels: np.ndarray) -> bytes:
+    """The P6 header and the raster, joined in one copy (none more when the
+    raster is already C-contiguous)."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise PnmError(f"PPM needs uint8 [H, W, 3], got {pixels.dtype} {pixels.shape}")
     h, w, _ = pixels.shape
-    return _encode_header(b"P6", w, h) + pixels.tobytes()
+    return b"".join((_encode_header(b"P6", w, h), np.ascontiguousarray(pixels)))
 
 
 def encode_pgm(pixels: np.ndarray) -> bytes:
@@ -40,8 +44,19 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
-    with open(path, "wb") as handle:
-        handle.write(encode_ppm(pixels))
+    """Write ``pixels`` to ``path`` as a P6 file, replacing any file there.
+
+    The encoded bytes go out through ``os.write`` on a raw descriptor, with
+    no buffered file object; a short write is continued until every byte is
+    out, and an ``OSError`` propagates after the descriptor is closed.
+    """
+    data = memoryview(encode_ppm(pixels))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:

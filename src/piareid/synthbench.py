@@ -24,7 +24,11 @@ outfits per person:
   (``render_sample``).
 
 ``generate_dataset`` computes each identity's and each outfit's factors once
-and hands them to every ``render_sample`` call that shows them.
+and hands them to every ``render_sample`` call that shows them.  So an image
+pays only for what is its own: creating its stream, its jitter and noise
+draws, a few slice assignments, one rounding into the file's channels-last
+raster, and one file write.  Infrared is painted, noised and clipped as one
+[H, W] plane, since its three channels are equal by construction.
 """
 
 from __future__ import annotations
@@ -83,11 +87,11 @@ _STRIPE_PERIODS = (2, 3, 4)
 _PALETTE_SIZE = 6
 _IR_BODY = 0.85
 _IR_CLOTHING_CONTRAST = 0.15  # infrared keeps this fraction of clothing contrast
-# (background, head, legs) levels per modality: infrared shows the body as
-# one bright intensity, stored in all three channels
+# (background, head, legs) levels per modality: a color per visible region,
+# one intensity per infrared region (the body shows as one bright level)
 _BODY_LEVELS = {
     VISIBLE: (_BACKGROUND, _SKIN, _LEGS_V),
-    INFRARED: (np.full(3, _BACKGROUND.mean()), np.full(3, _IR_BODY), np.full(3, _IR_BODY)),
+    INFRARED: (float(_BACKGROUND.mean()), _IR_BODY, _IR_BODY),
 }
 
 _STREAM_IDENTITY = 101
@@ -211,9 +215,10 @@ def _outfit_color_index(cfg: GenConfig, identity: int, outfit: int) -> int:
     return index
 
 
-def _infrared_level(color: np.ndarray) -> np.ndarray:
-    """A clothing color in infrared: its contrast compresses toward body heat."""
-    return np.full(3, _IR_BODY + _IR_CLOTHING_CONTRAST * (float(color.mean()) - _IR_BODY))
+def _infrared_level(color: np.ndarray) -> float:
+    """A clothing color in infrared, one intensity: its contrast compresses
+    toward body heat."""
+    return _IR_BODY + _IR_CLOTHING_CONTRAST * (float(color.mean()) - _IR_BODY)
 
 
 def outfit_factors(cfg: GenConfig, identity: int, outfit: int) -> dict:
@@ -250,15 +255,6 @@ def _jittered_geometry(cfg: GenConfig, geometry: dict,
     return out
 
 
-def _paint_stripes(canvas: np.ndarray, region: dict, bright, dark, period: int) -> None:
-    top, left = region["top"], region["left"]
-    height, width = region["height"], region["width"]
-    rows = np.arange(height)
-    banded = (rows // period) % 2 == 1
-    block = np.where(banded[None, :, None], dark[:, None, None], bright[:, None, None])
-    canvas[:, top : top + height, left : left + width] = block
-
-
 def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int,
                   geometry: dict, appearance: dict) -> np.ndarray:
     """One [3, H, W] float64 render in [0, 1].
@@ -266,7 +262,10 @@ def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int
     ``geometry`` is ``identity_factors(cfg, identity)`` and ``appearance`` is
     the ``outfit_factors`` of the outfit worn.  The only draws made here come
     from the image's own stream, keyed by ``(identity, modality,
-    image_index)``: the per-region jitter, then the noise.
+    image_index)``: the per-region jitter, then the noise.  Beyond creating
+    that stream and its draws, a render costs a few slice assignments and
+    one clip.  Infrared is painted, noised and clipped as one [H, W] plane
+    and repeated into its three equal channels at the end.
     """
     if modality not in MODALITIES:
         raise ValueError(f"modality must be one of {MODALITIES}, got {modality!r}")
@@ -277,23 +276,37 @@ def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int
     h, w = cfg.image_height, cfg.image_width
     background, head, legs = _BODY_LEVELS[modality]
     bright, dark = appearance["stripe_levels"][modality]
-    canvas = np.empty((3, h, w))
-    canvas[:] = background[:, None, None]
-    for region, level in ((regions["head"], head), (regions["legs"], legs)):
-        canvas[
-            :, region["top"] : region["top"] + region["height"],
-            region["left"] : region["left"] + region["width"],
-        ] = level[:, None, None]
-    _paint_stripes(canvas, regions["torso"], bright, dark, appearance["stripe_period"])
-    # infrared noise is one plane, shared by the three identical channels
-    noise_shape = (3, h, w) if modality == VISIBLE else (h, w)
-    canvas += rng.normal(0.0, cfg.noise_level, size=noise_shape)
-    return np.clip(canvas, 0.0, 1.0, out=canvas)
+    # visible paints [3, H, W] through its [H, W, 3] view, so a color
+    # broadcasts over the channels; infrared paints one plane with scalars
+    canvas = np.empty((3, h, w) if modality == VISIBLE else (h, w))
+    pixels = canvas.transpose(1, 2, 0) if modality == VISIBLE else canvas
+    pixels[:] = background
+    for name, level in (("head", head), ("legs", legs), ("torso", bright)):
+        region = regions[name]
+        pixels[region["top"] : region["top"] + region["height"],
+               region["left"] : region["left"] + region["width"]] = level
+    # torso row r (from the region's top) is dark when (r // period) is odd,
+    # that is when r % (2 * period) >= period: one strided slice per offset
+    torso, period = regions["torso"], appearance["stripe_period"]
+    bottom = torso["top"] + torso["height"]
+    for start in range(torso["top"] + period, torso["top"] + 2 * period):
+        pixels[start : bottom : 2 * period,
+               torso["left"] : torso["left"] + torso["width"]] = dark
+    canvas += rng.normal(0.0, cfg.noise_level, size=canvas.shape)
+    np.clip(canvas, 0.0, 1.0, out=canvas)
+    return canvas if modality == VISIBLE else np.repeat(canvas[None], 3, axis=0)
 
 
 def quantize(image: np.ndarray) -> np.ndarray:
-    """[3, H, W] floats in [0, 1] to [H, W, 3] uint8."""
-    return np.round(image * 255.0).astype(np.uint8).transpose(1, 2, 0)
+    """[3, H, W] floats in [0, 1] to a C-contiguous [H, W, 3] uint8 raster.
+
+    The rounding writes straight into the raster's channels-last order, so
+    the scaled floats are the only other buffer.
+    """
+    raster = np.empty((*image.shape[1:], 3), dtype=np.uint8)
+    scaled = np.multiply(image, 255.0)
+    np.rint(scaled, out=raster.transpose(2, 0, 1), casting="unsafe")
+    return raster
 
 
 def _outfit_for(cfg: GenConfig, modality: str, image_index: int) -> int:
@@ -407,25 +420,30 @@ def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Man
             f"output directory {out} is not empty; pass overwrite to reuse it"
         )
     out.mkdir(parents=True, exist_ok=True)
+    # a manifest from an earlier run must not outlive a rewrite that fails
+    # partway: it would vouch for a mix of old and new images
+    (out / MANIFEST_NAME).unlink(missing_ok=True)
 
     n_train, _ = cfg.split_counts()
     rows: list[ManifestRow] = []
+    root = os.fspath(out)
     for identity in range(cfg.n_identities):
         split = SPLIT_TRAIN if identity < n_train else SPLIT_TEST
         geometry = identity_factors(cfg, identity)
         appearances = [outfit_factors(cfg, identity, k)
                        for k in range(cfg.outfits_per_identity)]
         for modality in MODALITIES:
-            folder = out / "images" / modality / f"{identity:04d}"
-            folder.mkdir(parents=True, exist_ok=True)
+            folder = f"images/{modality}/{identity:04d}/"
+            prefix = os.path.join(root, folder)
+            os.makedirs(prefix, exist_ok=True)
             for idx in range(cfg.images_per_identity_per_modality):
                 outfit = _outfit_for(cfg, modality, idx)
                 image = render_sample(cfg, identity, modality, idx,
                                       geometry, appearances[outfit])
-                rel = f"images/{modality}/{identity:04d}/{idx:03d}.ppm"
-                pnm.write_ppm(out / rel, quantize(image))
+                name = f"{idx:03d}.ppm"
+                pnm.write_ppm(prefix + name, quantize(image))
                 rows.append(ManifestRow(
-                    path=rel,
+                    path=folder + name,
                     identity=identity,
                     clothing=identity * cfg.outfits_per_identity + outfit,
                     modality=modality,

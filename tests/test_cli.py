@@ -391,6 +391,8 @@ class TestEval:
         printed = capsys.readouterr().out
         assert '"direction": "v2i"' in printed
         assert '"direction": "i2v"' in printed
+        assert printed == "".join(
+            (out / name).read_text() for name in ("eval_v2i.json", "eval_i2v.json"))
         for name in ("eval_v2i.json", "eval_i2v.json"):
             report = json.loads((out / name).read_text())
             assert 0.0 <= report["rank1"] <= 1.0

@@ -420,6 +420,14 @@ class TestReportFromSet:
         assert decoded == report.to_dict()
         assert decoded["direction"] == "v2i"
 
+    def test_json_is_every_field_in_order(self):
+        import dataclasses
+        import json
+
+        retrieval = make_set(np.eye(3), [0, 1, 2], np.eye(3)[::-1], [2, 1, 0])
+        report = report_from_set(retrieval)
+        assert report.to_json() == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+
 
 def fake_table(manifest, dim=8):
     """A feature table of the manifest's test rows with seeded random features."""

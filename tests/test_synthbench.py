@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from piareid import pnm, synthbench
 from piareid.synthbench import (
@@ -244,6 +248,121 @@ class TestRenderSample:
             assert clothing_contrast_ratio(cfg, identity) >= 4.0
 
 
+# ---------------------------------------------------------------------------
+# a frozen copy of the earlier renderer: one [3, H, W] canvas for both
+# modalities, stripes from a row-parity mask, and a quantized raster that is
+# a transposed view, encoded through ``tobytes``
+
+
+def _frozen_levels(modality, appearance):
+    """(background, head, legs, bright, dark) as the earlier renderer held
+    them: three-channel arrays, with infrared repeated over the channels."""
+    color = appearance["color"]
+    dark = synthbench._DARK_BAND * color
+    if modality == synthbench.VISIBLE:
+        return synthbench._BACKGROUND, synthbench._SKIN, synthbench._LEGS_V, color, dark
+
+    def infrared(c):
+        return np.full(3, synthbench._IR_BODY + synthbench._IR_CLOTHING_CONTRAST
+                       * (float(c.mean()) - synthbench._IR_BODY))
+
+    return (np.full(3, synthbench._BACKGROUND.mean()), np.full(3, synthbench._IR_BODY),
+            np.full(3, synthbench._IR_BODY), infrared(color), infrared(dark))
+
+
+def _frozen_jittered_geometry(cfg, geometry, rng):
+    h, w = cfg.image_height, cfg.image_width
+    out = {}
+    factors = 1.0 + rng.uniform(-synthbench._JITTER_SCALE, synthbench._JITTER_SCALE, size=3)
+    for name, factor in zip(("head", "torso", "legs"), factors.tolist()):
+        region = geometry[name]
+        height = max(1, min(h, round(region["height"] * factor)))
+        width = max(1, min(w, round(region["width"] * factor)))
+        top = min(max(region["top"], 0), h - height)
+        left = (w - width) // 2
+        out[name] = {"top": top, "left": left, "height": height, "width": width}
+    return out
+
+
+def _frozen_paint_stripes(canvas, region, bright, dark, period):
+    top, left = region["top"], region["left"]
+    height, width = region["height"], region["width"]
+    rows = np.arange(height)
+    banded = (rows // period) % 2 == 1
+    block = np.where(banded[None, :, None], dark[:, None, None], bright[:, None, None])
+    canvas[:, top : top + height, left : left + width] = block
+
+
+def frozen_render_sample(cfg, identity, modality, image_index, geometry, appearance):
+    rng = np.random.default_rng([cfg.seed, synthbench._STREAM_IMAGE, identity,
+                                 synthbench.MODALITIES.index(modality), image_index])
+    regions = _frozen_jittered_geometry(cfg, geometry, rng)
+    h, w = cfg.image_height, cfg.image_width
+    background, head, legs, bright, dark = _frozen_levels(modality, appearance)
+    canvas = np.empty((3, h, w))
+    canvas[:] = background[:, None, None]
+    for region, level in ((regions["head"], head), (regions["legs"], legs)):
+        canvas[
+            :, region["top"] : region["top"] + region["height"],
+            region["left"] : region["left"] + region["width"],
+        ] = level[:, None, None]
+    _frozen_paint_stripes(canvas, regions["torso"], bright, dark, appearance["stripe_period"])
+    noise_shape = (3, h, w) if modality == synthbench.VISIBLE else (h, w)
+    canvas += rng.normal(0.0, cfg.noise_level, size=noise_shape)
+    return np.clip(canvas, 0.0, 1.0, out=canvas)
+
+
+def frozen_quantize(image):
+    return np.round(image * 255.0).astype(np.uint8).transpose(1, 2, 0)
+
+
+def frozen_encode_ppm(pixels):
+    h, w, _ = pixels.shape
+    return b"P6\n" + f"{w} {h}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+class TestRenderMatchesFrozenCopy:
+    """Painting by slices and rendering infrared as one plane change no bit
+    of a render, its raster or its file bytes."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), identity=st.integers(0, 200),
+        modality=st.sampled_from(synthbench.MODALITIES), image_index=st.integers(0, 999),
+        coupling=st.sampled_from([synthbench.COUPLING_COUPLED,
+                                  synthbench.COUPLING_DECOUPLED]),
+        outfits=st.integers(2, synthbench._PALETTE_SIZE),
+        height=st.integers(16, 96), width=st.integers(8, 64),
+        noise_level=st.floats(0.0, 0.2, exclude_max=True),
+    )
+    @example(seed=0, identity=0, modality="I", image_index=0, coupling="coupled",
+             outfits=2, height=16, width=8, noise_level=0.0)
+    @example(seed=5, identity=3, modality="V", image_index=1, coupling="decoupled",
+             outfits=2, height=64, width=32, noise_level=0.02)
+    @settings(max_examples=150, deadline=None)
+    def test_render_raster_and_bytes_are_equal(self, seed, identity, modality, image_index,
+                                               coupling, outfits, height, width,
+                                               noise_level):
+        cfg = GenConfig(n_identities=max(2, identity + 1), image_height=height,
+                        image_width=width, outfits_per_identity=outfits,
+                        clothing_modality_coupling=coupling, noise_level=noise_level,
+                        seed=seed)
+        cfg.validate()
+        geometry = identity_factors(cfg, identity)
+        appearance = outfit_factors(
+            cfg, identity, synthbench._outfit_for(cfg, modality, image_index))
+        image = render_sample(cfg, identity, modality, image_index, geometry, appearance)
+        want = frozen_render_sample(cfg, identity, modality, image_index, geometry, appearance)
+        assert image.shape == want.shape == (3, height, width)
+        assert np.array_equal(image, want)
+        if modality == synthbench.INFRARED:
+            assert np.array_equal(image[0], image[1])
+            assert np.array_equal(image[0], image[2])
+        raster = synthbench.quantize(image)
+        assert raster.flags.c_contiguous
+        assert np.array_equal(raster, frozen_quantize(want))
+        assert pnm.encode_ppm(raster) == frozen_encode_ppm(frozen_quantize(want))
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -358,6 +477,24 @@ class TestGenerateDataset:
         with pytest.raises(FileExistsError):
             generate_dataset(cfg, out)
         generate_dataset(cfg, out, overwrite=True)
+
+    def test_failed_overwrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        generate_dataset(GenConfig(**TINY, seed=5), tmp_path)
+        write_ppm, calls = pnm.write_ppm, []
+
+        def failing(path, pixels):
+            calls.append(path)
+            if len(calls) == 4:
+                raise OSError(errno.ENOSPC, "no space left on device")
+            write_ppm(path, pixels)
+
+        monkeypatch.setattr(pnm, "write_ppm", failing)
+        with pytest.raises(OSError):
+            generate_dataset(GenConfig(**TINY, seed=6), tmp_path, overwrite=True)
+        # three images are seed 6 now; no manifest may vouch for them as seed 5
+        assert not (tmp_path / synthbench.MANIFEST_NAME).exists()
+        with pytest.raises(FileNotFoundError):
+            load_manifest(tmp_path)
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = GenConfig(**TINY, seed=5)
@@ -508,6 +645,31 @@ class TestPnm:
         path = tmp_path / "x.ppm"
         pnm.write_ppm(path, image)
         assert np.array_equal(pnm.read_ppm(path), image)
+
+    def test_ppm_write_continues_after_short_writes(self, tmp_path, monkeypatch):
+        image = np.random.default_rng(2).integers(0, 256, size=(40, 30, 3)).astype(np.uint8)
+        write, sizes = os.write, []
+
+        def short(fd, data):
+            sizes.append(write(fd, bytes(data[:1000])))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short)
+        path = tmp_path / "x.ppm"
+        pnm.write_ppm(path, image)
+        monkeypatch.undo()
+        assert len(sizes) == 4 and max(sizes) == 1000
+        assert path.read_bytes() == pnm.encode_ppm(image)
+        assert np.array_equal(pnm.read_ppm(path), image)
+
+    def test_ppm_write_error_propagates(self, tmp_path, monkeypatch):
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(OSError) as info:
+            pnm.write_ppm(tmp_path / "x.ppm", np.zeros((4, 4, 3), np.uint8))
+        assert info.value.errno == errno.ENOSPC
 
     def test_pgm_round_trip(self):
         rng = np.random.default_rng(1)
