@@ -50,11 +50,7 @@ def clothing_contrast_ratio(cfg: GenConfig, identity: int, outfit: int = 0) -> f
             synthbench.MODALITIES.index(modality), PROBE_INDEX,
         ])
         geometry = synthbench._jittered_geometry(cfg, identity_factors(cfg, identity), rng)
-        torso = geometry["torso"]
-        return (
-            slice(torso["top"], torso["top"] + torso["height"]),
-            slice(torso["left"], torso["left"] + torso["width"]),
-        )
+        return geometry["torso"]
 
     vis = render(cfg, identity, outfit, synthbench.VISIBLE, PROBE_INDEX)
     ir = render(cfg, identity, outfit, synthbench.INFRARED, PROBE_INDEX)
@@ -326,7 +322,8 @@ class TestRenderMatchesFrozenCopy:
     of a render, its raster or its file bytes."""
 
     @given(
-        seed=st.integers(0, 2**32 - 1), identity=st.integers(0, 200),
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
+        identity=st.integers(0, 200),
         modality=st.sampled_from(synthbench.MODALITIES), image_index=st.integers(0, 999),
         coupling=st.sampled_from([synthbench.COUPLING_COUPLED,
                                   synthbench.COUPLING_DECOUPLED]),
