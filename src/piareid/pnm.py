@@ -26,8 +26,8 @@ def _encode_header(magic: bytes, width: int, height: int) -> bytes:
 
 
 def encode_ppm(pixels: np.ndarray) -> bytes:
-    """The P6 header and the raster, joined in one copy (none more when the
-    raster is already C-contiguous)."""
+    """The P6 file's bytes: header and raster joined in one copy (a raster
+    that is not C-contiguous is copied once more first)."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise PnmError(f"PPM needs uint8 [H, W, 3], got {pixels.dtype} {pixels.shape}")
@@ -44,7 +44,7 @@ def encode_pgm(pixels: np.ndarray) -> bytes:
 
 
 def write_ppm(path, pixels: np.ndarray) -> None:
-    """Write ``pixels`` to ``path`` as a P6 file, replacing any file there.
+    """Write ``pixels`` to ``path`` as a P6 file, overwriting any file there.
 
     The encoded bytes go out through ``os.write`` on a raw descriptor, with
     no buffered file object; a short write is continued until every byte is
