@@ -313,8 +313,9 @@ def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int
 def quantize(image: np.ndarray) -> np.ndarray:
     """[3, H, W] floats in [0, 1] to a C-contiguous [H, W, 3] uint8 raster.
 
-    The rounding writes straight into the raster's channels-last order, so
-    the scaled floats are the only other buffer.
+    The rounding (``np.rint``, half to even, as ``np.round`` rounds) writes
+    straight into the raster's channels-last order, so the scaled floats are
+    the only other buffer.
     """
     raster = np.empty((*image.shape[1:], 3), dtype=np.uint8)
     scaled = np.multiply(image, 255.0)
