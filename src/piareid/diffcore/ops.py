@@ -26,8 +26,14 @@ Conventions:
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 
-The six reduction kinds come from two rules, each registered under every
-kind it serves:
+The seven elementwise kinds come from two rules, each registered under every
+kind it serves with that kind's own math:
+  - binary (``add``, ``sub``, ``mul``): the operands broadcast under numpy's
+    rules; each input's gradient is summed back down to its shape
+  - pointwise (``relu``, ``sigmoid``, ``abs``, ``scale``): the forward keeps
+    one array (or the scale factor) for the backward to multiply by
+
+The six reduction kinds likewise come from two rules:
   - axis mean/sum (``mean``, ``sum``, ``channel_avg_pool`` over axis 1 with
     kept dims, ``global_avg_pool`` over axes 2 and 3): the backward expands
     the reduced dims, multiplies by ``1.0 / count`` (mean only) and
@@ -137,10 +143,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise
+# elementwise: one binary rule serves add, sub and mul, and one pointwise rule
+# serves relu, sigmoid, abs and scale
 
 
-def _ew_binary_forward(op, kind: str):
+def _binary(kind: str, op, grad_a, grad_b):
+    """``op(a, b)`` under numpy broadcasting.  ``grad_a(g, a, b)`` and
+    ``grad_b(g, a, b)`` give each input's gradient at the output's shape;
+    the backward sums each back down to its input's shape."""
+
     def forward(ctx, arrays, attrs):
         a, b = arrays
         try:
@@ -153,115 +164,59 @@ def _ew_binary_forward(op, kind: str):
         ctx["b"] = b
         return op(a, b)
 
-    return forward
-
-
-@register("add")
-def _add():
-    forward = _ew_binary_forward(np.add, "add")
-
     def backward(ctx, grad):
+        a, b = ctx["a"], ctx["b"]
         return [
-            _unbroadcast(grad, ctx["a"].shape),
-            _unbroadcast(grad, ctx["b"].shape),
+            _unbroadcast(grad_a(grad, a, b), a.shape),
+            _unbroadcast(grad_b(grad, a, b), b.shape),
         ]
 
     return forward, backward
 
 
+def _pointwise(forward_of, backward_of):
+    """One-input rule: ``forward_of(x, attrs)`` returns ``(kept, out)`` and
+    the input's gradient is ``backward_of(grad, kept)``."""
 
-@register("sub")
-def _sub():
-    forward = _ew_binary_forward(np.subtract, "sub")
-
-    def backward(ctx, grad):
-        return [
-            _unbroadcast(grad, ctx["a"].shape),
-            _unbroadcast(-grad, ctx["b"].shape),
-        ]
-
-    return forward, backward
-
-
-
-@register("mul")
-def _mul():
-    forward = _ew_binary_forward(np.multiply, "mul")
-
-    def backward(ctx, grad):
-        return [
-            _unbroadcast(grad * ctx["b"], ctx["a"].shape),
-            _unbroadcast(grad * ctx["a"], ctx["b"].shape),
-        ]
-
-    return forward, backward
-
-
-
-@register("scale")
-def _scale():
-    def forward(ctx, arrays, attrs):
-        if "factor" not in attrs:
-            raise InvalidAttributeError("scale: attribute 'factor' is required")
-        factor = attrs["factor"]
-        if isinstance(factor, bool) or not isinstance(
-            factor, (int, float, np.integer, np.floating)
-        ):
-            raise InvalidAttributeError("scale: attribute 'factor' must be a number")
-        ctx["factor"] = float(factor)
-        (x,) = arrays
-        return x * ctx["factor"]
-
-    def backward(ctx, grad):
-        return [grad * ctx["factor"]]
-
-    return forward, backward
-
-
-
-@register("relu")
-def _relu():
     def forward(ctx, arrays, attrs):
         (x,) = arrays
-        ctx["x"] = x
-        return np.maximum(x, 0.0)  # NaN stays NaN
-
-    def backward(ctx, grad):
-        return [grad * (ctx["x"] > 0.0)]
-
-    return forward, backward
-
-
-
-@register("sigmoid")
-def _sigmoid():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        out = 0.5 * (np.tanh(0.5 * x) + 1.0)
-        ctx["out"] = out
+        ctx["kept"], out = forward_of(x, attrs)
         return out
 
     def backward(ctx, grad):
-        out = ctx["out"]
-        return [grad * out * (1.0 - out)]
+        return [backward_of(grad, ctx["kept"])]
 
     return forward, backward
 
 
+def _scale_forward(x, attrs):
+    if "factor" not in attrs:
+        raise InvalidAttributeError("scale: attribute 'factor' is required")
+    factor = attrs["factor"]
+    if isinstance(factor, bool) or not isinstance(
+        factor, (int, float, np.integer, np.floating)
+    ):
+        raise InvalidAttributeError("scale: attribute 'factor' must be a number")
+    factor = float(factor)
+    return factor, x * factor
 
-@register("abs")
-def _abs():
-    def forward(ctx, arrays, attrs):
-        (x,) = arrays
-        ctx["sign"] = np.sign(x)
-        return np.abs(x)
 
-    def backward(ctx, grad):
-        # subgradient 0 at exactly zero
-        return [grad * ctx["sign"]]
+def _sigmoid_forward(x, attrs):
+    out = 0.5 * (np.tanh(0.5 * x) + 1.0)
+    return out, out
 
-    return forward, backward
 
+register("add")(lambda: _binary("add", np.add, lambda g, a, b: g, lambda g, a, b: g))
+register("sub")(lambda: _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g))
+register("mul")(lambda: _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a))
+register("scale")(lambda: _pointwise(_scale_forward, lambda g, factor: g * factor))
+# NaN stays NaN through the forward
+register("relu")(lambda: _pointwise(lambda x, attrs: (x, np.maximum(x, 0.0)),
+                                    lambda g, x: g * (x > 0.0)))
+register("sigmoid")(lambda: _pointwise(_sigmoid_forward, lambda g, out: g * out * (1.0 - out)))
+# subgradient 0 at exactly zero
+register("abs")(lambda: _pointwise(lambda x, attrs: (np.sign(x), np.abs(x)),
+                                   lambda g, sign: g * sign))
 
 
 # ---------------------------------------------------------------------------

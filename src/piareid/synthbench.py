@@ -37,6 +37,7 @@ import csv
 import hashlib
 import io
 import os
+import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -419,11 +420,6 @@ class Manifest:
             rasters[flips] = rasters[flips][:, :, ::-1]
         return rasters
 
-    def pixel_batch(self, indices, flips=None) -> np.ndarray:
-        """Float64 ``[N, 3, H, W]`` pixels in [0, 1], laid out channels-last:
-        ``raster_batch`` converted once by ``unit_pixels`` into a new array."""
-        return unit_pixels(self.raster_batch(indices, flips))
-
 
 def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:
     """Render every sample, write images plus manifest, return the manifest."""
@@ -437,6 +433,11 @@ def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Man
     # a manifest from an earlier run must not outlive a rewrite that fails
     # partway: it would vouch for a mix of old and new images
     (out / MANIFEST_NAME).unlink(missing_ok=True)
+    # nor may a larger earlier dataset's images outlive a rewrite that does
+    # not overwrite them
+    images = out / "images"
+    if images.is_dir():
+        shutil.rmtree(images)
 
     n_train, _ = cfg.split_counts()
     rows: list[ManifestRow] = []

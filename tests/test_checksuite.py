@@ -108,6 +108,38 @@ class TestRunCheck:
         assert not result.passed
 
 
+# ``run_all(configs=2)`` at seed 0: each row's name, ``repr(max_rel_error)``
+# and worst parameter
+PINNED_TABLE = [
+    ('conv2d', '3.326302395905823e-09', 'x'),
+    ('relu', '1.4118434859112676e-11', 'x'),
+    ('sigmoid', '5.144048709911484e-09', 'x'),
+    ('abs', '1.7615743814415013e-10', 'x'),
+    ('add', '4.686020266632009e-10', 'b'),
+    ('sub', '8.707163634152396e-10', 'b'),
+    ('mul', '1.1864805417893688e-08', 'a'),
+    ('scale', '5.0066547155295694e-11', 'x'),
+    ('channel_max_pool', '8.674499688260583e-11', 'x'),
+    ('channel_avg_pool', '8.967300318054856e-11', 'x'),
+    ('global_avg_pool', '4.6090109006769185e-11', 'x'),
+    ('global_max_pool', '3.057409854437861e-10', 'x'),
+    ('concat', '2.288290309719866e-10', 'b'),
+    ('linear', '1.5451140497006166e-08', 'weight'),
+    ('batch_norm', '1.0443959121617553e-09', 'x'),
+    ('log_softmax', '9.288380451551743e-10', 'x'),
+    ('l2_normalize', '7.127546085361658e-10', 'x'),
+    ('mean', '1.0741907445482517e-11', 'x'),
+    ('sum', '3.22874654849366e-11', 'x'),
+    ('cross_entropy', '5.961345409241475e-09', 'embeddings'),
+    ('classification_loss', '5.437882981044191e-09', 'id_weight'),
+    ('orthogonality_loss', '5.122180641155609e-09', 'f'),
+    ('intra_loss', '5.879251480844067e-08', 'features'),
+    ('inter_loss', '1.3334751306011679e-08', 'features'),
+    ('stage1_loss', '3.4608307937550226e-08', 'f'),
+    ('stage2_loss', '4.1847370208877024e-08', 'f_c'),
+]
+
+
 class TestRunAll:
     def test_subset_and_table(self):
         result = run_all(["relu", "abs"], configs=2)
@@ -120,6 +152,10 @@ class TestRunAll:
         result = run_all(configs=2)
         assert [c.name for c in result.results] == list(CATALOG)
         assert result.passed, result.format_table()
+        # every row to the bit: a change to a rule's arithmetic that moves
+        # any row's error fails here, not only in a by-hand diff of the table
+        assert [(c.name, repr(c.max_rel_error), c.worst_param)
+                for c in result.results] == PINNED_TABLE
 
     def test_unknown_name_in_list(self):
         with pytest.raises(CheckSuiteError):

@@ -17,6 +17,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from piareid import diffcore as dc
 
@@ -442,6 +443,98 @@ class TestConv2dBackwardMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound < block, (peak, bound)
+
+
+def _reference_unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def reference_elementwise(kind, arrays, grad, factor):
+    """(out, *input gradients) by the earlier rules, one builder per kind."""
+    if kind in ("add", "sub", "mul"):
+        a, b = arrays
+        if kind == "add":
+            return (np.add(a, b), _reference_unbroadcast(grad, a.shape),
+                    _reference_unbroadcast(grad, b.shape))
+        if kind == "sub":
+            return (np.subtract(a, b), _reference_unbroadcast(grad, a.shape),
+                    _reference_unbroadcast(-grad, b.shape))
+        return (np.multiply(a, b), _reference_unbroadcast(grad * b, a.shape),
+                _reference_unbroadcast(grad * a, b.shape))
+    (x,) = arrays
+    if kind == "scale":
+        factor = float(factor)
+        return x * factor, grad * factor
+    if kind == "relu":
+        return np.maximum(x, 0.0), grad * (x > 0.0)
+    if kind == "sigmoid":
+        out = 0.5 * (np.tanh(0.5 * x) + 1.0)
+        return out, grad * out * (1.0 - out)
+    sign = np.sign(x)
+    return np.abs(x), grad * sign
+
+
+_ELEMENTWISE = {
+    "add": dc.add, "sub": dc.sub, "mul": dc.mul,
+    "scale": dc.scale, "relu": dc.relu, "sigmoid": dc.sigmoid, "abs": dc.absolute,
+}
+# signed zeros, the relu/abs kink, infinities and NaN, beside ordinary and
+# extreme finite values
+_EW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(-8.0, 8.0),
+    st.floats(),
+)
+
+
+@st.composite
+def _elementwise_cases(draw):
+    """(kind, input arrays, upstream gradient, scale factor); the binary
+    kinds' operands broadcast in either direction, 0-d ones included."""
+    kind = draw(st.sampled_from(sorted(_ELEMENTWISE)))
+    shapes, out_shape = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, min_dims=0, max_dims=3, max_side=3))
+    if kind not in ("add", "sub", "mul"):
+        shapes = shapes[:1]
+        out_shape = shapes[0]
+    arrays = [draw(hnp.arrays(np.float64, shape, elements=_EW_VALUES)) for shape in shapes]
+    upstream = draw(hnp.arrays(np.float64, out_shape, elements=_EW_VALUES))
+    factor = draw(st.one_of(st.integers(-2**40, 2**40), st.integers(-9, 9).map(np.int64),
+                            st.floats()))
+    return kind, arrays, upstream, factor
+
+
+class TestElementwiseBitsMatchReference:
+    """The binary and pointwise rules change no bit of the earlier per-kind
+    rules' results: compared by bytes, so signed zeros and NaNs count."""
+
+    @given(_elementwise_cases())
+    # a 0-d operand broadcast into a vector, and a +0 upstream that sub's
+    # second gradient negates into -0
+    @example(("sub", [np.array(1.5), np.array([1.5, 2.0])], np.zeros(2), 1))
+    @settings(max_examples=300, deadline=None)
+    def test_forward_and_gradients_are_byte_equal(self, case):
+        kind, arrays, upstream, factor = case
+        params = [dc.parameter(arr) for arr in arrays]
+        extra = (factor,) if kind == "scale" else ()
+        with np.errstate(all="ignore"):
+            with dc.Tape() as tape:
+                out = _ELEMENTWISE[kind](*params, *extra)
+            (node,) = tape.nodes
+            got = [out.data, *node.backward_fn(node.ctx, upstream)]
+            want = reference_elementwise(kind, arrays, upstream, factor)
+        assert len(got) == len(want)
+        for have, expect in zip(got, want):
+            have, expect = np.asarray(have), np.asarray(expect)
+            assert have.shape == expect.shape and have.dtype == expect.dtype
+            assert have.tobytes() == expect.tobytes()
 
 
 class TestBackwardVsFiniteDifferences:

@@ -398,7 +398,7 @@ class TestGenerateDataset:
 
     def test_pixels_round_trip_through_ppm(self, dataset):
         cfg, manifest, _ = dataset
-        pixels = manifest.pixel_batch([0])[0]
+        pixels = synthbench.unit_pixels(manifest.raster_batch([0]))[0]
         assert pixels.shape == (3, cfg.image_height, cfg.image_width)
         rendered = render(cfg, manifest.rows[0].identity, 0, "V", 0)
         # files hold the 8-bit quantization of the float render
@@ -421,7 +421,7 @@ class TestGenerateDataset:
     def test_pixel_batch_scales_the_file_rasters(self, dataset):
         _, manifest, out = dataset
         rows = [0, 3, len(manifest) - 1, 3]
-        batch = manifest.pixel_batch(rows)
+        batch = synthbench.unit_pixels(manifest.raster_batch(rows))
         expected = np.stack([
             pnm.read_ppm(out / manifest.rows[i].path).astype(np.float64)
             .transpose(2, 0, 1) / 255.0
@@ -437,9 +437,9 @@ class TestGenerateDataset:
         rows = [0, 3, len(manifest) - 1, 3]
         flips = np.array([True, False, True, True])
         views = [manifest.load_pixels(i).copy() for i in rows]
-        expected = manifest.pixel_batch(rows)
+        expected = synthbench.unit_pixels(manifest.raster_batch(rows))
         expected[flips] = expected[flips][..., ::-1]
-        batch = manifest.pixel_batch(rows, flips)
+        batch = synthbench.unit_pixels(manifest.raster_batch(rows, flips))
         assert np.array_equal(batch, expected)
         assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
         # the duplicate row 3 is flipped once and kept once; the cache is not
@@ -452,16 +452,17 @@ class TestGenerateDataset:
         rasters = manifest.raster_batch(rows)
         out = np.full(rasters.shape, np.nan)
         batch = synthbench.unit_pixels(rasters, out)
-        assert batch.base is out and batch.strides == manifest.pixel_batch(rows).strides
-        assert np.array_equal(batch, manifest.pixel_batch(rows))
+        expected = synthbench.unit_pixels(manifest.raster_batch(rows))
+        assert batch.base is out and batch.strides == expected.strides
+        assert np.array_equal(batch, expected)
 
     def test_cached_rasters_are_read_only(self, dataset):
         _, manifest, _ = dataset
-        before = manifest.pixel_batch([0])
+        before = synthbench.unit_pixels(manifest.raster_batch([0]))
         raster = manifest.load_pixels(0)
         with pytest.raises(ValueError, match="read-only"):
             raster[0, 0, 0] = 255 - raster[0, 0, 0]
-        assert np.array_equal(manifest.pixel_batch([0]), before)
+        assert np.array_equal(synthbench.unit_pixels(manifest.raster_batch([0])), before)
 
     def test_load_manifest_round_trip(self, dataset):
         cfg, manifest, out = dataset
@@ -492,6 +493,13 @@ class TestGenerateDataset:
         assert not (tmp_path / synthbench.MANIFEST_NAME).exists()
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path)
+
+    def test_overwrite_leaves_no_earlier_image(self, tmp_path):
+        generate_dataset(GenConfig(**dict(TINY, n_identities=6), seed=5), tmp_path)
+        manifest = generate_dataset(GenConfig(**TINY, seed=5), tmp_path, overwrite=True)
+        files = {path.relative_to(tmp_path).as_posix()
+                 for path in tmp_path.rglob("*.ppm")}
+        assert files == {row.path for row in manifest.rows}
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = GenConfig(**TINY, seed=5)
@@ -570,9 +578,11 @@ class TestGenerateDataset:
         manifest = generate_dataset(cfg, tmp_path)
         odd = tmp_path / manifest.rows[-1].path
         pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
-        manifest.pixel_batch([0, 1])  # the first raster fixes the size
+        # the first raster fixes the size
+        synthbench.unit_pixels(manifest.raster_batch([0, 1]))
         with pytest.raises(ManifestError) as caught:
-            manifest.pixel_batch([2, len(manifest) - 1])  # a later batch
+            # a later batch
+            synthbench.unit_pixels(manifest.raster_batch([2, len(manifest) - 1]))
         message = str(caught.value)
         assert str(odd) in message and str(tmp_path / manifest.rows[0].path) in message
         assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
@@ -582,9 +592,10 @@ class TestGenerateDataset:
         manifest = generate_dataset(cfg, tmp_path)
         odd = tmp_path / manifest.rows[-1].path
         pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
-        manifest.pixel_batch([5, 0])  # row 5 is decoded first and fixes the size
+        # row 5 is decoded first and fixes the size
+        synthbench.unit_pixels(manifest.raster_batch([5, 0]))
         with pytest.raises(ManifestError) as caught:
-            manifest.pixel_batch([len(manifest) - 1])
+            synthbench.unit_pixels(manifest.raster_batch([len(manifest) - 1]))
         message = str(caught.value)
         assert str(odd) in message and str(tmp_path / manifest.rows[5].path) in message
         assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
