@@ -205,9 +205,12 @@ def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     state = _load_checkpoint(cfg)
     directions = evalkit.DIRECTIONS if args.direction == "both" else (args.direction,)
-    # No name holds the manifest: it, and its block of decoded test images,
-    # is freed once the table is built, before any [Q, G] distance buffer.
-    table = evalkit.test_feature_table(synthbench.load_manifest(Path(cfg.data_dir)), state)
+    # The extraction runs in a workspace of its own, which lets go of its
+    # buffers, like the manifest no name holds, before any [Q, G] distance
+    # buffer exists.
+    with dc.Workspace() as workspace:
+        table = evalkit.test_feature_table(
+            synthbench.load_manifest(Path(cfg.data_dir)), state, workspace)
     reports = evalkit.evaluate(table, directions)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -197,7 +197,10 @@ def _scale_forward(x, attrs):
         factor, (int, float, np.integer, np.floating)
     ):
         raise InvalidAttributeError("scale: attribute 'factor' must be a number")
-    factor = float(factor)
+    try:
+        factor = float(factor)
+    except OverflowError:  # an int beyond float range
+        raise InvalidAttributeError("scale: attribute 'factor' is too large for a float") from None
     return factor, x * factor
 
 

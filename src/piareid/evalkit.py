@@ -10,11 +10,13 @@ index, so a positive's rank is its position in a stable argsort of the row.
 Queries whose identity never appears in the gallery are dropped and counted.
 
 ``test_feature_table`` is the one step that reads the manifest: it embeds
-the test split and copies each row's identity, clothing and modality label
-onto the ``FeatureTable``.  Every later step (``protocol_from_table``,
-``evaluate``) takes only the table, so the manifest and its decoded images
-can be freed before any [Q, G] buffer exists.  ``check_protocol`` raises a
-protocol's ``ProtocolError`` from the labels alone, before any extraction.
+the test split, one ``EVAL_BATCH`` of images decoded from their files at a
+time, and copies each row's identity, clothing and modality label onto the
+``FeatureTable``.  Every later step (``protocol_from_table``, ``evaluate``)
+takes only the table, so the manifest, and the workspace the extraction
+ran in, can be let go before any [Q, G] buffer exists.  ``check_protocol``
+raises a protocol's ``ProtocolError`` from the labels alone, before any
+extraction.
 
 Each direction holds one [Q, G] distance buffer.  ``rank`` reads it first;
 ``distance_stats`` then overwrites it, compacting the negatives into its
@@ -87,7 +89,8 @@ class EvalReport:
 
 def _batches_of(manifest: Manifest, row_indices: list[int],
                 workspace: dc.Workspace | None = None):
-    """The rows' float64 pixel batches; given ``workspace``, each is written
+    """The rows' float64 pixel batches, each from one ``raster_batch`` that
+    decodes its rows from their files.  Given ``workspace``, each is written
     into its kept buffer for the batch's shape, over the batch before it."""
     for start in range(0, len(row_indices), EVAL_BATCH):
         rasters = manifest.raster_batch(row_indices[start : start + EVAL_BATCH])
@@ -109,8 +112,7 @@ class FeatureTable:
     """The test split's labels and identity embeddings, and its clothing
     embeddings when the model has the dual branch.  Entry i of every array
     belongs to manifest row ``row_indices[i]``; the table needs no manifest,
-    so a caller can drop the manifest, and its decoded images, once the
-    table is built."""
+    so a caller can drop the manifest once the table is built."""
     row_indices: list[int]
     identities: np.ndarray           # [n]
     clothing: np.ndarray             # [n]
@@ -122,7 +124,8 @@ class FeatureTable:
 def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
                        workspace: dc.Workspace | None = None) -> FeatureTable:
     """Embed the test split, its pixel batches in ``workspace``'s kept
-    buffers when one is given (inside ``train``).  Raises
+    buffers when one is given (``train``'s, or the one ``eval`` opens for
+    the extraction).  Raises
     ``NonFiniteEmbeddingError``, naming the first such image, when an
     identity embedding or its squared L2 norm is not finite:
     ``normalize_rows`` would turn it into zeros, and every distance into a

@@ -2,12 +2,17 @@
 
 Only 8-bit maxval-255 images are supported; headers may carry ``#``
 comments.  Pixels travel as uint8 arrays shaped [H, W, 3] for PPM and
-[H, W] for PGM.
+[H, W] for PGM.  Decoding copies no pixel: a decoded image is a read-only
+view of the bytes it was decoded from, so a caller that writes to it copies
+it first.  Files are read and written through ``os.read`` and ``os.write``
+on a raw descriptor, with no buffered file object.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from functools import partial
 
 import numpy as np
 
@@ -15,6 +20,19 @@ import numpy as np
 #: Longest header number accepted: more than any raster needs, and short
 #: enough that ``int()`` never hits its digit limit.
 _MAX_DIGITS = 18
+
+#: Bytes asked of each ``os.read``: the first read holds a whole file of up
+#: to about 21,800 pixels (a 64x32 image's file is 6 KB).
+_READ_CHUNK = 1 << 16
+
+# One header field: the whitespace and whole ``#`` comments before it, then
+# every byte up to the next whitespace.  The field is empty only at the end
+# of the data, and starts with ``#`` only at a comment with no newline after.
+_SPACE = rb" \t\n\r\x0b\x0c"
+_FIELD = rb"(?:[" + _SPACE + rb"]|#[^\n]*\n)*([^" + _SPACE + rb"]*)"
+_HEADER = re.compile(_FIELD * 3)
+
+_UINT8 = np.dtype(np.uint8)
 
 
 class PnmError(ValueError):
@@ -59,64 +77,68 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         os.close(fd)
 
 
-def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[int], int]:
-    """Whitespace/comment-aware integer scanner for PNM headers."""
-    tokens: list[int] = []
-    pos = start
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise PnmError("truncated header")
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
+def _header(data: bytes, magic: bytes) -> tuple[tuple[bytes, ...], int]:
+    """A PNM header's width, height and maxval fields, each checked to be a
+    number, and the offset just past maxval.  The fields are checked in
+    order, so the first bad one decides the error."""
+    if not data.startswith(magic):
+        raise PnmError(f"expected {magic.decode()} file")
+    match = _HEADER.match(data, len(magic))
+    fields = match.groups()
+    for field in fields:
+        if not field.isdigit() or len(field) > _MAX_DIGITS:
+            if not field:
+                raise PnmError("truncated header")
+            if field.startswith(b"#"):
                 raise PnmError("unterminated header comment")
-            pos = end + 1
-        elif byte.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            chunk = data[pos:end]
-            if not chunk.isdigit() or len(chunk) > _MAX_DIGITS:
-                raise PnmError(f"bad header token {chunk[:_MAX_DIGITS + 1]!r}")
-            tokens.append(int(chunk))
-            pos = end
-    return tokens, pos
+            raise PnmError(f"bad header token {field[:_MAX_DIGITS + 1]!r}")
+    return fields, match.end()
 
 
 def _decode(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if not data.startswith(magic):
-        raise PnmError(f"expected {magic.decode()} file")
-    (width, height, maxval), pos = _read_tokens(data, 3, len(magic))
+    fields, end = _header(data, magic)
+    width, height, maxval = map(int, fields)
     if maxval != 255:
         raise PnmError(f"only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
+    start = end + 1  # single whitespace after maxval
     expected = width * height * channels
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
-        raise PnmError(
-            f"raster holds {len(raster)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return flat.reshape(height, width).copy()
-    return flat.reshape(height, width, channels).copy()
+    held = max(len(data) - start, 0)
+    if held < expected:
+        raise PnmError(f"raster holds {held} bytes, expected {expected}")
+    shape = (height, width) if channels == 1 else (height, width, channels)
+    # an empty raster may start one byte past the data's end
+    return np.ndarray(shape, _UINT8, data, start if expected else 0)
 
 
 def decode_ppm(data: bytes) -> np.ndarray:
+    """The [H, W, 3] raster of a P6 file's bytes, a read-only view of them."""
     return _decode(data, b"P6", 3)
 
 
 def decode_pgm(data: bytes) -> np.ndarray:
+    """The [H, W] raster of a P5 file's bytes, a read-only view of them."""
     return _decode(data, b"P5", 1)
 
 
 def read_ppm(path) -> np.ndarray:
-    """Decode the PPM file at ``path``; a ``PnmError`` names the file."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    """Decode the PPM file at ``path``; a ``PnmError`` names the file.
+
+    One ``os.read`` serves a file whose header and raster fit in its
+    ``_READ_CHUNK`` bytes, and the result is a read-only view of them.  When
+    that first read does not decode, the rest of the file is read and the
+    whole file decoded, so every result and error is ``decode_ppm``'s on the
+    file's full bytes: a header field or raster that a prefix cuts short
+    never decodes.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, _READ_CHUNK)
+        try:
+            return decode_ppm(data)
+        except PnmError:
+            data = b"".join([data, *iter(partial(os.read, fd, _READ_CHUNK), b"")])
+    finally:
+        os.close(fd)
     try:
         return decode_ppm(data)
     except PnmError as exc:

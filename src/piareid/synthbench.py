@@ -95,6 +95,9 @@ _BODY_LEVELS = {
     INFRARED: (float(_BACKGROUND.mean()), _IR_BODY, _IR_BODY),
 }
 
+# one channels-last pixel of a uint8 raster as a single item
+_PIXEL = np.dtype((np.void, 3))
+
 _STREAM_IDENTITY = 101
 _STREAM_OUTFIT = 202
 _STREAM_IMAGE = 303
@@ -358,24 +361,23 @@ class ManifestRow:
 
 
 class Manifest:
-    """The rows of a dataset and a cache of the images they name.
+    """The rows of a dataset, whose images are read from their files on use.
 
-    The cache is one uint8 block ``[len(rows), H, W, 3]`` holding each image
-    as its file holds it, decoded once on first use, beside a per-row
-    "loaded" mask.  The first decode allocates the block, so its shape fixes
-    the image size every later image must have.  Rows never read take no
-    resident memory, and dropping the manifest returns the whole block at
-    once.  The dataset's pixels become float64 only through ``unit_pixels``,
-    one ``raster_batch`` at a time.
+    No decoded pixels are kept: every ``load_pixels`` call decodes its row's
+    file, and ``raster_batch`` copies each decoded row straight into its
+    slot of the batch it returns, so pixel memory is one batch, not the
+    dataset.  The manifest remembers only the first decoded image's path and
+    shape, which every later image must share.  The dataset's pixels become
+    float64 only through ``unit_pixels``, one ``raster_batch`` at a time.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
         self.base_dir = Path(base_dir)
         self.rows = rows
         self.fingerprint = fingerprint
-        self._pixels: np.ndarray | None = None  # the block, from the first decode
-        self._first_path: Path | None = None
-        self._loaded = np.zeros(len(rows), dtype=bool)
+        self._prefix = os.path.join(self.base_dir, "")  # each row's path follows
+        self._first_path: str | None = None  # the first decoded image
+        self._shape: tuple[int, ...] | None = None  # and its shape
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -384,40 +386,44 @@ class Manifest:
         return [i for i, row in enumerate(self.rows) if row.split == split]
 
     def load_pixels(self, index: int) -> np.ndarray:
-        """Row ``index``'s uint8 ``[H, W, 3]`` raster, a read-only view of the block."""
-        if not self._loaded[index]:
-            path = self.base_dir / self.rows[index].path
-            try:
-                raster = pnm.read_ppm(path)
-            except pnm.PnmError as exc:
-                raise ManifestError(str(exc)) from exc
-            if self._pixels is None:
-                self._pixels = np.empty((len(self.rows), *raster.shape), dtype=np.uint8)
-                self._first_path = path
-            shape = self._pixels.shape[1:]
-            if raster.shape != shape:
+        """Row ``index``'s uint8 ``[H, W, 3]`` raster, decoded from its file on
+        every call: a read-only view of the file's bytes (``pnm.read_ppm``)."""
+        path = self._prefix + self.rows[index].path
+        try:
+            raster = pnm.read_ppm(path)
+        except pnm.PnmError as exc:
+            raise ManifestError(str(exc)) from exc
+        if raster.shape != self._shape:
+            if self._shape is not None:
                 raise ManifestError(
                     f"{path}: {raster.shape[0]}x{raster.shape[1]} image, but "
-                    f"{self._first_path} is {shape[0]}x{shape[1]}; images must share one size"
+                    f"{self._first_path} is {self._shape[0]}x{self._shape[1]}; "
+                    f"images must share one size"
                 )
-            self._pixels[index] = raster
-            self._loaded[index] = True
-        view = self._pixels[index]
-        view.flags.writeable = False
-        return view
+            self._first_path, self._shape = path, raster.shape
+        return raster
 
     def raster_batch(self, indices, flips=None) -> np.ndarray:
-        """The uint8 ``[N, H, W, 3]`` rasters of ``indices``, a gathered copy.
+        """The uint8 ``[N, H, W, 3]`` rasters of ``indices``, a new array.
 
-        ``flips``, a boolean mask over ``indices``, mirrors those images left
-        to right.  The mirroring happens on the copy, never on the cached
-        block.  ``unit_pixels`` converts the result to float64.
+        Each row is decoded by ``load_pixels`` and copied once, straight into
+        its slot.  ``flips``, a boolean mask over ``indices``, mirrors those
+        images left to right as they are copied.  ``unit_pixels`` converts the
+        result to float64.
         """
-        for i in indices:
-            self.load_pixels(i)
-        rasters = self._pixels[list(indices)]  # a gathered copy of the rows
-        if flips is not None:
-            rasters[flips] = rasters[flips][:, :, ::-1]
+        rasters = mirrored = None
+        flips = [False] * len(indices) if flips is None else flips
+        for slot, (index, flip) in enumerate(zip(indices, flips, strict=True)):
+            raster = self.load_pixels(index)
+            if rasters is None:
+                rasters = np.empty((len(indices), *raster.shape), dtype=np.uint8)
+                # [N, H, W] 3-byte pixels, reversed along W: numpy mirrors a
+                # row about twice as fast by whole pixels as byte by byte
+                mirrored = rasters.view(_PIXEL)[..., 0][:, :, ::-1]
+            if flip:
+                mirrored[slot] = raster.view(_PIXEL)[..., 0]
+            else:
+                rasters[slot] = raster
         return rasters
 
 

@@ -27,8 +27,8 @@ and ``train`` hands ``unit_pixels`` the one buffer the workspace keeps for a
 batch's shape, so every pixel batch, the steps' and the extraction's, is
 converted there.  So a step after the first epoch takes almost no page
 faults, whether or not glibc malloc trimmed the heap in between.  The
-buffers go when ``train`` returns or raises; ``eval`` and the other commands
-run with no workspace, as a pool kept alive there raises eval's peak RSS.
+buffers go when ``train`` returns or raises.  ``eval`` runs its extraction
+in a workspace of its own the same way, and lets it go before ranking.
 """
 
 from __future__ import annotations

@@ -311,14 +311,19 @@ class TestReproduce:
         assert main(["train", "--out", str(tmp_path / "d")] + flags) == EXIT_OK
         assert outputs(tmp_path / "a") == outputs(tmp_path / "d")
 
+        # eval's extraction runs in a workspace of its own, handed to it and
+        # active only for the extraction
         active = []
         extract = evalkit.test_feature_table
         monkeypatch.setattr(evalkit, "test_feature_table", lambda *args: (
-            active.append(dc.current_workspace()) or extract(*args)))
+            active.append((args[2:], dc.current_workspace())) or extract(*args)))
+        assert dc.current_workspace() is None
         assert main(["eval", "--config", str(tmp_path / "a" / "run_config.txt"),
                      "--checkpoint", str(tmp_path / "a" / "checkpoint.bin"),
                      "--out", str(tmp_path / "eval")]) == EXIT_OK
-        assert active == [None]
+        assert dc.current_workspace() is None
+        [((given,), current)] = active
+        assert isinstance(current, dc.Workspace) and given is current
 
 
 #: sha256 of the eval reports of a seeded, untrained model on an 8-identity

@@ -1007,6 +1007,15 @@ class TestValidation:
         with pytest.raises(dc.InvalidAttributeError):
             dc.apply("scale", [dc.tensor(1.0)])
 
+    @pytest.mark.parametrize("factor", [10**400, -(10**309)], ids=["1e400", "-1e309"])
+    def test_scale_factor_beyond_float_range(self, factor):
+        for call in (lambda: dc.scale(dc.tensor(1.0), factor),
+                     lambda: dc.apply("scale", [dc.tensor(1.0)], factor=factor)):
+            with pytest.raises(dc.InvalidAttributeError, match="'factor'"):
+                call()
+        # the largest ints a float holds still scale as before
+        assert dc.scale(dc.tensor(1.0), 10**308).data == 1e308
+
     def test_add_incompatible_shapes(self):
         with pytest.raises(dc.ShapeMismatchError):
             dc.add(dc.tensor(np.zeros(3)), dc.tensor(np.zeros(4)))

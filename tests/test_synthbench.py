@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import os
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -404,7 +406,7 @@ class TestGenerateDataset:
         # files hold the 8-bit quantization of the float render
         assert np.abs(pixels - rendered).max() <= 0.5 / 255.0 + 1e-12
 
-    def test_load_pixels_caches_the_raw_raster(self, dataset, monkeypatch):
+    def test_load_pixels_decodes_its_file_on_every_call(self, dataset, monkeypatch):
         cfg, _, out = dataset
         manifest = load_manifest(out)
         reads = []
@@ -415,8 +417,34 @@ class TestGenerateDataset:
         assert raster.shape == (cfg.image_height, cfg.image_width, 3)
         assert raster.nbytes == cfg.image_height * cfg.image_width * 3
         again = manifest.load_pixels(1)
-        assert reads == [out / manifest.rows[1].path]  # the second call decodes nothing
-        assert np.shares_memory(again, raster)
+        path = out / manifest.rows[1].path
+        assert list(map(str, reads)) == [str(path)] * 2  # each call decodes once
+        assert not np.shares_memory(again, raster)  # and keeps nothing
+        assert np.array_equal(again, raster) and np.array_equal(raster, read_ppm(path))
+        # a batch decodes each of its rows once, a repeated row each time
+        manifest.raster_batch([1, 2, 1], np.array([False, True, False]))
+        assert list(map(str, reads[2:])) == [str(out / manifest.rows[i].path)
+                                             for i in (1, 2, 1)]
+
+    def test_manifest_retains_no_decoded_pixels(self, dataset):
+        cfg, _, out = dataset
+        manifest = load_manifest(out)
+        paths = [out / row.path for row in manifest.rows]
+        rows = list(range(len(paths)))
+        tracemalloc.start()
+        try:
+            batch = manifest.raster_batch(rows, np.arange(len(rows)) % 3 == 0)
+            held = tracemalloc.get_traced_memory()[0]
+            del manifest
+            gc.collect()
+            # what dropping the manifest frees of what the batch call allocated
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < cfg.image_height * cfg.image_width * 3
+        for i in rows:
+            expected = pnm.read_ppm(paths[i])
+            assert np.array_equal(batch[i], expected[:, ::-1] if i % 3 == 0 else expected)
 
     def test_pixel_batch_scales_the_file_rasters(self, dataset):
         _, manifest, out = dataset
@@ -442,7 +470,7 @@ class TestGenerateDataset:
         batch = synthbench.unit_pixels(manifest.raster_batch(rows, flips))
         assert np.array_equal(batch, expected)
         assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
-        # the duplicate row 3 is flipped once and kept once; the cache is not
+        # the duplicate row 3 is flipped once and kept once; its file is not
         for i, view in zip(rows, views):
             assert np.array_equal(manifest.load_pixels(i), view)
 

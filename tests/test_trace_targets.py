@@ -40,6 +40,10 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
 
     from piareid import cli, synthbench
 
+    rows_read = []
+    raster_batch = synthbench.Manifest.raster_batch
+    monkeypatch.setattr(synthbench.Manifest, "raster_batch", lambda self, indices, flips=None: (
+        rows_read.append(len(indices)) or raster_batch(self, indices, flips)))
     data, run = tmp_path / "data", tmp_path / "run"
     tracer = tracing.Tracer({})
     with tracer.installed():
@@ -57,5 +61,7 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     reads = [span for span in tracer.spans if span[0] == "pnm.read"]
     assert reads and all(names[parent] == "synthbench.load_pixels"
                          for _, _, _, parent in reads)
-    assert len(reads) <= len(manifest) < names.count("synthbench.load_pixels")
-    assert 0 < metrics["synthbench.pixel_cache_hit_ratio"] < 1
+    # no decoded image is kept: every row a batch reads is decoded again
+    assert len(reads) == names.count("synthbench.load_pixels") == sum(rows_read)
+    assert sum(rows_read) > len(manifest)
+    assert metrics["synthbench.pixel_cache_hit_ratio"] == 0
