@@ -77,30 +77,27 @@ def write_ppm(path, pixels: np.ndarray) -> None:
         os.close(fd)
 
 
-def _header(data: bytes, magic: bytes) -> tuple[tuple[bytes, ...], int]:
-    """A PNM header's width, height and maxval fields, each checked to be a
-    number, and the offset just past maxval.  The fields are checked in
-    order, so the first bad one decides the error."""
+def _field_error(field: bytes) -> str:
+    """Why a header field is not a number of at most ``_MAX_DIGITS`` digits."""
+    if not field:
+        return "truncated header"
+    if field.startswith(b"#"):
+        return "unterminated header comment"
+    return f"bad header token {field[:_MAX_DIGITS + 1]!r}"
+
+
+def _decode(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     if not data.startswith(magic):
         raise PnmError(f"expected {magic.decode()} file")
     match = _HEADER.match(data, len(magic))
     fields = match.groups()
-    for field in fields:
+    for field in fields:  # in order, so the first bad field decides the error
         if not field.isdigit() or len(field) > _MAX_DIGITS:
-            if not field:
-                raise PnmError("truncated header")
-            if field.startswith(b"#"):
-                raise PnmError("unterminated header comment")
-            raise PnmError(f"bad header token {field[:_MAX_DIGITS + 1]!r}")
-    return fields, match.end()
-
-
-def _decode(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    fields, end = _header(data, magic)
+            raise PnmError(_field_error(field))
     width, height, maxval = map(int, fields)
     if maxval != 255:
         raise PnmError(f"only maxval 255 supported, got {maxval}")
-    start = end + 1  # single whitespace after maxval
+    start = match.end() + 1  # single whitespace after maxval
     expected = width * height * channels
     held = max(len(data) - start, 0)
     if held < expected:
@@ -134,12 +131,12 @@ def read_ppm(path) -> np.ndarray:
     try:
         data = os.read(fd, _READ_CHUNK)
         try:
-            return decode_ppm(data)
+            return _decode(data, b"P6", 3)
         except PnmError:
             data = b"".join([data, *iter(partial(os.read, fd, _READ_CHUNK), b"")])
     finally:
         os.close(fd)
     try:
-        return decode_ppm(data)
+        return _decode(data, b"P6", 3)
     except PnmError as exc:
         raise PnmError(f"{path}: invalid image: {exc}") from exc

@@ -95,9 +95,6 @@ _BODY_LEVELS = {
     INFRARED: (float(_BACKGROUND.mean()), _IR_BODY, _IR_BODY),
 }
 
-# one channels-last pixel of a uint8 raster as a single item
-_PIXEL = np.dtype((np.void, 3))
-
 _STREAM_IDENTITY = 101
 _STREAM_OUTFIT = 202
 _STREAM_IMAGE = 303
@@ -406,24 +403,22 @@ class Manifest:
     def raster_batch(self, indices, flips=None) -> np.ndarray:
         """The uint8 ``[N, H, W, 3]`` rasters of ``indices``, a new array.
 
-        Each row is decoded by ``load_pixels`` and copied once, straight into
-        its slot.  ``flips``, a boolean mask over ``indices``, mirrors those
-        images left to right as they are copied.  ``unit_pixels`` converts the
-        result to float64.
+        Each row is decoded by ``load_pixels`` and copied straight into its
+        slot.  ``flips``, a boolean mask over ``indices``, then mirrors those
+        slots left to right.  ``unit_pixels`` converts the result to float64.
         """
-        rasters = mirrored = None
-        flips = [False] * len(indices) if flips is None else flips
-        for slot, (index, flip) in enumerate(zip(indices, flips, strict=True)):
+        rasters = None
+        for slot, index in enumerate(indices):
             raster = self.load_pixels(index)
             if rasters is None:
                 rasters = np.empty((len(indices), *raster.shape), dtype=np.uint8)
-                # [N, H, W] 3-byte pixels, reversed along W: numpy mirrors a
-                # row about twice as fast by whole pixels as byte by byte
-                mirrored = rasters.view(_PIXEL)[..., 0][:, :, ::-1]
-            if flip:
-                mirrored[slot] = raster.view(_PIXEL)[..., 0]
-            else:
-                rasters[slot] = raster
+            rasters[slot] = raster
+        if flips is not None:
+            # a channel at a time, so numpy's inner loop runs along W and not
+            # over each pixel's 3 bytes: about four times as fast
+            unflipped = rasters[flips]
+            for channel in range(rasters.shape[-1]):
+                rasters[flips, :, :, channel] = unflipped[:, :, ::-1, channel]
         return rasters
 
 
