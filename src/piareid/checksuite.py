@@ -10,9 +10,9 @@ reduced by one set of random weights, drawn last.  Losses whose inputs are
 drawn jointly keep hand-written factories.  The draws keep inputs away from
 the kinks of relu, abs, max-pooling, and the absolute-cosine penalty so the
 two-sided difference quotient is a faithful oracle at the default step.
-``stage1_loss`` and ``stage2_loss`` run the trainer's own ``stage_terms``
-and ``stage_loss``.  Instances are seeded by check name, so editing the
-catalog redraws no other check's.
+``stage1_loss`` and ``stage2_loss`` check the total of the trainer's own
+``stage_objective``, the one call a step makes.  Instances are seeded by
+check name, so editing the catalog redraws no other check's.
 """
 
 from __future__ import annotations
@@ -201,8 +201,7 @@ def _stage_factory(stage: int):
             f, f_c, *head_params = params
             heads = encoder.ClassifierHeads(*head_params)
             batch = bpl.ModalityBatch(f, y_id, is_visible)
-            terms = trainer.stage_terms(cfg, stage, f, f_c, heads, y_id, y_c, batch, bank)
-            return trainer.stage_loss(stage, terms, cfg)
+            return trainer.stage_objective(cfg, stage, f, f_c, heads, y_id, y_c, batch, bank)[0]
 
         names = ["f", "f_c", *(name for name, _ in _HEADS)]
         return build, [f, f_c, *head_params], names

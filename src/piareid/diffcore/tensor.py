@@ -1,7 +1,9 @@
 """Dense float64 tensors and the define-by-run reverse-mode tape.
 
 The tape records one node per primitive application while a ``Tape`` context
-is active and at least one input requires gradients.  ``backward`` walks the
+is active and at least one input requires gradients.  At most one tape is
+active per thread, as for ``Workspace``: entering a second raises
+``TapeError`` and leaves the first one recording.  ``backward`` walks the
 node list once, in reverse recording order, which is a valid topological
 order for any define-by-run graph.  Gradients of leaf tensors accumulate
 into ``Tensor.grad``; interior results never expose a ``grad``.
@@ -105,17 +107,8 @@ class Node:
 _ACTIVE = threading.local()
 
 
-def _stack() -> list:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
-
-
 def current_tape() -> "Tape | None":
-    stack = _stack()
-    return stack[-1] if stack else None
+    return getattr(_ACTIVE, "tape", None)
 
 
 def current_workspace() -> "Workspace | None":
@@ -190,20 +183,21 @@ def _give_back(ctx: dict) -> None:
 
 
 class Tape:
-    """Recording context.  Nodes land on the innermost active tape."""
+    """Recording context.  Nodes land on the active tape; entering while
+    another tape is active raises ``TapeError``."""
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        if current_tape() is not None:
+            raise TapeError("a tape is already active")
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        top = _stack().pop()
-        if top is not self:  # pragma: no cover - defensive
-            raise TapeError("tape context exited out of order")
+        _ACTIVE.tape = None
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -81,16 +81,6 @@ class ClassifierHeads:
     clothing_weight: Tensor | None = None
     clothing_bias: Tensor | None = None
 
-    @property
-    def num_identities(self) -> int:
-        return self.id_weight.shape[1]
-
-    @property
-    def num_clothing_classes(self) -> int | None:
-        if self.clothing_weight is None:
-            return None
-        return self.clothing_weight.shape[1]
-
 
 def validate_architecture(widths: tuple[int, ...], strides: tuple[int, ...],
                           kernel_size: int) -> None:
@@ -116,12 +106,11 @@ def init_encoder(rng: np.random.Generator, *,
                  widths: tuple[int, ...] = DEFAULT_WIDTHS,
                  strides: tuple[int, ...] = DEFAULT_STRIDES,
                  kernel_size: int = DEFAULT_KERNEL,
-                 input_hw: tuple[int, int] = (64, 32),
-                 in_channels: int = 3) -> EncoderParams:
+                 input_hw: tuple[int, int] = (64, 32)) -> EncoderParams:
     validate_architecture(widths, strides, kernel_size)
     weights: list[Tensor] = []
     biases: list[Tensor] = []
-    prev = in_channels
+    prev = 3  # RGB; infrared is stored as three equal channels
     for width in widths:
         fan_in = prev * kernel_size * kernel_size
         fan_out = width * kernel_size * kernel_size

@@ -11,7 +11,8 @@ Queries whose identity never appears in the gallery are dropped and counted.
 
 ``test_feature_table`` is the one step that reads the manifest: it embeds
 the test split, one ``EVAL_BATCH`` of images decoded from their files at a
-time, and copies each row's identity, clothing and modality label onto the
+time into the kept buffers of the ``diffcore.Workspace`` its caller must
+pass, and copies each row's identity, clothing and modality label onto the
 ``FeatureTable``.  Every later step (``protocol_from_table``, ``evaluate``)
 takes only the table, so the manifest, and the workspace the extraction
 ran in, can be let go before any [Q, G] buffer exists.  ``check_protocol``
@@ -87,14 +88,13 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _batches_of(manifest: Manifest, row_indices: list[int],
-                workspace: dc.Workspace | None = None):
+def _batches_of(manifest: Manifest, row_indices: list[int], workspace: dc.Workspace):
     """The rows' float64 pixel batches, each from one ``raster_batch`` that
-    decodes its rows from their files.  Given ``workspace``, each is written
-    into its kept buffer for the batch's shape, over the batch before it."""
+    decodes its rows from their files, and each written into ``workspace``'s
+    kept buffer for the batch's shape, over the batch before it."""
     for start in range(0, len(row_indices), EVAL_BATCH):
         rasters = manifest.raster_batch(row_indices[start : start + EVAL_BATCH])
-        yield unit_pixels(rasters, None if workspace is None else workspace.kept(rasters.shape))
+        yield unit_pixels(rasters, workspace.kept(rasters.shape))
 
 
 def _test_labels(manifest: Manifest) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -122,11 +122,10 @@ class FeatureTable:
 
 
 def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
-                       workspace: dc.Workspace | None = None) -> FeatureTable:
+                       workspace: dc.Workspace) -> FeatureTable:
     """Embed the test split, its pixel batches in ``workspace``'s kept
-    buffers when one is given (``train``'s, or the one ``eval`` opens for
-    the extraction).  Raises
-    ``NonFiniteEmbeddingError``, naming the first such image, when an
+    buffers (``train``'s, or the one ``eval`` opens for the extraction).
+    Raises ``NonFiniteEmbeddingError``, naming the first such image, when an
     identity embedding or its squared L2 norm is not finite:
     ``normalize_rows`` would turn it into zeros, and every distance into a
     tie."""

@@ -1,11 +1,13 @@
 """Minimal binary PPM (P6) and PGM (P5) reading and writing.
 
 Only 8-bit maxval-255 images are supported; headers may carry ``#``
-comments.  Pixels travel as uint8 arrays shaped [H, W, 3] for PPM and
-[H, W] for PGM.  Decoding copies no pixel: a decoded image is a read-only
-view of the bytes it was decoded from, so a caller that writes to it copies
-it first.  Files are read and written through ``os.read`` and ``os.write``
-on a raw descriptor, with no buffered file object.
+comments.  Whitespace or a comment must follow the magic number, and one
+whitespace byte must follow maxval, even before an empty raster.  Pixels
+travel as uint8 arrays shaped [H, W, 3] for PPM and [H, W] for PGM.
+Decoding copies no pixel: a decoded image is a read-only view of the bytes
+it was decoded from, so a caller that writes to it copies it first.  Files
+are read and written through ``os.read`` and ``os.write`` on a raw
+descriptor, with no buffered file object.
 """
 
 from __future__ import annotations
@@ -102,9 +104,15 @@ def _decode(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     held = max(len(data) - start, 0)
     if held < expected:
         raise PnmError(f"raster holds {held} bytes, expected {expected}")
+    # the separators are checked last, so a header with another fault is
+    # refused for that fault
+    separator = data[len(magic) : len(magic) + 1]
+    if not separator.isspace() and separator != b"#":
+        raise PnmError(f"no whitespace after {magic.decode()}")
+    if start > len(data):
+        raise PnmError("no whitespace after maxval")
     shape = (height, width) if channels == 1 else (height, width, channels)
-    # an empty raster may start one byte past the data's end
-    return np.ndarray(shape, _UINT8, data, start if expected else 0)
+    return np.ndarray(shape, _UINT8, data, start)
 
 
 def decode_ppm(data: bytes) -> np.ndarray:

@@ -37,7 +37,6 @@ import csv
 import hashlib
 import io
 import os
-import shutil
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -147,6 +146,8 @@ class GenConfig:
             )
         if not 0.0 <= self.noise_level < 0.2:
             raise GenConfigError(f"noise level {self.noise_level} outside [0, 0.2)")
+        if self.seed < 0:
+            raise GenConfigError(f"seed must be non-negative, got {self.seed}")
         self.split_counts()
 
     def split_counts(self) -> tuple[int, int]:
@@ -422,23 +423,14 @@ class Manifest:
         return rasters
 
 
-def generate_dataset(cfg: GenConfig, out_dir, *, overwrite: bool = False) -> Manifest:
-    """Render every sample, write images plus manifest, return the manifest."""
+def generate_dataset(cfg: GenConfig, out_dir) -> Manifest:
+    """Render every sample into ``out_dir``, which must be absent or empty,
+    write the manifest there and return it."""
     cfg.validate()
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not overwrite:
-        raise FileExistsError(
-            f"output directory {out} is not empty; pass overwrite to reuse it"
-        )
+    if out.exists() and any(out.iterdir()):
+        raise FileExistsError(f"output directory {out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    # a manifest from an earlier run must not outlive a rewrite that fails
-    # partway: it would vouch for a mix of old and new images
-    (out / MANIFEST_NAME).unlink(missing_ok=True)
-    # nor may a larger earlier dataset's images outlive a rewrite that does
-    # not overwrite them
-    images = out / "images"
-    if images.is_dir():
-        shutil.rmtree(images)
 
     n_train, _ = cfg.split_counts()
     rows: list[ManifestRow] = []

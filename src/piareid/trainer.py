@@ -5,9 +5,9 @@ prototype-bank losses partway through the run.
 Stage I trains the disentangling branch alone (classification plus the
 orthogonality penalty).  From ``stage2_start_epoch`` on, each batch also
 refreshes the per-identity prototype bank and adds the intra- and
-inter-modality prototype-contrastive terms.  ``stage_terms`` and
-``stage_loss`` are the one place that objective is built: the training loop
-and the ``stage1_loss``/``stage2_loss`` gradient checks call them, and
+inter-modality prototype-contrastive terms.  One ``stage_objective`` call
+returns a batch's terms and their total, so the two cannot disagree; the
+training loop and the ``stage1_loss``/``stage2_loss`` checks make it, and
 ``LossReport.expected_total`` re-verifies a logged total with the same
 weighting (``_combine``) from the per-iteration terms of the run's own log.
 
@@ -66,10 +66,6 @@ class InsufficientSamplesError(TrainerError):
 
 class MissingGradientError(TrainerError):
     """An optimizer step found a parameter without a gradient."""
-
-
-class StageTermMismatchError(TrainerError):
-    """Prototype-loss terms were supplied in the stage that excludes them."""
 
 
 @dataclass(frozen=True)
@@ -160,10 +156,9 @@ class AdamState:
     step_count: int = 0
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> None:
-    """One Adam update over every parameter; gradients must all be present."""
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One Adam update (``ADAM_*`` constants) over every parameter;
+    gradients must all be present."""
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise MissingGradientError(
@@ -175,11 +170,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
         grad = p.grad
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m[...] = beta1 * m + (1.0 - beta1) * grad
-        v[...] = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +295,6 @@ class StageTerms:
     inter_i: Tensor | None = None
 
 
-def stage_terms(cfg: TrainConfig, stage: int, f: Tensor, f_c: Tensor,
-                heads: encoder.ClassifierHeads, y_id: np.ndarray, y_clothing: np.ndarray,
-                batch: bpl.ModalityBatch, bank: bpl.PrototypeBank) -> StageTerms:
-    """One batch's loss terms under ``cfg``'s ``use_*`` switches.
-
-    Stage II adds the prototype terms, which read ``bank`` without changing
-    it; the caller absorbs ``batch`` into the bank first.
-    """
-    if cfg.use_dbdl:
-        ce_id, ce_clothing = dbdl.classification_loss(f, f_c, y_id, y_clothing, heads)
-        orth = dbdl.orthogonality_loss(f, f_c) if cfg.use_orth else None
-        terms = StageTerms(ce_id, ce_clothing, orth)
-    else:
-        terms = StageTerms(dbdl.cross_entropy(f, heads.id_weight, heads.id_bias, y_id))
-    if stage == 2 and cfg.use_intra:
-        terms.intra_v, terms.intra_i = bpl.intra_loss(batch, bank, tau=cfg.tau)
-    if stage == 2 and cfg.use_inter:
-        terms.inter_v, terms.inter_i = bpl.inter_loss(batch, bank, tau=cfg.tau)
-    return terms
-
-
 def _combine(terms, add, scale, lambda_orth: float, lambda_inter: float):
     """The objective's weighting rule, over tensors or over logged floats.
 
@@ -340,17 +314,29 @@ def _combine(terms, add, scale, lambda_orth: float, lambda_inter: float):
     return total
 
 
-def stage_loss(stage: int, terms: StageTerms, cfg: TrainConfig) -> Tensor:
-    """The weighted sum of the present terms (see ``_combine``).
+def stage_objective(cfg: TrainConfig, stage: int, f: Tensor, f_c: Tensor,
+                    heads: encoder.ClassifierHeads, y_id: np.ndarray,
+                    y_clothing: np.ndarray, batch: bpl.ModalityBatch,
+                    bank: bpl.PrototypeBank) -> tuple[Tensor, StageTerms]:
+    """One batch's total loss and the terms it sums, under ``cfg``'s
+    ``use_*`` switches and weighted by ``_combine``.
 
-    Prototype terms in Stage I are a caller bug and raise.
+    Stage II adds the prototype terms, which read ``bank`` without changing
+    it; the caller absorbs ``batch`` into the bank first.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
-    prototype_terms = (terms.intra_v, terms.intra_i, terms.inter_v, terms.inter_i)
-    if stage == 1 and any(t is not None for t in prototype_terms):
-        raise StageTermMismatchError("prototype losses are not part of stage 1")
-    return _combine(terms, dc.add, dc.scale, cfg.lambda_orth, cfg.lambda_inter)
+    if cfg.use_dbdl:
+        ce_id, ce_clothing = dbdl.classification_loss(f, f_c, y_id, y_clothing, heads)
+        orth = dbdl.orthogonality_loss(f, f_c) if cfg.use_orth else None
+        terms = StageTerms(ce_id, ce_clothing, orth)
+    else:
+        terms = StageTerms(dbdl.cross_entropy(f, heads.id_weight, heads.id_bias, y_id))
+    if stage == 2 and cfg.use_intra:
+        terms.intra_v, terms.intra_i = bpl.intra_loss(batch, bank, tau=cfg.tau)
+    if stage == 2 and cfg.use_inter:
+        terms.inter_v, terms.inter_i = bpl.inter_loss(batch, bank, tau=cfg.tau)
+    return _combine(terms, dc.add, dc.scale, cfg.lambda_orth, cfg.lambda_inter), terms
 
 
 @dataclass
@@ -374,7 +360,7 @@ class LossReport:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
     def expected_total(self, lambda_orth: float, lambda_inter: float) -> float:
-        """Recombine the logged terms exactly as ``stage_loss`` combines tensors."""
+        """Recombine the logged terms as ``stage_objective`` combines tensors."""
         return _combine(self, operator.add, operator.mul, lambda_orth, lambda_inter)
 
     @classmethod
@@ -432,8 +418,8 @@ def _step(cfg: TrainConfig, state: model_mod.ModelState, bank: bpl.PrototypeBank
         batch = bpl.ModalityBatch(f, y_id, is_visible)
         if stage == 2 and (cfg.use_intra or cfg.use_inter):
             bpl.absorb_batch(bank, batch)
-        terms = stage_terms(cfg, stage, f, f_c, state.heads, y_id, y_clothing, batch, bank)
-        total = stage_loss(stage, terms, cfg)
+        total, terms = stage_objective(cfg, stage, f, f_c, state.heads, y_id, y_clothing,
+                                       batch, bank)
     dc.backward(total, tape)
     params = state.named_parameters()
     adam_step(params, adam, lr)

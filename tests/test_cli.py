@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import shutil
 import struct
 import weakref
@@ -79,8 +81,19 @@ class TestGenData:
     def test_refuses_nonempty_output(self, tmp_path, capsys):
         target = tmp_path / "d"
         assert main(["gen-data", "--out", str(target)] + TINY_DATA) == EXIT_OK
+        capsys.readouterr()
         rc = main(["gen-data", "--out", str(target)] + TINY_DATA)
         assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "is not empty" in err
+        # any option the message tells the user to pass is one gen-data has
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {flag for action in sub.choices["gen-data"]._actions
+                 for flag in action.option_strings}
+        named = set(re.findall(r"--[\w-]+", err))
+        named |= {"--" + word for word in re.findall(r"\bpass (\w+)", err)}
+        assert named <= flags
 
     @pytest.mark.parametrize("flag, name", [
         ("--out", "a#b"), ("--out", "a\nb"), ("--out-dir", "a\rb"),

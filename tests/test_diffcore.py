@@ -834,15 +834,19 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
         assert y.grad is None
 
-    def test_nested_tapes_record_independently(self):
+    def test_second_tape_raises_and_the_first_still_records(self):
         x = dc.parameter(2.0)
         with dc.Tape() as outer:
             dc.mul(x, x)
-            with dc.Tape() as inner:
-                loss_inner = dc.scale(x, 3.0)
-            dc.backward(loss_inner, inner)
-        assert float(x.grad) == pytest.approx(3.0)
-        assert len(outer) == 1 and len(inner) == 1
+            with pytest.raises(dc.TapeError, match="already active"):
+                with dc.Tape():
+                    pass
+            assert dc.current_tape() is outer
+            loss = dc.scale(x, 3.0)
+        assert dc.current_tape() is None
+        assert len(outer) == 2
+        dc.backward(loss, outer)
+        assert float(x.grad) == 3.0
 
     def test_interior_tensors_keep_no_grad(self):
         x = dc.parameter([1.0, 2.0])

@@ -133,13 +133,10 @@ class TestHeads:
         heads = encoder.init_heads(rng, dim=10, num_identities=8, num_clothing_classes=16)
         assert heads.id_weight.shape == (10, 8)
         assert heads.clothing_weight.shape == (10, 16)
-        assert heads.num_identities == 8
-        assert heads.num_clothing_classes == 16
 
     def test_clothing_head_optional(self, rng):
         heads = encoder.init_heads(rng, dim=10, num_identities=8, num_clothing_classes=None)
-        assert heads.clothing_weight is None
-        assert heads.num_clothing_classes is None
+        assert heads.clothing_weight is None and heads.clothing_bias is None
 
     def test_backbone_gradients_reach_first_block(self, rng, params):
         x = dc.tensor(rng.random((2, 3, 64, 32)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from piareid import diffcore as dc
 from piareid import evalkit
 from piareid.diffcore import normalize_rows
 from piareid.evalkit import (
@@ -497,7 +498,8 @@ def tiny_state():
 
 class TestFeatureTable:
     def test_labels_equal_the_manifest_test_rows(self, tiny_manifest, tiny_state):
-        table = evalkit.test_feature_table(tiny_manifest, tiny_state)
+        with dc.Workspace() as workspace:
+            table = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
         rows = tiny_manifest.rows_for_split("test")
         picked = [tiny_manifest.rows[i] for i in rows]
         assert table.row_indices == rows
@@ -520,8 +522,9 @@ class TestFeatureTable:
             return features, clothing_features
 
         monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", spoiled)
-        with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
-            evalkit.test_feature_table(tiny_manifest, tiny_state)
+        with dc.Workspace() as workspace:
+            with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
+                evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
         first = tiny_manifest.rows[tiny_manifest.rows_for_split("test")[bad]]
         message = str(caught.value)
         assert str(tiny_manifest.base_dir / first.path) in message and what in message

@@ -135,6 +135,7 @@ class TestGenConfigValidation:
             {"split_ratio": "2"},
             {"split_ratio": "a:b"},
             {"split_ratio": "0:1"},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -498,36 +499,17 @@ class TestGenerateDataset:
         assert loaded.fingerprint == manifest.fingerprint == config_fingerprint(cfg)
         assert loaded.rows == manifest.rows
 
-    def test_refuses_nonempty_dir_without_overwrite(self, dataset):
-        cfg, _, out = dataset
-        with pytest.raises(FileExistsError):
-            generate_dataset(cfg, out)
-        generate_dataset(cfg, out, overwrite=True)
+    def test_refuses_nonempty_dir_without_overwrite(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept")
+        with pytest.raises(FileExistsError, match="is not empty"):
+            generate_dataset(GenConfig(**TINY, seed=5), tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
 
-    def test_failed_overwrite_leaves_no_manifest(self, tmp_path, monkeypatch):
-        generate_dataset(GenConfig(**TINY, seed=5), tmp_path)
-        write_ppm, calls = pnm.write_ppm, []
-
-        def failing(path, pixels):
-            calls.append(path)
-            if len(calls) == 4:
-                raise OSError(errno.ENOSPC, "no space left on device")
-            write_ppm(path, pixels)
-
-        monkeypatch.setattr(pnm, "write_ppm", failing)
-        with pytest.raises(OSError):
-            generate_dataset(GenConfig(**TINY, seed=6), tmp_path, overwrite=True)
-        # three images are seed 6 now; no manifest may vouch for them as seed 5
-        assert not (tmp_path / synthbench.MANIFEST_NAME).exists()
-        with pytest.raises(FileNotFoundError):
-            load_manifest(tmp_path)
-
-    def test_overwrite_leaves_no_earlier_image(self, tmp_path):
-        generate_dataset(GenConfig(**dict(TINY, n_identities=6), seed=5), tmp_path)
-        manifest = generate_dataset(GenConfig(**TINY, seed=5), tmp_path, overwrite=True)
-        files = {path.relative_to(tmp_path).as_posix()
-                 for path in tmp_path.rglob("*.ppm")}
-        assert files == {row.path for row in manifest.rows}
+    def test_negative_seed_fails_before_any_write(self, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(GenConfigError, match="seed"):
+            generate_dataset(GenConfig(**TINY, seed=-1), out)
+        assert not out.exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = GenConfig(**TINY, seed=5)

@@ -19,11 +19,10 @@ from piareid.trainer import (
     LossReport,
     MissingGradientError,
     StageTerms,
-    StageTermMismatchError,
     TrainConfig,
     adam_step,
     lr_at,
-    stage_loss,
+    stage_objective,
     train,
 )
 
@@ -215,13 +214,31 @@ def scalar(value):
     return dc.constant(np.array(float(value)))
 
 
-class TestStageLoss:
-    def make_cfg(self):
-        return TrainConfig(lambda_orth=0.5, lambda_inter=1.5)
+def combine(terms):
+    """The weighted sum ``stage_objective`` takes of ``terms``, with
+    lambda_orth 0.5 and lambda_inter 1.5."""
+    return trainer._combine(terms, dc.add, dc.scale, 0.5, 1.5)
 
+
+def objective_inputs(rng, n_ids=2, dim=6):
+    """Embeddings, heads, labels, and a bank that has absorbed the batch:
+    what one ``stage_objective`` call reads."""
+    f = dc.tensor(rng.normal(size=(2 * n_ids, dim)))
+    f_c = dc.tensor(rng.normal(size=(2 * n_ids, dim)))
+    heads = encoder.init_heads(rng, dim=dim, num_identities=n_ids,
+                               num_clothing_classes=n_ids + 1)
+    y_id = np.tile(np.arange(n_ids), 2)
+    batch = bpl.ModalityBatch(f, y_id, np.repeat([True, False], n_ids))
+    bank = bpl.PrototypeBank.create(n_ids, dim)
+    bpl.absorb_batch(bank, batch)
+    y_clothing = np.arange(2 * n_ids) % (n_ids + 1)
+    return f, f_c, heads, y_id, y_clothing, batch, bank
+
+
+class TestStageLoss:
     def test_stage1_weighted_sum(self):
         terms = StageTerms(ce_id=scalar(1.0), ce_clothing=scalar(0.5), orth=scalar(0.2))
-        total = stage_loss(1, terms, self.make_cfg())
+        total = combine(terms)
         assert float(total.data) == pytest.approx(1.0 + 0.5 + 0.5 * 0.2, abs=1e-15)
 
     def test_stage2_adds_prototype_terms(self):
@@ -234,22 +251,22 @@ class TestStageLoss:
             inter_v=scalar(0.1),
             inter_i=scalar(0.2),
         )
-        total = stage_loss(2, terms, self.make_cfg())
+        total = combine(terms)
         expected = 1.0 + 0.5 + 0.5 * 0.2 + (0.3 + 0.4) + 1.5 * (0.1 + 0.2)
         assert float(total.data) == pytest.approx(expected, abs=1e-15)
 
     def test_ce_only(self):
-        total = stage_loss(1, StageTerms(ce_id=scalar(2.0)), self.make_cfg())
-        assert float(total.data) == 2.0
-
-    def test_prototype_terms_in_stage1_raise(self):
-        terms = StageTerms(ce_id=scalar(1.0), intra_v=scalar(0.1), intra_i=scalar(0.1))
-        with pytest.raises(StageTermMismatchError):
-            stage_loss(1, terms, self.make_cfg())
+        assert float(combine(StageTerms(ce_id=scalar(2.0))).data) == 2.0
+        # the base preset's objective is its identity cross-entropy alone
+        cfg = TrainConfig(**config.ABLATION_PRESETS["base"])
+        for stage in (1, 2):
+            total, terms = stage_objective(cfg, stage,
+                                           *objective_inputs(np.random.default_rng(4)))
+            assert total is terms.ce_id
 
     def test_unknown_stage_raises(self):
-        with pytest.raises(ValueError):
-            stage_loss(3, StageTerms(ce_id=scalar(1.0)), self.make_cfg())
+        with pytest.raises(ValueError, match="stage must be 1 or 2"):
+            stage_objective(TrainConfig(), 3, *objective_inputs(np.random.default_rng(4)))
 
 
 # which StageTerms fields each ablation preset sets, per stage
@@ -265,25 +282,19 @@ PRESET_TERMS = {
 @pytest.mark.parametrize("stage", [1, 2])
 @pytest.mark.parametrize("preset", list(config.ABLATION_PRESETS))
 def test_stage_terms_follow_switches(preset, stage):
-    rng = np.random.default_rng(11)
-    cfg = TrainConfig(**config.ABLATION_PRESETS[preset])
-    f = dc.tensor(rng.normal(size=(4, 6)))
-    f_c = dc.tensor(rng.normal(size=(4, 6)))
-    heads = encoder.init_heads(rng, dim=6, num_identities=2, num_clothing_classes=3)
-    y_id = np.array([0, 1, 0, 1])
-    batch = bpl.ModalityBatch(f, y_id, np.array([True, True, False, False]))
-    bank = bpl.PrototypeBank.create(2, 6)
-    bpl.absorb_batch(bank, batch)
+    # lambdas other than 1, so a total that skipped a weight would differ
+    cfg = TrainConfig(**config.ABLATION_PRESETS[preset], lambda_orth=0.5, lambda_inter=1.5)
+    f, f_c, heads, y_id, y_clothing, batch, bank = objective_inputs(
+        np.random.default_rng(11))
     before = bank.protos_v.copy(), bank.protos_i.copy(), bank.iteration
-    terms = trainer.stage_terms(cfg, stage, f, f_c, heads, y_id, np.array([0, 1, 2, 0]),
-                                batch, bank)
+    total, terms = stage_objective(cfg, stage, f, f_c, heads, y_id, y_clothing, batch, bank)
     always, prototype = PRESET_TERMS[preset]
     expected = always | (prototype if stage == 2 else set())
     assert {name for name, t in vars(terms).items() if t is not None} == expected
+    assert total.data.tobytes() == combine(terms).data.tobytes()
     np.testing.assert_array_equal(bank.protos_v, before[0])
     np.testing.assert_array_equal(bank.protos_i, before[1])
     assert bank.iteration == before[2]
-    stage_loss(stage, terms, cfg)
 
 
 class TestLossReport:
@@ -291,14 +302,13 @@ class TestLossReport:
         # the optional terms, grouped as they are switched on together
         groups = [dict(ce_clothing=0.7), dict(orth=0.3),
                   dict(intra_v=0.2, intra_i=0.25), dict(inter_v=0.05, inter_i=0.06)]
-        cfg = TrainConfig(lambda_orth=0.5, lambda_inter=1.5)
         for size in range(len(groups) + 1):
             for present in itertools.combinations(groups, size):
                 values = {"ce_id": 1.1}
                 for group in present:
                     values.update(group)
                 terms = StageTerms(**{name: scalar(v) for name, v in values.items()})
-                total = stage_loss(2, terms, cfg)
+                total = combine(terms)
                 report = LossReport.from_terms(3, 7, 2, 1e-3, total, terms)
                 assert report.epoch == 3 and report.iteration == 7 and report.stage == 2
                 assert list(report.to_dict()) == [
