@@ -111,7 +111,6 @@ class ModalityBatch:
         self.ids = ids
         self.is_visible = is_visible
         self.identities = vis_ids
-        self.instances_per_identity = int(vis_counts[0])
 
     def modality_rows(self, modality: str) -> np.ndarray:
         if modality == VISIBLE:

@@ -54,7 +54,7 @@ class RunConfig(trainer.TrainConfig, synthbench.GenConfig):
         try:
             self.gen_config().validate()
             self.train_config().validate()
-        except (synthbench.GenConfigError, trainer.TrainerError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def with_ablation(self, preset: str) -> "RunConfig":

@@ -94,6 +94,10 @@ _BODY_LEVELS = {
     INFRARED: (float(_BACKGROUND.mean()), _IR_BODY, _IR_BODY),
 }
 
+#: Largest canvas side ``GenConfig`` accepts, 32 times the default width; far
+#: beyond it ``render_sample`` would fail with part of the dataset written.
+MAX_IMAGE_SIDE = 1024
+
 _STREAM_IDENTITY = 101
 _STREAM_OUTFIT = 202
 _STREAM_IMAGE = 303
@@ -126,10 +130,10 @@ class GenConfig:
             )
         if self.images_per_identity_per_modality < 1:
             raise GenConfigError("need at least one image per identity per modality")
-        if self.image_height < 16 or self.image_width < 8:
-            raise GenConfigError(
-                f"canvas {self.image_height}x{self.image_width} is too small to render"
-            )
+        if not (16 <= self.image_height <= MAX_IMAGE_SIDE
+                and 8 <= self.image_width <= MAX_IMAGE_SIDE):
+            raise GenConfigError(f"canvas {self.image_height}x{self.image_width} is outside "
+                                 f"16x8 to {MAX_IMAGE_SIDE}x{MAX_IMAGE_SIDE}")
         if self.outfits_per_identity < 2:
             raise GenConfigError(
                 f"need at least 2 outfits per identity, got {self.outfits_per_identity}"

@@ -11,24 +11,26 @@ training loop and the ``stage1_loss``/``stage2_loss`` checks make it, and
 ``LossReport.expected_total`` re-verifies a logged total with the same
 weighting (``_combine``) from the per-iteration terms of the run's own log.
 
+``TrainRun`` owns all that carries a run from one epoch to the next: the
+model, bank, Adam moments, rng, sampler queues, label remaps and epoch
+records.  Building it does every check and the set-up, ``epoch`` runs the
+next epoch and ``finish`` writes the output files; ``train`` is that loop.
 ``_step`` runs one batch on a tape of its own: forward, ``bpl.absorb_batch``
 when a prototype term is on in Stage II, the terms, backward, ``adam_step``.
-``train`` keeps sampling, flips, label remaps, the per-epoch record and the
-output files.  It extracts the test split at most once per epoch, in the last
-Stage-I epoch of a dual-branch model (for ``val_abs_cos``, the mean
-|cos(f, f_c)|) and in every ``eval_every``-th epoch (for the retrieval
-report).
+An epoch extracts the test split at most once: in the last Stage-I epoch of
+a dual-branch model (for ``val_abs_cos``, the mean |cos(f, f_c)|) and in
+every ``eval_every``-th epoch (for the retrieval report).
 
 A steady-state step allocates none of its large arrays afresh.  ``train``
-runs its epochs inside a ``diffcore.Workspace``: each taped conv's ``cols``
-comes from it and goes back as backward releases the conv's node, a tapeless
-conv of the test-split extraction returns its buffer as soon as it has run,
-and ``train`` hands ``unit_pixels`` the one buffer the workspace keeps for a
-batch's shape, so every pixel batch, the steps' and the extraction's, is
-converted there.  So a step after the first epoch takes almost no page
-faults, whether or not glibc malloc trimmed the heap in between.  The
-buffers go when ``train`` returns or raises.  ``eval`` runs its extraction
-in a workspace of its own the same way, and lets it go before ranking.
+runs every epoch in one ``diffcore.Workspace``, passed to ``epoch``: each
+taped conv's ``cols`` comes from it and goes back as backward releases the
+conv's node, a tapeless conv of the test-split extraction returns its buffer
+at once, and ``unit_pixels`` converts every pixel batch, the steps' and the
+extraction's, into the one buffer the workspace keeps for a batch's shape.
+So a step after the first epoch takes almost no page faults, whether or not
+glibc malloc trimmed the heap in between.  The buffers go when ``train``
+returns or raises.  ``eval`` extracts in a workspace of its own, gone before
+ranking.
 """
 
 from __future__ import annotations
@@ -377,16 +379,6 @@ class LossReport:
 # training
 
 
-@dataclass
-class TrainResult:
-    state: model_mod.ModelState
-    bank: bpl.PrototypeBank
-    config: TrainConfig
-    epoch_records: list[dict]
-    checkpoint_path: Path | None = None
-    log_path: Path | None = None
-
-
 def _dense_remap(labels: list[int], kind: str) -> dict[int, int]:
     distinct = sorted(set(labels))
     if not distinct:
@@ -403,16 +395,89 @@ def _epoch_means(reports: list[LossReport]) -> dict[str, float]:
     return means
 
 
-def _step(cfg: TrainConfig, state: model_mod.ModelState, bank: bpl.PrototypeBank,
-          adam: AdamState, pixels: np.ndarray, y_id: np.ndarray,
-          y_clothing: np.ndarray, is_visible: np.ndarray, epoch: int, iteration: int,
-          stage: int, lr: float) -> LossReport:
-    """One optimizer step on one assembled batch; returns its logged scalars.
+class TrainRun:
+    """One training run's state, from before its first step to its outputs.
 
-    The step records on a tape of its own, and backward frees that tape's
-    activations as it walks them, so nothing of the step but the returned
-    scalars, the updated weights and the bank outlives the call.
+    It holds neither manifest nor workspace, so a ``copy.deepcopy`` between
+    epochs continues exactly as the original would.  Building it raises every
+    set-up error, e.g. the test split's ``evalkit.ProtocolError`` when any
+    epoch evaluates, before a step runs."""
+
+    checkpoint_path: Path | None = None
+    log_path: Path | None = None
+
+    def __init__(self, manifest: Manifest, cfg: TrainConfig):
+        cfg.validate()
+        self.sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
+        if cfg.eval_every and cfg.eval_every <= cfg.epochs:  # some epoch evaluates
+            evalkit.check_protocol(manifest)
+        train_rows = [manifest.rows[i] for i in manifest.rows_for_split(SPLIT_TRAIN)]
+        self.id_remap = _dense_remap([row.identity for row in train_rows], "identity")
+        self.clothing_remap = _dense_remap([row.clothing for row in train_rows], "clothing")
+        self.config = cfg
+        self.state = model_mod.build_model(cfg.model_config(len(self.id_remap),
+                                                            len(self.clothing_remap)))
+        self.bank = bpl.PrototypeBank.create(len(self.id_remap), self.state.cfg.embedding_dim,
+                                             alpha=cfg.alpha)
+        self.adam = AdamState()
+        self.rng = np.random.default_rng([cfg.seed, 1])
+        self.epoch_records: list[dict] = []
+
+    def epoch(self, manifest: Manifest, workspace: dc.Workspace) -> None:
+        """Run the next epoch's steps, then its probe and eval, and append its record."""
+        cfg, epoch, sampler, rng = self.config, len(self.epoch_records), self.sampler, self.rng
+        stage = 2 if epoch >= cfg.stage2_start_epoch else 1
+        lr = lr_at(epoch, cfg)
+        reports: list[LossReport] = []
+        for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
+            rows, raw_ids, is_visible = sampler.assemble(group, rng)
+            flips = rng.random(len(rows)) < cfg.flip_probability
+            rasters = manifest.raster_batch(rows, flips)
+            pixels = unit_pixels(rasters, workspace.kept(rasters.shape))
+            y_id = np.array([self.id_remap[i] for i in raw_ids])
+            y_clothing = np.array([self.clothing_remap[manifest.rows[i].clothing] for i in rows])
+            reports.append(_step(self, pixels, y_id, y_clothing, is_visible, iteration, stage, lr))
+        # the first epoch that absorbs batches must reach every identity
+        if self.bank.iteration and not self.bank.fully_initialized:
+            raise TrainerError("prototype bank not fully initialized after the first prototype-"
+                               "stage epoch; the sampler did not reach every identity")
+        record: dict = {"epoch": epoch, "stage": stage, "lr": lr,
+                        "iterations": [r.to_dict() for r in reports],
+                        "means": _epoch_means(reports)}
+        # the probe runs in the last Stage-I epoch
+        probe_due = cfg.use_dbdl and epoch == min(cfg.stage2_start_epoch, cfg.epochs) - 1
+        eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
+        if probe_due or eval_due:
+            table = evalkit.test_feature_table(manifest, self.state, workspace)
+            if probe_due:
+                record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
+                                                             table.clothing_features)
+            if eval_due:
+                record["eval"] = {direction: report.to_dict() for direction, report
+                                  in evalkit.evaluate(table).items()}
+        self.epoch_records.append(record)
+
+    def finish(self, out_dir: str | Path) -> None:
+        """Write ``checkpoint.bin`` and ``train_log.jsonl`` into ``out_dir``."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        self.checkpoint_path = out / "checkpoint.bin"
+        checkpoint.save(self.checkpoint_path, self.state, self.bank,
+                        model_mod.model_config_text(self.state.cfg))
+        self.log_path = out / "train_log.jsonl"
+        lines = "".join(json.dumps(record, sort_keys=False) + "\n"
+                        for record in self.epoch_records)
+        fileio.write_atomic(self.log_path, lines.encode("utf-8"))
+
+
+def _step(run: TrainRun, pixels: np.ndarray, y_id: np.ndarray, y_clothing: np.ndarray,
+          is_visible: np.ndarray, iteration: int, stage: int, lr: float) -> LossReport:
+    """One optimizer step of ``run``'s current epoch; returns its logged scalars.
+
+    Backward frees the step's own tape as it walks it, so nothing of the step
+    but those scalars and the run's weights, Adam moments and bank outlives it.
     """
+    cfg, state, bank = run.config, run.state, run.bank
     with dc.Tape() as tape:
         f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
         batch = bpl.ModalityBatch(f, y_id, is_visible)
@@ -422,87 +487,19 @@ def _step(cfg: TrainConfig, state: model_mod.ModelState, bank: bpl.PrototypeBank
                                        batch, bank)
     dc.backward(total, tape)
     params = state.named_parameters()
-    adam_step(params, adam, lr)
+    adam_step(params, run.adam, lr)
     dc.zero_grads(params.values())
-    return LossReport.from_terms(epoch, iteration, stage, lr, total, terms)
+    return LossReport.from_terms(len(run.epoch_records), iteration, stage, lr, total, terms)
 
 
-def train(manifest: Manifest, cfg: TrainConfig,
-          out_dir: str | Path | None = None) -> TrainResult:
-    """Run the full two-stage schedule over the manifest's training split.
-
-    Writes ``checkpoint.bin`` and ``train_log.jsonl`` into ``out_dir`` when
-    given.  Identical manifest + config reproduce the run bit-for-bit.  A
-    test split that cannot form the eval protocol raises its
-    ``evalkit.ProtocolError`` before the first step when any epoch evaluates.
-    """
-    cfg.validate()
-    sampler = BalancedSampler(manifest, cfg.ids_per_batch, cfg.instances_per_modality)
-    if cfg.eval_every and cfg.eval_every <= cfg.epochs:  # some epoch evaluates
-        evalkit.check_protocol(manifest)
-    train_rows = manifest.rows_for_split(SPLIT_TRAIN)
-    id_remap = _dense_remap([manifest.rows[i].identity for i in train_rows], "identity")
-    clothing_remap = _dense_remap([manifest.rows[i].clothing for i in train_rows], "clothing")
-
-    model_cfg = cfg.model_config(len(id_remap), len(clothing_remap))
-    state = model_mod.build_model(model_cfg)
-    bank = bpl.PrototypeBank.create(len(id_remap), model_cfg.embedding_dim, alpha=cfg.alpha)
-    adam = AdamState()
-    rng = np.random.default_rng([cfg.seed, 1])
-    stage1_end_epoch = min(cfg.stage2_start_epoch, cfg.epochs) - 1
-
-    epoch_records: list[dict] = []
+def train(manifest: Manifest, cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainRun:
+    """Run the full two-stage schedule over the manifest's training split, and
+    ``finish`` into ``out_dir`` when given.  Identical manifest + config
+    reproduce the run bit-for-bit."""
+    run = TrainRun(manifest, cfg)
     with dc.Workspace() as workspace:
-        for epoch in range(cfg.epochs):
-            stage = 2 if epoch >= cfg.stage2_start_epoch else 1
-            lr = lr_at(epoch, cfg)
-            reports: list[LossReport] = []
-            for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
-                rows, raw_ids, is_visible = sampler.assemble(group, rng)
-                flips = rng.random(len(rows)) < cfg.flip_probability
-                rasters = manifest.raster_batch(rows, flips)
-                pixels = unit_pixels(rasters, workspace.kept(rasters.shape))
-                y_id = np.array([id_remap[i] for i in raw_ids])
-                y_clothing = np.array([clothing_remap[manifest.rows[i].clothing]
-                                       for i in rows])
-                reports.append(_step(cfg, state, bank, adam, pixels, y_id, y_clothing,
-                                     is_visible, epoch, iteration, stage, lr))
-
-            # the first epoch that absorbs batches must reach every identity
-            if bank.iteration and not bank.fully_initialized:
-                raise TrainerError(
-                    "prototype bank not fully initialized after the first "
-                    "prototype-stage epoch; the sampler did not reach every identity"
-                )
-            record: dict = {
-                "epoch": epoch,
-                "stage": stage,
-                "lr": lr,
-                "iterations": [r.to_dict() for r in reports],
-                "means": _epoch_means(reports),
-            }
-            probe_due = cfg.use_dbdl and epoch == stage1_end_epoch
-            eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
-            if probe_due or eval_due:
-                table = evalkit.test_feature_table(manifest, state, workspace)
-                if probe_due:
-                    record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
-                                                                 table.clothing_features)
-                if eval_due:
-                    record["eval"] = {direction: report.to_dict() for direction, report
-                                      in evalkit.evaluate(table).items()}
-            epoch_records.append(record)
-
-    result = TrainResult(state=state, bank=bank, config=cfg, epoch_records=epoch_records)
+        for _ in range(cfg.epochs):
+            run.epoch(manifest, workspace)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.checkpoint_path = out / "checkpoint.bin"
-        checkpoint.save(
-            result.checkpoint_path, state, bank,
-            model_mod.model_config_text(model_cfg),
-        )
-        result.log_path = out / "train_log.jsonl"
-        lines = "".join(json.dumps(record, sort_keys=False) + "\n" for record in epoch_records)
-        fileio.write_atomic(result.log_path, lines.encode("utf-8"))
-    return result
+        run.finish(out_dir)
+    return run

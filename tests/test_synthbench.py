@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from piareid import pnm, synthbench
 from piareid.synthbench import (
+    MAX_IMAGE_SIDE,
     GenConfig,
     GenConfigError,
     ManifestError,
@@ -136,6 +137,8 @@ class TestGenConfigValidation:
             {"split_ratio": "a:b"},
             {"split_ratio": "0:1"},
             {"seed": -1},
+            {"image_height": MAX_IMAGE_SIDE + 1},
+            {"image_width": MAX_IMAGE_SIDE + 1},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -506,10 +509,14 @@ class TestGenerateDataset:
         assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_negative_seed_fails_before_any_write(self, tmp_path):
+        # a huge canvas fails the same way, before render_sample allocates it
         out = tmp_path / "d"
-        with pytest.raises(GenConfigError, match="seed"):
-            generate_dataset(GenConfig(**TINY, seed=-1), out)
-        assert not out.exists()
+        for overrides, match in (({"seed": -1}, "seed"),
+                                 ({"image_height": 100_000_000}, "canvas"),
+                                 ({"image_width": 100_000_000}, "canvas")):
+            with pytest.raises(GenConfigError, match=match):
+                generate_dataset(GenConfig(**{**TINY, **overrides}), out)
+            assert not out.exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = GenConfig(**TINY, seed=5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import os
@@ -20,6 +21,7 @@ from piareid.trainer import (
     MissingGradientError,
     StageTerms,
     TrainConfig,
+    TrainRun,
     adam_step,
     lr_at,
     stage_objective,
@@ -450,3 +452,51 @@ class TestTrainLoop:
         with pytest.raises(InsufficientSamplesError):
             train(manifest, tiny_train_config(instances_per_modality=3,
                                               ids_per_batch=2))
+
+
+# two iterations per epoch on this manifest, so each Stage-II epoch absorbs two batches
+@pytest.mark.parametrize("stage2_start_epoch, stages, probe_epoch, bank_iteration, initialized", [
+    (0, (2, 2), None, 4, True),  # prototype stage from the start: no Stage-I end to probe
+    (1, (1, 2), 0, 2, True),
+    (2, (1, 1), 1, 0, False),  # the switch is at the last epoch boundary: never reached
+    (5, (1, 1), 1, 0, False),  # past the end: the probe still runs in the last epoch
+])
+def test_schedule_edges(manifest, stage2_start_epoch, stages, probe_epoch, bank_iteration,
+                        initialized):
+    result = train(manifest, tiny_train_config(stage2_start_epoch=stage2_start_epoch))
+    assert tuple(record["stage"] for record in result.epoch_records) == stages
+    probed = [record["epoch"] for record in result.epoch_records if "val_abs_cos" in record]
+    assert probed == ([] if probe_epoch is None else [probe_epoch])
+    assert result.bank.iteration == bank_iteration
+    assert result.bank.fully_initialized == initialized
+
+
+RESUME_EPOCHS = 3
+
+
+@pytest.fixture(scope="module")
+def resume_outputs(manifest, tmp_path_factory):
+    """An uninterrupted run's output bytes, for the deep-copy test."""
+    out = tmp_path_factory.mktemp("uninterrupted")
+    train(manifest, tiny_train_config(epochs=RESUME_EPOCHS, eval_every=2), out_dir=out)
+    return {name: (out / name).read_bytes() for name in ("checkpoint.bin", "train_log.jsonl")}
+
+
+@pytest.mark.parametrize("k", range(RESUME_EPOCHS))
+def test_deep_copy_after_epoch_k_continues_bit_exactly(manifest, resume_outputs, tmp_path, k):
+    """A copy taken after epoch k and the original each finish as one run.
+
+    The original runs to the end first, so any loop state kept outside the
+    run object would already have moved on when the copy continues."""
+    run = TrainRun(manifest, tiny_train_config(epochs=RESUME_EPOCHS, eval_every=2))
+    with dc.Workspace() as workspace:
+        for _ in range(k + 1):
+            run.epoch(manifest, workspace)
+    twin = copy.deepcopy(run)
+    for name, each in (("original", run), ("copy", twin)):
+        with dc.Workspace() as workspace:
+            while len(each.epoch_records) < RESUME_EPOCHS:
+                each.epoch(manifest, workspace)
+        each.finish(tmp_path / name)
+        for file, expected in resume_outputs.items():
+            assert (tmp_path / name / file).read_bytes() == expected, (name, file)
