@@ -15,14 +15,20 @@ time into the kept buffers of the ``diffcore.Workspace`` its caller must
 pass, and copies each row's identity, clothing and modality label onto the
 ``FeatureTable``.  Every later step (``protocol_from_table``, ``evaluate``)
 takes only the table, so the manifest, and the workspace the extraction
-ran in, can be let go before any [Q, G] buffer exists.  ``check_protocol``
+ran in, can be let go before any distance is made.  ``check_protocol``
 raises a protocol's ``ProtocolError`` from the labels alone, before any
 extraction.
 
-Each direction holds one [Q, G] distance buffer.  ``rank`` reads it first;
-``distance_stats`` then overwrites it, compacting the negatives into its
-prefix.  Any later ranking of a direction (the clothes-changing one, say)
-must run before ``distance_stats``.
+No direction's [Q, G] distances exist at once.  ``report_from_set`` makes
+them one block of ``ROW_BLOCK`` query rows at a time, into one reused
+[ROW_BLOCK, G] buffer, in two passes: the first ranks each block's
+positives and sums its distances, the second makes each block again and
+sums the squared deviations from those means.  The sums are
+``PairwiseSum`` streams, which add values in numpy's own pairwise order, so
+each statistic equals numpy's mean or std over the whole matrix bit for bit.
+A further ranking of a direction (the clothes-changing one, say) masks its
+gallery items inside the first pass's blocks.  Eval memory is O(ROW_BLOCK·G),
+not O(Q·G).
 """
 
 from __future__ import annotations
@@ -41,8 +47,13 @@ DIRECTION_I2V = "i2v"
 DIRECTIONS = (DIRECTION_V2I, DIRECTION_I2V)
 
 EVAL_BATCH = 64
-# distances moved per step when distance_stats compacts the negatives
-COMPACT_CHUNK = 1 << 16
+# query rows whose distances to the gallery exist at once while a direction
+# is ranked and summarised
+ROW_BLOCK = 128
+# values a PairwiseSum holds and reduces at a time, a node of numpy's
+# pairwise tree: 64 KB, since 2**16-value buffers left train_full's peak
+# RSS up to 1 MB higher
+SUM_NODE = 1 << 13
 
 
 class ProtocolError(ValueError):
@@ -185,10 +196,19 @@ def protocol_from_table(table: FeatureTable, direction: str) -> RetrievalSet:
     )
 
 
-def distance_matrix(retrieval: RetrievalSet) -> np.ndarray:
-    """Cosine distances in [0, 2]: 1 - q . g on normalized rows, written over
-    the product, so the result is the only [Q, G] array made."""
-    products = retrieval.query_features @ retrieval.gallery_features.T
+def distance_matrix(retrieval: RetrievalSet, rows: slice = slice(None),
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Cosine distances in [0, 2] of the query rows ``rows`` to the gallery:
+    1 - q . g on normalized rows, written over the product, which goes into
+    ``out`` when it is given.
+
+    OpenBLAS picks its kernel path from the operands' shapes, so the last
+    bits of a block's product follow that block's own call: they can differ
+    from the same rows of the whole [Q, G] product (by at most about 1e-14).
+    A caller that needs a block twice makes it twice with the same call.
+    """
+    products = np.matmul(retrieval.query_features[rows], retrieval.gallery_features.T,
+                         out=out)
     return np.subtract(1.0, products, out=products)
 
 
@@ -202,7 +222,8 @@ def rank(distances: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a lower gallery index.  Rows are sorted one at a time, so no sorted
     [Q, G] copy exists; ``distances`` is only read.
     """
-    rows, cols = np.nonzero(same)
+    # np.nonzero(same), by way of the flat indices: about ten times as fast
+    rows, cols = np.divmod(np.flatnonzero(same), same.shape[1])
     values = distances[rows, cols]
     bounds = np.searchsorted(rows, np.arange(same.shape[0] + 1)).tolist()
     ranks = np.empty(rows.size, dtype=np.intp)
@@ -240,62 +261,126 @@ def mean_ap(rows: np.ndarray, ranks: np.ndarray, num_query: int) -> float:
     return float(ap.mean())
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    """``values.mean()`` and ``values.std()`` bit for bit, by numpy's own steps
-    (a keepdims sum over n, subtract, square, sum over n, sqrt), but with the
-    deviations written over ``values``."""
-    mean = np.add.reduce(values, keepdims=True)
-    mean /= values.size
-    np.subtract(values, mean, out=values)
-    np.square(values, out=values)
-    return float(mean[0]), float(np.sqrt(np.add.reduce(values) / values.size))
+class PairwiseSum:
+    """``np.add.reduce`` of ``size`` float64 values that arrive in order, in
+    chunks of any size, bit for bit, while at most ``SUM_NODE`` of them are
+    held.
 
-
-def distance_stats(distances: np.ndarray, same: np.ndarray) -> dict[str, float]:
-    """Distance mean/std over all pairs, split by identity match.
-
-    Consumes ``distances``: the positives are gathered into their own array,
-    then the negatives are compacted, in order, into a prefix of the same
-    buffer, ``COMPACT_CHUNK`` at a time (the write position never passes the
-    read position), and their deviations are taken there in place.  So the
-    buffer holds no distances afterwards, and ``rank`` and any other ranking
-    must read it first.  The values equal numpy's ``.mean()`` and ``.std()``
-    of ``distances[same]`` and ``distances[~same]`` bit for bit.
+    numpy sums a contiguous float64 array with one pairwise tree: a node of
+    more than 128 values splits at ``n2 = n//2 - (n//2) % 8`` and adds its
+    two halves' sums.  So a node of at most ``SUM_NODE`` values is exactly
+    one ``np.add.reduce`` of those values: the stream reduces each such node
+    straight from a chunk that holds all of it, or else from a buffer it
+    fills across chunks, and adds the node sums up the same splits.
+    ``np.add.reduce`` starts from +0.0, which can only turn a node sum of
+    -0.0 into +0.0; the total is the same either way.
     """
-    pos_mean, pos_std = _mean_std(distances[same])
-    flat, same_flat = distances.reshape(-1), same.reshape(-1)
-    end = 0
-    for start in range(0, flat.size, COMPACT_CHUNK):
-        stop = start + COMPACT_CHUNK
-        kept = flat[start:stop][~same_flat[start:stop]]
-        flat[end : end + kept.size] = kept
-        end += kept.size
-    neg_mean, neg_std = _mean_std(flat[:end]) if end else (0.0, 0.0)
-    return {
-        "pos_dist_mean": pos_mean,
-        "pos_dist_std": pos_std,
-        "neg_dist_mean": neg_mean,
-        "neg_dist_std": neg_std,
-    }
+
+    def __init__(self, size: int):
+        self.size = size
+        self._nodes: list[int] = []  # the tree's nodes of at most SUM_NODE values
+        pending = [size]
+        while pending:
+            n = pending.pop()
+            if n <= SUM_NODE:
+                self._nodes.append(n)
+            else:
+                half = n // 2 - (n // 2) % 8
+                pending += [n - half, half]  # the left half is reduced first
+        self._sums: list[np.float64] = []
+        self._buffer = np.empty(max(self._nodes))
+        self._filled = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Append the 1-D ``values`` to the stream."""
+        while values.size:
+            node = self._nodes[len(self._sums)]
+            if not self._filled and values.size >= node:  # a whole node: no copy
+                self._sums.append(np.add.reduce(values[:node]))
+                values = values[node:]
+                continue
+            taken = values[: node - self._filled]
+            self._buffer[self._filled : self._filled + taken.size] = taken
+            self._filled += taken.size
+            values = values[taken.size :]
+            if self._filled == node:
+                self._sums.append(np.add.reduce(self._buffer[:node]))
+                self._filled = 0
+
+    def total(self) -> float:
+        """The sum of all ``size`` values, once every one has been added."""
+        if not self.size:
+            return 0.0
+        sums = iter(self._sums)
+
+        def node(n: int):
+            if n <= SUM_NODE:
+                return next(sums)
+            half = n // 2 - (n // 2) % 8
+            return node(half) + node(n - half)
+
+        return float(node(self.size))
 
 
 def report_from_set(retrieval: RetrievalSet) -> EvalReport:
-    """The report of one direction, from its one [Q, G] distance buffer.
+    """The report of one direction, made from its distances one block of
+    ``ROW_BLOCK`` query rows at a time, so no [Q, G] array exists.
 
-    ``rank`` reads the buffer, then ``distance_stats`` overwrites it; a later
-    ranking of this direction (the clothes-changing one, say) must also run
-    before ``distance_stats``.  The retrieval set's arrays are not modified.
+    Pass 1 makes each block's distances and its identity mask ``same``,
+    ranks the block's positives with ``rank``, and streams its positive and
+    its negative distances, in row-major order, into one ``PairwiseSum``
+    each.  Pass 2 makes each block again, by the same call, and streams the
+    squared deviations from those means.  So the statistics equal numpy's
+    ``.mean()`` and ``.std()`` of ``distances[same]`` and
+    ``distances[~same]`` of the whole matrix bit for bit.  A further
+    ranking of a direction (the clothes-changing one, say) masks its
+    gallery items inside pass 1's blocks.  The retrieval set's arrays are
+    not modified.
     """
-    same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
-    num_query, num_gallery = same.shape
-    unmatched = num_query - int(same.any(axis=1).sum())
+    query_ids, gallery_ids = retrieval.query_identities, retrieval.gallery_identities
+    num_query, num_gallery = query_ids.size, gallery_ids.size
+    labels, gallery_codes, counts = np.unique(gallery_ids, return_inverse=True,
+                                              return_counts=True)
+    unmatched = num_query - int(np.isin(query_ids, labels).sum())
     if unmatched:
         raise ProtocolError(
             f"{unmatched} of {num_query} queries have no same-identity gallery item"
         )
-    distances = distance_matrix(retrieval)  # the direction's one [Q, G] buffer
-    rows, ranks = rank(distances, same)
-    stats = distance_stats(distances, same)  # overwrites distances: rank first
+    query_codes = np.searchsorted(labels, query_ids)
+    num_positive = int(counts[query_codes].sum())
+    # identities as indices into labels, in the narrowest integer type: the
+    # masks compare about four times as fast as on int64 labels
+    code = np.min_scalar_type(labels.size)
+    gallery_codes, query_codes = gallery_codes.astype(code), query_codes.astype(code)
+    buffer = np.empty((min(ROW_BLOCK, num_query), num_gallery))
+
+    def blocks():
+        """Each block's first query row, distances and identity mask."""
+        for start in range(0, num_query, ROW_BLOCK):
+            rows = slice(start, min(start + ROW_BLOCK, num_query))
+            yield (start, distance_matrix(retrieval, rows, buffer[: rows.stop - start]),
+                   gallery_codes == query_codes[rows, None])
+
+    sums = [PairwiseSum(num_positive), PairwiseSum(num_query * num_gallery - num_positive)]
+    # filled in place: small arrays kept across the blocks' large temporaries
+    # fragment the heap, which left train_full's peak RSS higher
+    rows, ranks = np.empty(num_positive, np.intp), np.empty(num_positive, np.intp)
+    filled = 0
+    for start, distances, same in blocks():
+        block_rows, block_ranks = rank(distances, same)
+        hits = slice(filled, filled + block_rows.size)
+        rows[hits], ranks[hits] = block_rows + start, block_ranks
+        filled = hits.stop
+        sums[0].add(distances[same])
+        sums[1].add(distances[~same])
+    means = [s.total() / s.size if s.size else 0.0 for s in sums]
+    sums = [PairwiseSum(s.size) for s in sums]  # now of the squared deviations
+    for _, distances, same in blocks():
+        for stream, mask, mean in zip(sums, (same, ~same), means):
+            deviations = distances[mask]
+            deviations -= mean
+            stream.add(np.square(deviations, out=deviations))
+    stds = [float(np.sqrt(s.total() / s.size)) if s.size else 0.0 for s in sums]
     curve = cmc_curve(rows, ranks, num_query, num_gallery)
 
     def rank_at(k: int) -> float:
@@ -312,7 +397,10 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
         rank20=rank_at(20),
         mean_ap=mean_ap(rows, ranks, num_query),
         cmc=[float(v) for v in curve],
-        **stats,
+        pos_dist_mean=means[0],
+        pos_dist_std=stds[0],
+        neg_dist_mean=means[1],
+        neg_dist_std=stds[1],
     )
 
 

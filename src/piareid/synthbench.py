@@ -14,17 +14,20 @@ config seed plus stream tags, so byte-identical datasets come from equal
 configs.  The draws follow the benchmark's design of one body and several
 outfits per person:
 
+- once per dataset, from the palette stream: the outfit colors
+  (``color_palette``);
 - once per identity, from the identity's stream: the body geometry
   (``identity_factors``);
-- once per (identity, outfit), from the palette and outfit streams: the
-  outfit color and stripe period, and the stripe levels each modality
+- once per identity, from each outfit's stream in turn: the outfit's
+  palette index and stripe period, and the stripe levels each modality
   shows (``outfit_factors``);
 - once per image, from the image's own stream keyed by identity, modality
   and image index: the region jitter, then the sensor noise
   (``render_sample``).
 
-``generate_dataset`` computes each identity's and each outfit's factors once
-and hands them to every ``render_sample`` call that shows them.  So an image
+``generate_dataset`` draws the palette once and each identity's and each
+outfit's factors once, and hands them to every ``render_sample`` call that
+shows them.  So an image
 pays only for what is its own: creating its stream, its jitter and noise
 draws, a few slice assignments, one rounding into the file's channels-last
 raster, and one file write.  Infrared is painted, noised and clipped as one
@@ -222,42 +225,43 @@ def color_palette(cfg: GenConfig) -> np.ndarray:
     return rng.uniform(_COLOR_LOW, _COLOR_HIGH, size=(_PALETTE_SIZE, 3))
 
 
-def _outfit_color_index(cfg: GenConfig, identity: int, outfit: int) -> int:
-    # an identity never repeats a palette color across its outfits, so each
-    # draw rotates past the colors its earlier outfits settled on
-    taken: set[int] = set()
-    index = 0
-    for k in range(outfit + 1):
-        rng = _stream(cfg.seed, _STREAM_OUTFIT, identity, k)
-        index = int(rng.integers(_PALETTE_SIZE))
-        while index in taken:
-            index = (index + 1) % _PALETTE_SIZE
-        taken.add(index)
-    return index
-
-
 def _infrared_level(color: np.ndarray) -> float:
     """A clothing color in infrared, one intensity: its contrast compresses
     toward body heat."""
     return _IR_BODY + _IR_CLOTHING_CONTRAST * (float(color.mean()) - _IR_BODY)
 
 
-def outfit_factors(cfg: GenConfig, identity: int, outfit: int) -> dict:
-    """Per-(identity, outfit) clothing appearance, in both modalities."""
-    rng = _stream(cfg.seed, _STREAM_OUTFIT, identity, outfit)
-    rng.integers(_PALETTE_SIZE)  # keep this stream aligned with the color draw
-    color = color_palette(cfg)[_outfit_color_index(cfg, identity, outfit)]
-    period = int(rng.choice(_STRIPE_PERIODS))
-    dark = _DARK_BAND * color
-    return {
-        "color": color,
-        "stripe_period": period,
-        # (bright, dark) stripe levels as each modality shows them
-        "stripe_levels": {
-            VISIBLE: (color, dark),
-            INFRARED: (_infrared_level(color), _infrared_level(dark)),
-        },
-    }
+def outfit_factors(cfg: GenConfig, identity: int, palette: np.ndarray) -> list[dict]:
+    """The identity's outfits' clothing appearance, in both modalities, in
+    outfit order; ``palette`` is the dataset's ``color_palette(cfg)``.
+
+    Outfit k draws from its own stream, keyed by ``(identity, k)``: a palette
+    index, then a stripe period.  An identity never repeats a palette color,
+    so the index rotates past the colors its earlier outfits took.  Each
+    outfit keeps its ``palette_index``, a color label that carries no
+    identity.
+    """
+    taken: list[int] = []
+    outfits = []
+    for outfit in range(cfg.outfits_per_identity):
+        rng = _stream(cfg.seed, _STREAM_OUTFIT, identity, outfit)
+        index = int(rng.integers(_PALETTE_SIZE))
+        while index in taken:
+            index = (index + 1) % _PALETTE_SIZE
+        taken.append(index)
+        color = palette[index]
+        dark = _DARK_BAND * color
+        outfits.append({
+            "palette_index": index,
+            "color": color,
+            "stripe_period": int(rng.choice(_STRIPE_PERIODS)),
+            # (bright, dark) stripe levels as each modality shows them
+            "stripe_levels": {
+                VISIBLE: (color, dark),
+                INFRARED: (_infrared_level(color), _infrared_level(dark)),
+            },
+        })
+    return outfits
 
 
 def _jittered_geometry(cfg: GenConfig, geometry: dict,
@@ -284,7 +288,7 @@ def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int
     """One [3, H, W] float64 render in [0, 1].
 
     ``geometry`` is ``identity_factors(cfg, identity)`` and ``appearance`` is
-    the ``outfit_factors`` of the outfit worn.  The only draws made here come
+    the ``outfit_factors`` entry of the outfit worn.  The only draws made here come
     from the image's own stream, keyed by ``(identity, modality,
     image_index)``: the per-region jitter, then the noise.  Beyond creating
     that stream and its draws, a render costs a few slice assignments and
@@ -439,11 +443,11 @@ def generate_dataset(cfg: GenConfig, out_dir) -> Manifest:
     n_train, _ = cfg.split_counts()
     rows: list[ManifestRow] = []
     root = os.fspath(out)
+    palette = color_palette(cfg)
     for identity in range(cfg.n_identities):
         split = SPLIT_TRAIN if identity < n_train else SPLIT_TEST
         geometry = identity_factors(cfg, identity)
-        appearances = [outfit_factors(cfg, identity, k)
-                       for k in range(cfg.outfits_per_identity)]
+        appearances = outfit_factors(cfg, identity, palette)
         for modality in MODALITIES:
             folder = f"images/{modality}/{identity:04d}/"
             prefix = os.path.join(root, folder)

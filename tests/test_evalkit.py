@@ -15,11 +15,11 @@ from piareid.diffcore import normalize_rows
 from piareid.evalkit import (
     EvalReport,
     FeatureTable,
+    PairwiseSum,
     ProtocolError,
     RetrievalSet,
     cmc_curve,
     distance_matrix,
-    distance_stats,
     mean_ap,
     protocol_from_table,
     rank,
@@ -62,6 +62,58 @@ def oracle_map(orderings, query_ids, gallery_ids) -> float:
         for q in range(orderings.shape[0])
     ]
     return float(np.mean(rows))
+
+
+def frozen_rank(distances, same):
+    """The whole-matrix ``rank``: one stable position per positive pair."""
+    rows, cols = np.nonzero(same)
+    values = distances[rows, cols]
+    bounds = np.searchsorted(rows, np.arange(same.shape[0] + 1)).tolist()
+    ranks = np.empty(rows.size, dtype=np.intp)
+    right = np.empty(rows.size, dtype=np.intp)
+    for row, lo, hi in zip(distances, bounds, bounds[1:]):
+        ordered = np.sort(row)
+        ranks[lo:hi] = ordered.searchsorted(values[lo:hi], side="left")
+        right[lo:hi] = ordered.searchsorted(values[lo:hi], side="right")
+    for i in np.flatnonzero(right - ranks > 1):
+        earlier = distances[rows[i], : cols[i]]
+        tied = earlier == values[i] if values[i] == values[i] else np.isnan(earlier)
+        ranks[i] += np.count_nonzero(tied)
+    return rows, ranks
+
+
+def frozen_report_from_set(retrieval):
+    """``report_from_set`` as it was with one [Q, G] distance matrix per
+    direction: one matmul, one ranking, and numpy's mean and std of the
+    positive and the negative distances (which the in-place summary it used
+    equalled bit for bit)."""
+    same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
+    num_query, num_gallery = same.shape
+    assert same.any(axis=1).all()
+    distances = 1.0 - retrieval.query_features @ retrieval.gallery_features.T
+    rows, ranks = frozen_rank(distances, same)
+    positive, negative = distances[same], distances[~same]
+    curve = cmc_curve(rows, ranks, num_query, num_gallery)
+
+    def rank_at(k):
+        return float(curve[min(k, num_gallery) - 1])
+
+    return EvalReport(
+        direction=retrieval.direction,
+        num_query=num_query,
+        num_gallery=num_gallery,
+        dropped_queries=retrieval.dropped_queries,
+        rank1=rank_at(1),
+        rank5=rank_at(5),
+        rank10=rank_at(10),
+        rank20=rank_at(20),
+        mean_ap=mean_ap(rows, ranks, num_query),
+        cmc=[float(v) for v in curve],
+        pos_dist_mean=float(positive.mean()),
+        pos_dist_std=float(positive.std()),
+        neg_dist_mean=float(negative.mean()) if negative.size else 0.0,
+        neg_dist_std=float(negative.std()) if negative.size else 0.0,
+    )
 
 
 def positives(orderings, query_ids, gallery_ids):
@@ -260,55 +312,116 @@ class TestDistanceAndRank:
         assert ranks.tolist() == position[expected_rows, expected_cols].tolist()
 
 
+def stats_of(report):
+    """The report's distance statistics, as the bytes of each float64."""
+    names = ("pos_dist_mean", "pos_dist_std", "neg_dist_mean", "neg_dist_std")
+    return {name: np.float64(getattr(report, name)).tobytes() for name in names}
+
+
 class TestDistanceStats:
     def test_hand_case(self):
         # query matches gallery 0 exactly (distance 0) and is orthogonal to gallery 1
         retrieval = make_set([[1.0, 0.0]], [5], [[1.0, 0.0], [0.0, 1.0]], [5, 6])
-        stats = distance_stats(distance_matrix(retrieval), same_of(retrieval))
-        assert stats["pos_dist_mean"] == pytest.approx(0.0, abs=1e-12)
-        assert stats["neg_dist_mean"] == pytest.approx(1.0, abs=1e-12)
-        assert stats["pos_dist_std"] == pytest.approx(0.0, abs=1e-12)
-        assert stats["neg_dist_std"] == pytest.approx(0.0, abs=1e-12)
+        report = report_from_set(retrieval)
+        assert report.pos_dist_mean == pytest.approx(0.0, abs=1e-12)
+        assert report.neg_dist_mean == pytest.approx(1.0, abs=1e-12)
+        assert report.pos_dist_std == pytest.approx(0.0, abs=1e-12)
+        assert report.neg_dist_std == pytest.approx(0.0, abs=1e-12)
 
     def test_no_negatives_reports_zero(self):
         retrieval = make_set([[1.0, 0.0]], [5], [[0.0, 1.0]], [5])
-        stats = distance_stats(distance_matrix(retrieval), same_of(retrieval))
-        assert stats["neg_dist_mean"] == 0.0
-        assert stats["neg_dist_std"] == 0.0
-
+        report = report_from_set(retrieval)
+        assert report.neg_dist_mean == 0.0
+        assert report.neg_dist_std == 0.0
 
     @given(num_query=st.integers(1, 300), num_gallery=st.integers(1, 300),
            palette=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 2.0, np.nan]),
                                       st.floats(0.0, 2.0)),
                             min_size=1, max_size=6),
-           match=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
-    @example(num_query=1, num_gallery=1, palette=[0.5], match=1.0, seed=0)
-    @example(num_query=30, num_gallery=40, palette=[0.1, 0.7], match=1.0, seed=1)
-    @example(num_query=256, num_gallery=256, palette=[-0.0, 0.3, 1.1], match=0.1, seed=2)
-    @example(num_query=257, num_gallery=256, palette=[0.0, -0.0, 1.5], match=0.2, seed=3)
-    @example(num_query=300, num_gallery=300, palette=[0.4, np.nan], match=0.0, seed=4)
+           labels=st.integers(1, 6), splits=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    @example(num_query=1, num_gallery=1, palette=[0.5], labels=1, splits=1, seed=0)
+    @example(num_query=30, num_gallery=40, palette=[0.1, 0.7], labels=1, splits=7, seed=1)
+    @example(num_query=256, num_gallery=256, palette=[-0.0, 0.3, 1.1], labels=6, splits=2,
+             seed=2)
+    @example(num_query=257, num_gallery=256, palette=[0.0, -0.0, 1.5], labels=5, splits=3,
+             seed=3)
+    @example(num_query=300, num_gallery=300, palette=[0.4, np.nan], labels=2, splits=8,
+             seed=4)
     @settings(max_examples=150, deadline=None)
-    def test_equals_numpy_mean_and_std_bit_for_bit(self, num_query, num_gallery,
-                                                   palette, match, seed):
-        # few distinct values with signed zeros and NaNs; Q*G spans both sides
-        # of the compaction chunk, and match=1 leaves no negatives
-        assert 1 < evalkit.COMPACT_CHUNK < 300 * 300
+    def test_equals_numpy_mean_and_std_bit_for_bit(self, num_query, num_gallery, palette,
+                                                   labels, splits, seed):
+        # the report's streamed statistics of a [Q, G] table of few distinct
+        # values, signed zeros and NaNs, made in one block of Q rows and in
+        # `splits` blocks; Q*G spans several of PairwiseSum's nodes, and
+        # labels=1 leaves no negatives
+        assert 300 * 300 > evalkit.SUM_NODE
         rng = np.random.default_rng(seed)
-        distances = np.array(palette)[rng.integers(len(palette),
-                                                   size=(num_query, num_gallery))]
-        same = rng.random(distances.shape) < match
-        same.flat[rng.integers(same.size)] = True
-        copy = distances.copy()
-        positives, negatives = copy[same], copy[~same]
+        table = np.array(palette)[rng.integers(len(palette), size=(num_query, num_gallery))]
+        gallery_ids = rng.integers(labels, size=num_gallery)
+        query_ids = gallery_ids[rng.integers(num_gallery, size=num_query)]
+        retrieval = make_set(np.ones((num_query, 1)), query_ids,
+                             np.ones((num_gallery, 1)), gallery_ids)
+        same = same_of(retrieval)
+        positives, negatives = table[same], table[~same]
         expected = {
             "pos_dist_mean": positives.mean(),
             "pos_dist_std": positives.std(),
             "neg_dist_mean": negatives.mean() if negatives.size else 0.0,
             "neg_dist_std": negatives.std() if negatives.size else 0.0,
         }
-        stats = distance_stats(distances, same)
-        assert {k: np.float64(v).tobytes() for k, v in stats.items()} == {
-            k: np.float64(v).tobytes() for k, v in expected.items()}
+        expected = {k: np.float64(v).tobytes() for k, v in expected.items()}
+
+        def served(retrieval, rows=slice(None), out=None):
+            out[...] = table[rows]
+            return out
+
+        def unranked(distances, same):  # the statistics do not read the ranks
+            rows = np.flatnonzero(same) // same.shape[1]
+            return rows, np.zeros_like(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalkit, "distance_matrix", served)
+            patch.setattr(evalkit, "rank", unranked)
+            for block in (num_query, -(-num_query // splits)):
+                patch.setattr(evalkit, "ROW_BLOCK", block)
+                assert stats_of(report_from_set(retrieval)) == expected, block
+
+
+class TestPairwiseSum:
+    @given(size=st.integers(0, 2 * evalkit.SUM_NODE + 5000),
+           palette=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 2.0, np.nan]),
+                                      st.floats(-1e3, 1e3)),
+                            min_size=1, max_size=6),
+           cuts=st.integers(0, 12), seed=st.integers(0, 2**16))
+    @example(size=0, palette=[1.0], cuts=0, seed=0)
+    @example(size=0, palette=[1.0], cuts=3, seed=0)
+    @example(size=10, palette=[-0.0], cuts=2, seed=1)
+    @example(size=evalkit.SUM_NODE, palette=[0.1, 0.3], cuts=1, seed=2)
+    @example(size=evalkit.SUM_NODE + 1, palette=[0.1, -0.0], cuts=4, seed=3)
+    @example(size=2 * evalkit.SUM_NODE + 9, palette=[0.7, 1e-3, 2.0], cuts=9, seed=4)
+    @example(size=3 * evalkit.SUM_NODE + 17, palette=[0.7, 1e-3, np.nan], cuts=5, seed=5)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_numpy_add_reduce_byte_for_byte(self, size, palette, cuts, seed):
+        # values cut into chunks at random points, empty chunks included; then
+        # the deviation pass that the report's std makes: (v - mean) ** 2
+        rng = np.random.default_rng(seed)
+        values = np.array(palette)[rng.integers(len(palette), size=size)]
+        bounds = [0, *np.sort(rng.integers(0, size + 1, size=cuts)).tolist(), size]
+
+        def streamed(array):
+            stream = PairwiseSum(array.size)
+            for lo, hi in zip(bounds, bounds[1:]):
+                stream.add(array[lo:hi])
+            return np.float64(stream.total())
+
+        total = np.add.reduce(values)
+        assert streamed(values).tobytes() == total.tobytes()
+        if size:
+            squares = np.square(values - total / size)
+            assert streamed(squares).tobytes() == np.add.reduce(squares).tobytes()
+            std = np.sqrt(streamed(squares) / size)
+            assert std.tobytes() == values.std().tobytes()
 
 
 class TestReportFromSet:
@@ -326,19 +439,24 @@ class TestReportFromSet:
         assert report.mean_ap == mean_ap(rows, ranks, 4)
         assert report.num_query == 4 and report.num_gallery == 6
 
-    def test_computes_the_distance_matrix_once(self, monkeypatch):
+    def test_makes_each_row_block_once_per_pass(self, monkeypatch):
         calls = []
         original = evalkit.distance_matrix
 
-        def counted(retrieval):
-            calls.append(retrieval)
-            return original(retrieval)
+        def counted(retrieval, rows, out):
+            calls.append((rows.start, rows.stop, out.shape))
+            return original(retrieval, rows, out)
 
         monkeypatch.setattr(evalkit, "distance_matrix", counted)
         rng = np.random.default_rng(7)
-        report_from_set(make_set(rng.normal(size=(3, 4)), [0, 1, 2],
-                                 rng.normal(size=(5, 4)), [0, 1, 2, 0, 1]))
-        assert len(calls) == 1
+        block = evalkit.ROW_BLOCK
+        for num_query in (1, 3, block, 2 * block + 5):
+            calls.clear()
+            report_from_set(make_set(rng.normal(size=(num_query, 4)), np.arange(num_query) % 3,
+                                     rng.normal(size=(5, 4)), [0, 1, 2, 0, 1]))
+            one_pass = [(start, min(start + block, num_query), (min(block, num_query - start), 5))
+                        for start in range(0, num_query, block)]
+            assert calls == one_pass * 2, num_query
 
     def test_leaves_the_retrieval_set_unchanged(self):
         rng = np.random.default_rng(8)
@@ -351,10 +469,11 @@ class TestReportFromSet:
         for name in names:
             assert getattr(retrieval, name).tobytes() == before[name].tobytes(), name
 
-    def test_peak_memory_is_one_distance_buffer(self):
-        # tracemalloc sees numpy's buffers: one [Q, G] float64 buffer plus the
-        # identity mask and the compaction scratch stay under 1.75 of them
-        size = 600
+    def test_peak_memory_is_a_few_row_blocks(self):
+        # tracemalloc sees numpy's buffers: one [ROW_BLOCK, G] distance block,
+        # its masks and gathered values and PairwiseSum's nodes stay under
+        # four blocks, where a whole [Q, G] matrix would be about eight
+        size = 1000
         rng = np.random.default_rng(9)
         gallery_ids = np.repeat(np.arange(size // 4), 4)
         retrieval = make_set(rng.normal(size=(size, 16)), rng.permutation(gallery_ids),
@@ -366,7 +485,43 @@ class TestReportFromSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 1.75 * size * size * 8
+        assert peak - start <= 4 * evalkit.ROW_BLOCK * size * 8
+
+    @given(num_query=st.integers(1, evalkit.ROW_BLOCK), num_gallery=st.integers(1, 300),
+           dim=st.integers(1, 8), levels=st.integers(0, 2), labels=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    @example(num_query=evalkit.ROW_BLOCK, num_gallery=300, dim=8, levels=2, labels=8,
+             seed=0)
+    @example(num_query=1, num_gallery=1, dim=1, levels=0, labels=1, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_one_block_equals_the_whole_matrix_report(self, num_query, num_gallery, dim,
+                                                     levels, labels, seed):
+        # a single block is the whole product, so the report is the same bytes;
+        # levels > 0 draws integer features that tie often, levels 0 Gaussian ones
+        rng = np.random.default_rng(seed)
+        shape_q, shape_g = (num_query, dim), (num_gallery, dim)
+        if levels:
+            query = rng.integers(-levels, levels + 1, size=shape_q)
+            gallery = rng.integers(-levels, levels + 1, size=shape_g)
+        else:
+            query, gallery = rng.normal(size=shape_q), rng.normal(size=shape_g)
+        gallery_ids = rng.integers(labels, size=num_gallery)
+        query_ids = gallery_ids[rng.integers(num_gallery, size=num_query)]
+        retrieval = make_set(query, query_ids, gallery, gallery_ids)
+        assert report_from_set(retrieval).to_json() == frozen_report_from_set(
+            retrieval).to_json()
+
+    def test_equals_the_whole_matrix_report_at_the_eval_large_shape(self):
+        # eval_large ranks 1728 x 1728 with D = 64 and 12 positives per query;
+        # there every 128-row block's product equals those rows of the whole
+        # product, so the blocked report is the same bytes
+        size, dim = 1728, 64
+        rng = np.random.default_rng(10)
+        gallery_ids = np.repeat(np.arange(size // 12), 12)
+        retrieval = make_set(rng.normal(size=(size, dim)), rng.permutation(gallery_ids),
+                             rng.normal(size=(size, dim)), gallery_ids)
+        assert report_from_set(retrieval).to_json() == frozen_report_from_set(
+            retrieval).to_json()
 
     def test_rank_k_clips_to_gallery_size(self):
         # gallery smaller than 5: rank5/10/20 all collapse to the final CMC value

@@ -39,7 +39,8 @@ def render(cfg: GenConfig, identity: int, outfit: int, modality: str,
     """``render_sample`` with the factors ``generate_dataset`` hands it."""
     return render_sample(
         cfg, identity, modality, image_index,
-        identity_factors(cfg, identity), outfit_factors(cfg, identity, outfit),
+        identity_factors(cfg, identity),
+        outfit_factors(cfg, identity, color_palette(cfg))[outfit],
     )
 
 
@@ -187,9 +188,10 @@ class TestLatentFactors:
         cfg = GenConfig()
         palette = color_palette(cfg)
         for identity in range(6):
-            for outfit in range(cfg.outfits_per_identity):
-                color = outfit_factors(cfg, identity, outfit)["color"]
-                assert any(np.array_equal(color, row) for row in palette)
+            outfits = outfit_factors(cfg, identity, palette)
+            assert len(outfits) == cfg.outfits_per_identity
+            for outfit in outfits:
+                assert np.array_equal(outfit["color"], palette[outfit["palette_index"]])
 
     def test_identities_share_palette_colors(self):
         # 48 identities, 2 outfits, 6 colors: collisions are guaranteed, so
@@ -198,21 +200,39 @@ class TestLatentFactors:
         palette = color_palette(cfg)
         wearers = {k: set() for k in range(len(palette))}
         for identity in range(cfg.n_identities):
-            color = outfit_factors(cfg, identity, 0)["color"]
-            index = next(
-                k for k, row in enumerate(palette) if np.array_equal(color, row)
-            )
-            wearers[index].add(identity)
+            wearers[outfit_factors(cfg, identity, palette)[0]["palette_index"]].add(identity)
         assert max(len(ids) for ids in wearers.values()) >= 2
 
     def test_an_identity_never_repeats_a_color(self):
         cfg = GenConfig(outfits_per_identity=6)
+        palette = color_palette(cfg)
         for identity in range(12):
-            colors = [
-                tuple(outfit_factors(cfg, identity, k)["color"])
-                for k in range(6)
-            ]
+            colors = [tuple(outfit["color"]) for outfit in outfit_factors(cfg, identity, palette)]
             assert len(set(colors)) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("outfits", [2, 3, 6])
+    def test_outfits_equal_one_stream_per_outfit_reseeded(self, seed, outfits):
+        # the rule as first written: outfit k re-seeds the streams of outfits
+        # 0..k to replay which colors they took, then takes the stripe period
+        # as the second draw of its own stream
+        cfg = GenConfig(outfits_per_identity=outfits, seed=seed)
+        palette = color_palette(cfg)
+
+        def reseeded(identity, outfit):
+            taken, index = set(), 0
+            for k in range(outfit + 1):
+                rng = np.random.default_rng([seed, synthbench._STREAM_OUTFIT, identity, k])
+                index = int(rng.integers(6))
+                while index in taken:
+                    index = (index + 1) % 6
+                taken.add(index)
+            return index, int(rng.choice((2, 3, 4)))
+
+        for identity in range(27):
+            drawn = outfit_factors(cfg, identity, palette)
+            assert [(f["palette_index"], f["stripe_period"]) for f in drawn] == [
+                reseeded(identity, k) for k in range(outfits)]
 
 
 class TestRenderSample:
@@ -351,8 +371,8 @@ class TestRenderMatchesFrozenCopy:
                         seed=seed)
         cfg.validate()
         geometry = identity_factors(cfg, identity)
-        appearance = outfit_factors(
-            cfg, identity, synthbench._outfit_for(cfg, modality, image_index))
+        appearance = outfit_factors(cfg, identity, color_palette(cfg))[
+            synthbench._outfit_for(cfg, modality, image_index)]
         image = render_sample(cfg, identity, modality, image_index, geometry, appearance)
         want = frozen_render_sample(cfg, identity, modality, image_index, geometry, appearance)
         assert image.shape == want.shape == (3, height, width)
@@ -569,16 +589,17 @@ class TestGenerateDataset:
 
             monkeypatch.setattr(synthbench, name, counted)
 
+        count("color_palette", lambda cfg: cfg.seed)
         count("identity_factors", lambda cfg, identity: identity)
-        count("outfit_factors", lambda cfg, identity, outfit: (identity, outfit))
+        count("outfit_factors", lambda cfg, identity, palette: identity)
         count("render_sample", lambda cfg, identity, modality, index, *factors:
               (identity, modality, index))
         cfg = GenConfig(**TINY, outfits_per_identity=3, clothing_modality_coupling=coupling)
         generate_dataset(cfg, tmp_path)
         identities = range(cfg.n_identities)
+        assert calls["color_palette"] == Counter([cfg.seed])
         assert calls["identity_factors"] == Counter(identities)
-        assert calls["outfit_factors"] == Counter(
-            (i, k) for i in identities for k in range(cfg.outfits_per_identity))
+        assert calls["outfit_factors"] == Counter(identities)
         assert calls["render_sample"] == Counter(
             (i, m, x) for i in identities for m in synthbench.MODALITIES
             for x in range(cfg.images_per_identity_per_modality))
