@@ -27,11 +27,11 @@ outfits per person:
 
 ``generate_dataset`` draws the palette once and each identity's and each
 outfit's factors once, and hands them to every ``render_sample`` call that
-shows them.  So an image
-pays only for what is its own: creating its stream, its jitter and noise
-draws, a few slice assignments, one rounding into the file's channels-last
-raster, and one file write.  Infrared is painted, noised and clipped as one
-[H, W] plane, since its three channels are equal by construction.
+shows them.  So an image pays only for what is its own: creating its
+stream, its jitter and noise draws, a few slice assignments, one rounding
+into the file's channels-last raster, and one file write.  Infrared is
+painted, noised and clipped as one [H, W] plane, since its three channels
+are equal by construction.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ def render_sample(cfg: GenConfig, identity: int, modality: str, image_index: int
     """One [3, H, W] float64 render in [0, 1].
 
     ``geometry`` is ``identity_factors(cfg, identity)`` and ``appearance`` is
-    the ``outfit_factors`` entry of the outfit worn.  The only draws made here come
-    from the image's own stream, keyed by ``(identity, modality,
+    the ``outfit_factors`` entry of the outfit worn.  The only draws made
+    here come from the image's own stream, keyed by ``(identity, modality,
     image_index)``: the per-region jitter, then the noise.  Beyond creating
     that stream and its draws, a render costs a few slice assignments and
     one clip.  Infrared is painted, noised and clipped as one [H, W] plane

@@ -452,9 +452,11 @@ class TestReportFromSet:
         block = evalkit.ROW_BLOCK
         for num_query in (1, 3, block, 2 * block + 5):
             calls.clear()
-            report_from_set(make_set(rng.normal(size=(num_query, 4)), np.arange(num_query) % 3,
+            report_from_set(make_set(rng.normal(size=(num_query, 4)),
+                                     np.arange(num_query) % 3,
                                      rng.normal(size=(5, 4)), [0, 1, 2, 0, 1]))
-            one_pass = [(start, min(start + block, num_query), (min(block, num_query - start), 5))
+            one_pass = [(start, min(start + block, num_query),
+                         (min(block, num_query - start), 5))
                         for start in range(0, num_query, block)]
             assert calls == one_pass * 2, num_query
 

@@ -200,14 +200,16 @@ class TestLatentFactors:
         palette = color_palette(cfg)
         wearers = {k: set() for k in range(len(palette))}
         for identity in range(cfg.n_identities):
-            wearers[outfit_factors(cfg, identity, palette)[0]["palette_index"]].add(identity)
+            first = outfit_factors(cfg, identity, palette)[0]
+            wearers[first["palette_index"]].add(identity)
         assert max(len(ids) for ids in wearers.values()) >= 2
 
     def test_an_identity_never_repeats_a_color(self):
         cfg = GenConfig(outfits_per_identity=6)
         palette = color_palette(cfg)
         for identity in range(12):
-            colors = [tuple(outfit["color"]) for outfit in outfit_factors(cfg, identity, palette)]
+            outfits = outfit_factors(cfg, identity, palette)
+            colors = [tuple(outfit["color"]) for outfit in outfits]
             assert len(set(colors)) == 6
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
