@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic      8 bytes  b"PIACKPT1"
+    magic      8 bytes  b"PIACKPT2"
     config     u32 byte length, then that many UTF-8 bytes: the
                ``model.ModelConfig`` as ``kvconfig`` text, one
                ``name = value`` line per field in declaration order
@@ -18,7 +18,10 @@ Tensor records cover model parameters, batch-norm running buffers, and the
 prototype bank (prototypes, init flags as 0/1, alpha, iteration).  Equal
 states serialize to equal bytes.  A malformed file raises ``CheckpointError``;
 so does a record that is missing, whose shape differs from what the
-configured model and bank expect, or that holds a non-finite value.
+configured model and bank expect, or that holds a non-finite value.  The
+fingerprint only guards the config block against corruption, so ``restore``
+checks the records whose size the block sets before it builds the model: a
+block claiming a huge model is refused without allocating it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import bpl, fileio, model
 
-MAGIC = b"PIACKPT1"
+MAGIC = b"PIACKPT2"
 
 
 class CheckpointError(ValueError):
@@ -152,14 +155,20 @@ def load_raw(path) -> LoadedCheckpoint:
     return deserialize(Path(path).read_bytes())
 
 
-def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) -> np.ndarray:
-    """A copy of record ``name``, which must have the shape of ``like`` and
-    hold only finite values."""
+def _record(loaded: LoadedCheckpoint, kind: str, name: str, shape: tuple) -> np.ndarray:
+    """Record ``name``, which must exist and have ``shape``."""
     if name not in loaded.arrays:
         raise CheckpointError(f"checkpoint missing {kind} {name}")
     stored = loaded.arrays[name]
-    if stored.shape != like.shape:
-        raise CheckpointError(f"{kind} {name}: stored shape {stored.shape} != model {like.shape}")
+    if stored.shape != shape:
+        raise CheckpointError(f"{kind} {name}: stored shape {stored.shape} != model {shape}")
+    return stored
+
+
+def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) -> np.ndarray:
+    """A copy of record ``name``, which must have the shape of ``like`` and
+    hold only finite values."""
+    stored = _record(loaded, kind, name, like.shape)
     bad = stored.size - np.count_nonzero(np.isfinite(stored))
     if bad:
         raise CheckpointError(f"{kind} {name}: {bad} non-finite of {stored.size} values")
@@ -168,6 +177,8 @@ def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) ->
 
 def restore(loaded: LoadedCheckpoint, cfg: model.ModelConfig) -> tuple[model.ModelState, bpl.PrototypeBank | None]:
     """Rebuild a model (and bank, if present) from loaded arrays."""
+    for name, shape in model.sized_weight_shapes(cfg).items():
+        _record(loaded, "parameter", name, shape)
     state = model.build_model(cfg)
     for name, tens in state.named_parameters().items():
         tens.data = _stored(loaded, "parameter", name, tens.data)

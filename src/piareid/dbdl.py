@@ -8,9 +8,9 @@ is its complement scaled by a learned suppression coefficient
 
     m_id = 1 - sigmoid(lambda_raw) * m_c
 
-which keeps both masks in (0, 1] everywhere.  Branch embeddings reuse the
-encoder's pooling; the orthogonality penalty is mean |cos(f, f_c)| over the
-batch.
+which keeps both masks in (0, 1] everywhere.  Each masked map goes through
+the encoder's one embedding head with its own batch norm; the orthogonality
+penalty is mean |cos(f, f_c)| over the batch.
 """
 
 from __future__ import annotations
@@ -95,19 +95,13 @@ def build_masks(fmap: Tensor, attn: AttentionParams) -> MaskPair:
     return MaskPair(clothing=m_c, identity=identity_mask(m_c, attn))
 
 
-def disentangle(fmap: Tensor, masks: MaskPair, *, pooling_mode: str,
-                bn_identity: encoder.BatchNormState | None,
-                bn_clothing: encoder.BatchNormState | None,
+def disentangle(fmap: Tensor, masks: MaskPair,
+                bn_identity: encoder.BatchNormState,
+                bn_clothing: encoder.BatchNormState, *,
                 training: bool) -> tuple[Tensor, Tensor]:
     """Masked maps to the identity embedding f and clothing embedding f_c."""
-    f = encoder.embed(
-        dc.mul(masks.identity, fmap),
-        pooling_mode=pooling_mode, bn=bn_identity, training=training,
-    )
-    f_c = encoder.embed(
-        dc.mul(masks.clothing, fmap),
-        pooling_mode=pooling_mode, bn=bn_clothing, training=training,
-    )
+    f = encoder.embed(dc.mul(masks.identity, fmap), bn_identity, training=training)
+    f_c = encoder.embed(dc.mul(masks.clothing, fmap), bn_clothing, training=training)
     return f, f_c
 
 

@@ -2,10 +2,10 @@
 
 Three stride-scheduled conv+relu blocks shrink the input by 8x in each
 spatial dimension, so the default 3x64x32 crop becomes a 32x8x4 feature
-map.  ``embed`` turns a (masked) map into an embedding via global average
-pooling, optionally concatenated with global max pooling, then a final
-batch norm when enabled.  The identity and clothing classifier heads are
-plain linear layers scored with log-softmax.
+map.  ``embed`` turns a (masked) map into an embedding: global average
+pooling concatenated with global max pooling, then a batch-norm neck.  The
+identity and clothing classifier heads are plain linear layers scored with
+log-softmax.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-
-POOL_GAP = "gap"
-POOL_GAP_GMP = "gap_gmp"
-POOLING_MODES = (POOL_GAP, POOL_GAP_GMP)
 
 DEFAULT_WIDTHS = (16, 32, 32)
 DEFAULT_STRIDES = (4, 2, 1)
@@ -134,12 +130,9 @@ def init_encoder(rng: np.random.Generator, *,
     return params
 
 
-def embedding_dim(widths: tuple[int, ...], pooling_mode: str) -> int:
-    if pooling_mode == POOL_GAP:
-        return widths[-1]
-    if pooling_mode == POOL_GAP_GMP:
-        return 2 * widths[-1]
-    raise EncoderConfigError(f"unknown pooling mode {pooling_mode!r}")
+def embedding_dim(widths: tuple[int, ...]) -> int:
+    """Average- and max-pooled halves of the last block's channels."""
+    return 2 * widths[-1]
 
 
 def forward_backbone(pixels: Tensor, params: EncoderParams) -> Tensor:
@@ -162,17 +155,10 @@ def forward_backbone(pixels: Tensor, params: EncoderParams) -> Tensor:
     return out
 
 
-def embed(fmap: Tensor, *, pooling_mode: str, bn: BatchNormState | None,
-          training: bool) -> Tensor:
-    """Feature maps to [N,D] embeddings: pooled descriptor, then optional BN."""
-    if pooling_mode not in POOLING_MODES:
-        raise EncoderConfigError(f"unknown pooling mode {pooling_mode!r}")
-    pooled = dc.global_avg_pool(fmap)
-    if pooling_mode == POOL_GAP_GMP:
-        pooled = dc.concat([pooled, dc.global_max_pool(fmap)], axis=-1)
-    if bn is not None:
-        pooled = dc.batch_norm(pooled, bn.gamma, bn.beta, state=bn, training=training)
-    return pooled
+def embed(fmap: Tensor, bn: BatchNormState, *, training: bool) -> Tensor:
+    """Feature maps [N,C,H,W] to [N,2C] embeddings: GAP then GMP, then BN."""
+    pooled = dc.concat([dc.global_avg_pool(fmap), dc.global_max_pool(fmap)], axis=-1)
+    return dc.batch_norm(pooled, bn.gamma, bn.beta, state=bn, training=training)
 
 
 def init_heads(rng: np.random.Generator, dim: int, num_identities: int,

@@ -1,5 +1,7 @@
-"""Model assembly: encoder, attention, heads, and branch batch norms in one
-state object with a stable parameter naming scheme."""
+"""Model assembly: encoder, attention, heads, and the batch-norm necks of the
+one embedding head (``encoder.embed``) in one state object with a stable
+parameter naming scheme; ``bn_clothing`` and the clothing head exist only
+with the dual branch (``use_dbdl``)."""
 
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ class ArchConfig:
     strides: tuple[int, ...] = encoder.DEFAULT_STRIDES
     kernel_size: int = encoder.DEFAULT_KERNEL
     attention_kernel_size: int = dbdl.DEFAULT_ATTENTION_KERNEL
-    pooling_mode: str = encoder.POOL_GAP_GMP
-    use_final_bn: bool = True
     use_dbdl: bool = True
 
 
@@ -37,7 +37,7 @@ class ModelConfig(ArchConfig):
 
     @property
     def embedding_dim(self) -> int:
-        return encoder.embedding_dim(self.widths, self.pooling_mode)
+        return encoder.embedding_dim(self.widths)
 
 
 @dataclass
@@ -46,7 +46,7 @@ class ModelState:
     backbone: encoder.EncoderParams
     attention: dbdl.AttentionParams
     heads: encoder.ClassifierHeads
-    bn_identity: encoder.BatchNormState | None
+    bn_identity: encoder.BatchNormState
     bn_clothing: encoder.BatchNormState | None
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -59,10 +59,9 @@ class ModelState:
             named["attention.weight"] = self.attention.weight
             named["attention.bias"] = self.attention.bias
             named["attention.lambda_raw"] = self.attention.lambda_raw
-        if self.bn_identity is not None:
-            named["bn_identity.gamma"] = self.bn_identity.gamma
-            named["bn_identity.beta"] = self.bn_identity.beta
-        if self.cfg.use_dbdl and self.bn_clothing is not None:
+        named["bn_identity.gamma"] = self.bn_identity.gamma
+        named["bn_identity.beta"] = self.bn_identity.beta
+        if self.cfg.use_dbdl:
             named["bn_clothing.gamma"] = self.bn_clothing.gamma
             named["bn_clothing.beta"] = self.bn_clothing.beta
         named["heads.id.weight"] = self.heads.id_weight
@@ -81,6 +80,22 @@ class ModelState:
         return buffers
 
 
+def sized_weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shapes of the weights that carry the config's sizes (conv,
+    attention and head weights), derived without allocating them."""
+    shapes = {}
+    prev = 3
+    for i, width in enumerate(cfg.widths):
+        shapes[f"backbone.conv{i}.weight"] = (width, prev, cfg.kernel_size, cfg.kernel_size)
+        prev = width
+    shapes["heads.id.weight"] = (cfg.embedding_dim, cfg.num_identities)
+    if cfg.use_dbdl:
+        k = cfg.attention_kernel_size
+        shapes["attention.weight"] = (1, 2, k, k)
+        shapes["heads.clothing.weight"] = (cfg.embedding_dim, cfg.num_clothing_classes)
+    return shapes
+
+
 def build_model(cfg: ModelConfig) -> ModelState:
     """Deterministic construction: one rng stream, fixed draw order."""
     rng = np.random.default_rng([cfg.seed, 0])
@@ -97,17 +112,13 @@ def build_model(cfg: ModelConfig) -> ModelState:
         rng, dim, cfg.num_identities,
         cfg.num_clothing_classes if cfg.use_dbdl else None,
     )
-    bn_identity = encoder.BatchNormState.create(dim) if cfg.use_final_bn else None
-    bn_clothing = (
-        encoder.BatchNormState.create(dim) if (cfg.use_final_bn and cfg.use_dbdl) else None
-    )
     return ModelState(
         cfg=cfg,
         backbone=backbone,
         attention=attention,
         heads=heads,
-        bn_identity=bn_identity,
-        bn_clothing=bn_clothing,
+        bn_identity=encoder.BatchNormState.create(dim),
+        bn_clothing=encoder.BatchNormState.create(dim) if cfg.use_dbdl else None,
     )
 
 
@@ -125,18 +136,10 @@ def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
     """Pixels to (f, f_c, masks); f_c and masks are None without the dual branch."""
     fmap = encoder.forward_backbone(pixels, model.backbone)
     if not model.cfg.use_dbdl:
-        f = encoder.embed(
-            fmap, pooling_mode=model.cfg.pooling_mode,
-            bn=model.bn_identity, training=training,
-        )
-        return f, None, None
+        return encoder.embed(fmap, model.bn_identity, training=training), None, None
     masks = dbdl.build_masks(fmap, model.attention)
     f, f_c = dbdl.disentangle(
-        fmap, masks,
-        pooling_mode=model.cfg.pooling_mode,
-        bn_identity=model.bn_identity,
-        bn_clothing=model.bn_clothing,
-        training=training,
+        fmap, masks, model.bn_identity, model.bn_clothing, training=training,
     )
     return f, f_c, masks
 

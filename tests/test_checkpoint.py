@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -223,6 +224,25 @@ class TestSaveRestore:
                            match=f"{kind} {name}: {min(2, arrays[name].size)} non-finite"):
             restore(deserialize(serialize("", arrays)), SMALL)
 
+    @pytest.mark.parametrize("field, value, name", [
+        ("num_identities", 10**15, "heads.id.weight"),
+        ("num_clothing_classes", 10**7, "heads.clothing.weight"),
+        ("widths", (4, 10**7, 4), "backbone.conv1.weight"),
+        ("kernel_size", 10**5 + 1, "backbone.conv0.weight"),
+        ("attention_kernel_size", 10**5 + 1, "attention.weight"),
+    ])
+    def test_sizes_are_checked_before_the_model_is_built(self, monkeypatch,
+                                                         field, value, name):
+        # the fingerprint only hashes the config block, so a rewritten block
+        # can claim any size; building that model could take gigabytes
+        def refuse(cfg):
+            raise AssertionError("build_model ran before the size check")
+
+        loaded = deserialize(serialize("", collect_arrays(small_state(), small_bank())))
+        monkeypatch.setattr(model, "build_model", refuse)
+        with pytest.raises(CheckpointError, match=f"parameter {name}: stored shape"):
+            restore(loaded, dataclasses.replace(SMALL, **{field: value}))
+
     def test_restore_copies_do_not_alias(self):
         state = small_state()
         loaded = deserialize(serialize("", collect_arrays(state, None)))
@@ -251,11 +271,11 @@ class TestConfigTextRoundTrip:
         text = (
             "image_height = 64\nimage_width = 32\nwidths = 16,32,32\n"
             "strides = 4,2,1\nkernel_size = 3\nattention_kernel_size = 7\n"
-            "pooling_mode = gap_gmp\nuse_final_bn = true\nuse_dbdl = true\n"
+            "use_dbdl = true\n"
             "num_identities = 8\nnum_clothing_classes = 16\nseed = 0\n"
         )
-        fingerprint = b"8fcd0b49f05c254e10f536df6dc8ae91deac3e0616a03e1574941582f9ed982c"
-        expected = (b"PIACKPT1" + struct.pack("<I", 224) + text.encode("ascii")
+        fingerprint = b"4530e7470362368faf729fc9ffb8b8a7f4da8262cf73fc2dc543e4748d4cb0d7"
+        expected = (b"PIACKPT2" + struct.pack("<I", 181) + text.encode("ascii")
                     + struct.pack("<I", 64) + fingerprint + struct.pack("<I", 0))
         assert model.model_config_text(model.ModelConfig()) == text
         assert serialize(model.model_config_text(model.ModelConfig()), {}) == expected

@@ -262,9 +262,20 @@ class TestTrain:
         assert "Traceback" not in err and "squared L2 norm overflows" in err
         assert not run.exists()
 
-    def test_collapsed_embedding_is_config_error(self, tmp_path, capsys):
-        # perfbench's tiny train_full run, but without the final BN a learning
-        # rate of 1 zeroes a row of f, which the orthogonality loss refuses
+    def test_collapsed_embedding_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # perfbench's tiny train_full run, with every training forward zeroing
+        # row 0 of f, which the orthogonality loss refuses at the first step
+        forward = model.forward_embeddings
+
+        def collapsed(state, pixels, *, training):
+            f, f_c, masks = forward(state, pixels, training=training)
+            if training:
+                keep = np.ones(f.shape)
+                keep[0] = 0.0
+                f = dc.mul(f, dc.constant(keep))
+            return f, f_c, masks
+
+        monkeypatch.setattr(model, "forward_embeddings", collapsed)
         data = [
             "--n-identities", "8", "--images-per-identity-per-modality", "4",
             "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
@@ -277,7 +288,6 @@ class TestTrain:
                       "--ablation", "full", "--epochs", "2", "--stage2-start", "1",
                       "--eval-every", "1", "--ids-per-batch", "2",
                       "--instances-per-modality", "2",
-                      "--use-final-bn", "false", "--base-lr", "1",
                   ])
         assert rc == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
@@ -368,7 +378,7 @@ TRAIN_GOLDEN_CALL = [
     "--eval-every", "1", "--ids-per-batch", "2", "--instances-per-modality", "2",
 ]
 TRAIN_GOLDEN_SHA256 = {
-    "checkpoint.bin": "ecfdc1335be35f659784eabec7eb204d2a04e917a06b1df6e571d6073c26f9b6",
+    "checkpoint.bin": "a7c2bb4b2135e4ffa9286296984f1de07b40e2c097116b405c1bb7f8c5e0251c",
     "train_log.jsonl": "4499b8ff19228198fbcaf3ede941d16126ee0e7df89b2e8a7e284eb19e7164c5",
 }
 
@@ -449,6 +459,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "invalid checkpoint" in err and "backbone.conv0.weight" in err
+        assert not out.exists()
+
+    def test_previous_format_checkpoint_is_bad_magic(self, tmp_path, capsys):
+        # a PIACKPT1 file: its config block still names the two removed
+        # embedding-head fields
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded = ckpt.load_raw(checkpoint)
+        old_text = loaded.config_text.replace(
+            "use_dbdl = ", "pooling_mode = gap_gmp\nuse_final_bn = true\nuse_dbdl = ")
+        assert old_text != loaded.config_text
+        blob = ckpt.serialize(old_text, loaded.arrays)
+        checkpoint.write_bytes(b"PIACKPT1" + blob[len(ckpt.MAGIC):])
+        out = tmp_path / "eval"
+        rc = main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out)] + EVAL_GOLDEN_FLAGS)
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "bad magic" in err
+        assert not out.exists()
+
+    def test_config_block_claiming_a_huge_model_is_invalid_checkpoint(self, tmp_path,
+                                                                      capsys):
+        # the fingerprint only hashes the block, so a rewritten block passes it
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded = ckpt.load_raw(checkpoint)
+        text = re.sub(r"num_identities = \d+", "num_identities = 1000000000000000",
+                      loaded.config_text)
+        assert text != loaded.config_text
+        checkpoint.write_bytes(ckpt.serialize(text, loaded.arrays))
+        out = tmp_path / "eval"
+        rc = main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out)] + EVAL_GOLDEN_FLAGS)
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "invalid checkpoint" in err and "heads.id.weight" in err
         assert not out.exists()
 
     def test_huge_finite_weights_are_config_error(self, tmp_path, capsys):
@@ -841,6 +887,31 @@ class TestConfigPrecedence:
         assert rc == EXIT_CONFIG_ERROR
         assert "not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_removed_embedding_head_options_are_refused(self, workspace, tmp_path,
+                                                         capsys):
+        # a run_config.txt written while pooling_mode and use_final_bn existed
+        text = (workspace / "run" / "run_config.txt").read_text()
+        old = text.replace(
+            "use_dbdl = ", "pooling_mode = gap_gmp\nuse_final_bn = true\nuse_dbdl = ")
+        assert old != text
+        config = tmp_path / "old.txt"
+        config.write_text(old)
+        rc = main(["train", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "unknown configuration key 'pooling_mode'" in err
+        assert not (tmp_path / "r").exists()
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        for name in sub.choices:
+            with pytest.raises(SystemExit) as stopped:
+                main([name, "--help"])
+            assert stopped.value.code == 0
+            usage = capsys.readouterr().out
+            assert "--use-dbdl" in usage, name
+            assert "--pooling-mode" not in usage and "--use-final-bn" not in usage, name
 
 
 #: Typed errors that only a bug can raise, so no exit code covers them.

@@ -187,19 +187,19 @@ class TestFieldOwnership:
         names = [f.name for f in fields(RunConfig)]
         parents = {f.name for cls in (synthbench.GenConfig, trainer.TrainConfig)
                    for f in fields(cls)}
-        assert len(names) == 35
+        assert len(names) == 33
         assert set(names) == parents | {"data_dir", "out_dir", "checkpoint"}
         assert RunConfig().gen_config() == synthbench.GenConfig()
         assert RunConfig().train_config() == trainer.TrainConfig()
 
     def test_architecture_fields_are_declared_once(self):
         arch = [f.name for f in fields(ArchConfig)]
-        assert len(arch) == 9
+        assert len(arch) == 7
         for cls in (ModelConfig, trainer.TrainConfig):
             assert issubclass(cls, ArchConfig)
-            assert [f.name for f in fields(cls)][:9] == arch
+            assert [f.name for f in fields(cls)][:7] == arch
             assert not any(name in vars(cls).get("__annotations__", {}) for name in arch)
-        assert [f.name for f in fields(ModelConfig)][9:] == [
+        assert [f.name for f in fields(ModelConfig)][7:] == [
             "num_identities", "num_clothing_classes", "seed",
         ]
 

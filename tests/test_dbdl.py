@@ -87,9 +87,10 @@ class TestDisentangle:
     def test_branches_use_their_masks(self, rng, attn):
         fmap = dc.tensor(rng.random((2, 4, 6, 3)) + 0.2)
         masks = dbdl.build_masks(fmap, attn)
+        # fresh necks in eval mode scale by 1 / sqrt(1 + BN_EPS), inside rtol
         f, f_c = dbdl.disentangle(
-            fmap, masks, pooling_mode="gap_gmp",
-            bn_identity=None, bn_clothing=None, training=False,
+            fmap, masks, encoder.BatchNormState.create(8),
+            encoder.BatchNormState.create(8), training=False,
         )
         want_f = (masks.identity.data * fmap.data).mean(axis=(2, 3))
         np.testing.assert_allclose(f.data[:, :4], want_f, atol=1e-12)
@@ -101,10 +102,7 @@ class TestDisentangle:
         bn_cl = encoder.BatchNormState.create(8)
         fmap = dc.tensor(rng.random((4, 4, 6, 3)))
         masks = dbdl.build_masks(fmap, attn)
-        dbdl.disentangle(
-            fmap, masks, pooling_mode="gap_gmp",
-            bn_identity=bn_id, bn_clothing=bn_cl, training=True,
-        )
+        dbdl.disentangle(fmap, masks, bn_id, bn_cl, training=True)
         assert not np.array_equal(bn_id.running_mean, bn_cl.running_mean)
 
 
@@ -257,8 +255,8 @@ class TestAttentionGradientFlow:
             fmap = encoder.forward_backbone(pixels, enc)
             masks = dbdl.build_masks(fmap, attn)
             f, f_c = dbdl.disentangle(
-                fmap, masks, pooling_mode="gap_gmp",
-                bn_identity=None, bn_clothing=None, training=True,
+                fmap, masks, encoder.BatchNormState.create(12),
+                encoder.BatchNormState.create(12), training=True,
             )
             terms = dbdl.classification_loss(f, f_c, y_id, y_c, heads)
             loss = dc.add(dc.add(*terms), dc.scale(dbdl.orthogonality_loss(f, f_c), 0.5))

@@ -64,38 +64,27 @@ class TestBackbone:
 
 
 class TestEmbed:
+    # a fresh neck in eval mode scales by 1 / sqrt(1 + BN_EPS), inside rtol
+
     def test_gap_gmp_orders_mean_then_max(self, rng):
         fmap = dc.tensor(rng.normal(size=(2, 5, 4, 3)))
-        out = encoder.embed(fmap, pooling_mode="gap_gmp", bn=None, training=False)
+        out = encoder.embed(fmap, encoder.BatchNormState.create(10), training=False)
         assert out.shape == (2, 10)
+        assert encoder.embedding_dim((16, 32, 5)) == 10
         np.testing.assert_allclose(out.data[:, :5], fmap.data.mean(axis=(2, 3)), atol=1e-12)
         np.testing.assert_allclose(out.data[:, 5:], fmap.data.max(axis=(2, 3)), atol=1e-12)
 
     def test_constant_map_gives_constant_vector(self):
         fmap = dc.tensor(np.full((2, 4, 3, 5), 0.7))
-        out = encoder.embed(fmap, pooling_mode="gap_gmp", bn=None, training=False)
+        out = encoder.embed(fmap, encoder.BatchNormState.create(8), training=False)
         np.testing.assert_allclose(out.data, np.full((2, 8), 0.7), atol=1e-12)
-
-    def test_gap_mode_dimension(self, rng):
-        fmap = dc.tensor(rng.normal(size=(2, 6, 4, 3)))
-        out = encoder.embed(fmap, pooling_mode="gap", bn=None, training=False)
-        assert out.shape == (2, 6)
-        assert encoder.embedding_dim((16, 32, 6), "gap") == 6
-        assert encoder.embedding_dim((16, 32, 6), "gap_gmp") == 12
-
-    def test_unknown_pooling_mode(self, rng):
-        with pytest.raises(encoder.EncoderConfigError):
-            encoder.embed(
-                dc.tensor(rng.normal(size=(1, 2, 2, 2))),
-                pooling_mode="max", bn=None, training=False,
-            )
 
     def test_final_bn_applied_in_eval(self, rng):
         bn = encoder.BatchNormState.create(4)
         bn.running_mean[:] = 1.0
         bn.running_var[:] = 4.0
         fmap = dc.tensor(np.full((2, 2, 2, 2), 3.0))
-        out = encoder.embed(fmap, pooling_mode="gap_gmp", bn=bn, training=False)
+        out = encoder.embed(fmap, bn, training=False)
         np.testing.assert_allclose(out.data, (3.0 - 1.0) / np.sqrt(4.0 + 1e-12), atol=1e-9)
 
 
@@ -108,7 +97,7 @@ class TestEvalDeterminism:
 
         def embed_batch(batch):
             fmap = encoder.forward_backbone(dc.tensor(batch), params)
-            return encoder.embed(fmap, pooling_mode="gap_gmp", bn=bn, training=False).data
+            return encoder.embed(fmap, bn, training=False).data
 
         whole = embed_batch(images)
         alone = np.stack([embed_batch(images[i : i + 1])[0] for i in range(4)])
@@ -142,8 +131,10 @@ class TestHeads:
         x = dc.tensor(rng.random((2, 3, 64, 32)))
         with dc.Tape() as tape:
             fmap = encoder.forward_backbone(x, params)
-            emb = encoder.embed(fmap, pooling_mode="gap_gmp", bn=None, training=True)
-            loss = dc.mean(dc.mul(emb, emb))
+            emb = encoder.embed(fmap, encoder.BatchNormState.create(64), training=True)
+            # each column of a training-mode BN output has mean 0 and
+            # variance 1, so mean(emb * emb) is constant; a random weighting is not
+            loss = dc.mean(dc.mul(emb, dc.constant(rng.normal(size=emb.shape))))
         dc.backward(loss, tape)
         assert params.weights[0].grad is not None
         assert np.abs(params.weights[0].grad).max() > 0.0

@@ -3,6 +3,7 @@ reading module's own error, never another exception."""
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from piareid import checkpoint, kvconfig, pnm, synthbench
+from piareid import checkpoint, kvconfig, model, pnm, synthbench
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -88,6 +89,36 @@ def _with_records(*names: bytes) -> bytes:
     return blob
 
 
+_SMALL_MODEL = model.ModelConfig(
+    image_height=16, image_width=8, widths=(4, 4), strides=(2, 1),
+    attention_kernel_size=3, num_identities=3, num_clothing_classes=4,
+)
+_SMALL_ARRAYS = checkpoint.collect_arrays(model.build_model(_SMALL_MODEL), None)
+# small sizes, or sizes that no allocation survives: a size between them
+# would allocate gigabytes in a build that the size check fails to stop
+_SIZE = st.one_of(st.integers(-1, 9), st.sampled_from([10**15, 2**63, 10**30]))
+
+
+def _resized(**sizes) -> bytes:
+    """The small model's records under a config block with ``sizes``."""
+    cfg = dataclasses.replace(_SMALL_MODEL, **sizes)
+    return checkpoint.serialize(model.model_config_text(cfg), _SMALL_ARRAYS)
+
+
+@st.composite
+def resized_config_blocks(draw):
+    sizes = {
+        "widths": tuple(draw(st.lists(_SIZE, min_size=1, max_size=3))),
+        "kernel_size": draw(_SIZE),
+        "attention_kernel_size": draw(_SIZE),
+        "num_identities": draw(_SIZE),
+        "num_clothing_classes": draw(_SIZE),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(sizes)), max_size=4)):
+        del sizes[name]
+    return _resized(**sizes)
+
+
 class TestCheckpoint:
     @given(st.one_of(
         mutated_checkpoints(),
@@ -102,6 +133,20 @@ class TestCheckpoint:
         if loaded is not None:
             assert checkpoint.deserialize(checkpoint.serialize(
                 loaded.config_text, loaded.arrays)).arrays.keys() == loaded.arrays.keys()
+
+    @given(resized_config_blocks())
+    @example(_resized())
+    @example(_resized(num_identities=10**15))
+    @example(_resized(widths=(4,)))
+    @FUZZ
+    def test_restore_builds_only_the_model_the_records_hold(self, blob):
+        loaded = checkpoint.deserialize(blob)
+        cfg = model.parse_model_config_text(loaded.config_text)
+        # CheckpointError for sizes the records lack; EncoderConfigError (also
+        # a ValueError) for an architecture that fits the records but not itself
+        restored = parsed_or_none(ValueError, checkpoint.restore, loaded, cfg)
+        if restored is not None:
+            assert cfg == _SMALL_MODEL
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,10 @@ class TestBuildModel:
             "bn_identity.running_mean", "bn_identity.running_var",
             "bn_clothing.running_mean", "bn_clothing.running_var",
         }
-        without = model.build_model(dataclasses.replace(SMALL, use_final_bn=False))
-        assert without.named_buffers() == {}
+        single = model.build_model(dataclasses.replace(SMALL, use_dbdl=False))
+        assert set(single.named_buffers()) == {
+            "bn_identity.running_mean", "bn_identity.running_var",
+        }
 
     def test_head_shapes(self):
         state = model.build_model(SMALL)
