@@ -21,7 +21,10 @@ so does a record that is missing, whose shape differs from what the
 configured model and bank expect, or that holds a non-finite value.  The
 fingerprint only guards the config block against corruption, so ``restore``
 checks the records whose size the block sets before it builds the model: a
-block claiming a huge model is refused without allocating it.
+block claiming a huge model is refused without allocating it.  The model
+draws its attention weights even without the dual branch, whose checkpoint
+stores no record of them, so ``restore`` also bounds the image sides and,
+by them, the attention kernel (``model.check_attention_kernel``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bpl, fileio, model
+from . import bpl, fileio, model, synthbench
 
 MAGIC = b"PIACKPT2"
 
@@ -179,6 +182,13 @@ def restore(loaded: LoadedCheckpoint, cfg: model.ModelConfig) -> tuple[model.Mod
     """Rebuild a model (and bank, if present) from loaded arrays."""
     for name, shape in model.sized_weight_shapes(cfg).items():
         _record(loaded, "parameter", name, shape)
+    side = max(cfg.image_height, cfg.image_width)
+    if side > synthbench.MAX_IMAGE_SIDE:
+        raise CheckpointError(f"image side {side} exceeds {synthbench.MAX_IMAGE_SIDE}")
+    try:
+        model.check_attention_kernel(cfg)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from None
     state = model.build_model(cfg)
     for name, tens in state.named_parameters().items():
         tens.data = _stored(loaded, "parameter", name, tens.data)

@@ -20,9 +20,11 @@ Conventions:
   - ``cols`` is a strided view of the padded buffer whenever numpy can give
     one, because a matmul over those strides rounds otherwise than over a
     contiguous copy; a needed copy comes from ``borrow_reshape``: inside a
-    workspace it goes into the workspace's buffer, which gets it back when
-    backward releases the node (or at once, off the tape), else it is
-    numpy's own copy
+    workspace it goes into a view of the smallest idle workspace buffer that
+    holds it, lent by size, so one buffer serves every conv whose ``cols``
+    are never live at once; the buffer goes back when backward releases the
+    node (or at once, off the tape); outside a workspace it is numpy's own
+    copy
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 

@@ -17,13 +17,18 @@ data afterwards; only each node's ``kind`` and ``backward_fn`` stay, so
 
 A forward rule reshapes through ``borrow_reshape``: when the reshape needs
 a copy and a ``Workspace`` is active (at most one is, per thread), the copy
-goes into a buffer borrowed from it.  The buffer goes back to the workspace
-when its node is released, or at once when the application is not recorded,
-so no buffer is lent twice at a time.
+goes into a loan from it, a view of one of its buffers.  The loan goes back
+to the workspace when its node is released, or at once when the application
+is not recorded, so no buffer is lent twice at a time.  The workspace lends
+by size, not shape: a loan takes the smallest idle buffer that holds it.  So
+the convs of a forward pass off the tape, each done with its ``cols`` before
+the next conv starts, share one buffer, the largest they need, and an
+extraction inside training borrows the buffers the training step gave back.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Iterable, Sequence
 
@@ -116,33 +121,47 @@ def current_workspace() -> "Workspace | None":
 
 
 class Workspace:
-    """Float64 buffers kept by shape for reuse, while the context is active.
+    """Float64 buffers lent by size for reuse, while the context is active.
 
-    ``take`` lends an idle buffer of the shape, or a fresh uninitialised
-    one; ``give`` makes it idle again.  ``kept`` returns the one buffer the
-    workspace keeps for a shape, the same array on every call.  Entering
+    ``take(shape)`` lends the smallest idle buffer that holds ``prod(shape)``
+    values, as a C-contiguous view of its first elements; when no idle
+    buffer is that big, all of them are too small, so it drops them and
+    lends a fresh uninitialised one.  ``give`` takes a loan back and makes
+    its buffer idle again.  Buffers whose loans never overlap in time thus
+    end up as one buffer, the largest of them.
+
+    ``kept(shape)`` returns a view of the one buffer the workspace keeps
+    apart from those it lends, replaced only when a larger shape asks for
+    it: a caller must be done with what it last wrote there.  Entering
     while another workspace is active raises ``TapeError``; leaving the
     context drops every buffer it holds.
     """
 
     def __init__(self):
-        self._idle: dict[tuple[int, ...], list[np.ndarray]] = {}
-        self._kept: dict[tuple[int, ...], np.ndarray] = {}
+        self._idle: list[np.ndarray] = []  # loans given back
+        self._kept: np.ndarray | None = None  # the last view kept() returned
 
     def take(self, shape) -> np.ndarray:
-        idle = self._idle.get(tuple(shape))
-        return idle.pop() if idle else np.empty(shape, dtype=np.float64)
+        size = math.prod(shape)
+        best, best_size = None, 0
+        for i, loan in enumerate(self._idle):
+            held = _owner(loan).size
+            # among equal sizes, the one given back last
+            if held >= size and (best is None or held <= best_size):
+                best, best_size = i, held
+        if best is None:
+            self._idle.clear()
+            return np.empty(shape, dtype=np.float64)
+        return _view(self._idle.pop(best), shape)
 
     def kept(self, shape) -> np.ndarray:
-        """The workspace's buffer of ``shape``, never lent by ``take``: a
-        caller must be done with what it last wrote there."""
-        shape = tuple(shape)
-        if shape not in self._kept:
-            self._kept[shape] = np.empty(shape, dtype=np.float64)
-        return self._kept[shape]
+        if self._kept is None or _owner(self._kept).size < math.prod(shape):
+            self._kept = np.empty(shape, dtype=np.float64)
+        self._kept = _view(self._kept, shape)
+        return self._kept
 
-    def give(self, buffer: np.ndarray) -> None:
-        self._idle.setdefault(buffer.shape, []).append(buffer)
+    def give(self, loan: np.ndarray) -> None:
+        self._idle.append(loan)
 
     def __enter__(self) -> "Workspace":
         if current_workspace() is not None:
@@ -152,8 +171,23 @@ class Workspace:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._idle.clear()
-        self._kept.clear()
+        self._kept = None
         _ACTIVE.workspace = None
+
+
+def _owner(loan: np.ndarray) -> np.ndarray:
+    """The workspace buffer that ``loan`` views (numpy's ``base`` of a view
+    of a view is the array that owns the memory)."""
+    return loan if loan.base is None else loan.base
+
+
+def _view(loan: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the first elements of ``loan``'s
+    buffer: ``loan`` itself when it has that shape, since every loan starts
+    at its buffer's first element."""
+    if loan.shape == tuple(shape):
+        return loan
+    return _owner(loan).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def borrow_reshape(ctx: dict, array: np.ndarray, shape) -> np.ndarray:
@@ -161,8 +195,9 @@ def borrow_reshape(ctx: dict, array: np.ndarray, shape) -> np.ndarray:
 
     With no active workspace this is numpy's ``reshape``: a view when one
     fits, else a new copy.  Inside a workspace the view is taken whenever
-    numpy can give one, and only a needed copy is written into a buffer
-    borrowed from the workspace, which gets it back when ``ctx`` is released.
+    numpy can give one, and only a needed copy is written into a loan from
+    the workspace (``Workspace.take``), which gets it back when ``ctx`` is
+    released.
     """
     workspace = current_workspace()
     if workspace is None:

@@ -11,13 +11,24 @@ Queries whose identity never appears in the gallery are dropped and counted.
 
 ``test_feature_table`` is the one step that reads the manifest: it embeds
 the test split, one ``EVAL_BATCH`` of images decoded from their files at a
-time into the kept buffers of the ``diffcore.Workspace`` its caller must
+time into the kept buffer of the ``diffcore.Workspace`` its caller must
 pass, and copies each row's identity, clothing and modality label onto the
 ``FeatureTable``.  Every later step (``protocol_from_table``, ``evaluate``)
 takes only the table, so the manifest, and the workspace the extraction
 ran in, can be let go before any distance is made.  ``check_protocol``
 raises a protocol's ``ProtocolError`` from the labels alone, before any
 extraction.
+
+``EVAL_BATCH`` is 32, half a training batch, because every per-batch array
+of the extraction (the pixels, each conv's padded input, ``cols`` and
+output) scales with it, and the workspace lends by size: inside ``train``
+the extraction's loans all fit in the buffers the steps gave back, and
+``eval`` keeps one ``cols`` buffer, the largest conv's.  Eval mode treats
+each image on its own, and at the default architecture two 32-image batches
+give the bits of one 64-image batch (a test pins it).  So the embeddings
+are those of 64-image batches unless the split's size mod 64 is between 33
+and 63: that last batch is now two, whose embeddings may differ in their
+last bits.
 
 No direction's [Q, G] distances exist at once.  ``report_from_set`` makes
 them one block of ``ROW_BLOCK`` query rows at a time, into one reused
@@ -46,7 +57,7 @@ DIRECTION_V2I = "v2i"
 DIRECTION_I2V = "i2v"
 DIRECTIONS = (DIRECTION_V2I, DIRECTION_I2V)
 
-EVAL_BATCH = 64
+EVAL_BATCH = 32
 # query rows whose distances to the gallery exist at once while a direction
 # is ranked and summarised
 ROW_BLOCK = 128
@@ -102,7 +113,7 @@ class EvalReport:
 def _batches_of(manifest: Manifest, row_indices: list[int], workspace: dc.Workspace):
     """The rows' float64 pixel batches, each from one ``raster_batch`` that
     decodes its rows from their files, and each written into ``workspace``'s
-    kept buffer for the batch's shape, over the batch before it."""
+    kept buffer, over the batch before it."""
     for start in range(0, len(row_indices), EVAL_BATCH):
         rasters = manifest.raster_batch(row_indices[start : start + EVAL_BATCH])
         yield unit_pixels(rasters, workspace.kept(rasters.shape))
@@ -135,7 +146,7 @@ class FeatureTable:
 def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
                        workspace: dc.Workspace) -> FeatureTable:
     """Embed the test split, its pixel batches in ``workspace``'s kept
-    buffers (``train``'s, or the one ``eval`` opens for the extraction).
+    buffer (``train``'s, or the one ``eval`` opens for the extraction).
     Raises ``NonFiniteEmbeddingError``, naming the first such image, when an
     identity embedding or its squared L2 norm is not finite:
     ``normalize_rows`` would turn it into zeros, and every distance into a

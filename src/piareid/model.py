@@ -96,6 +96,23 @@ def sized_weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def check_attention_kernel(cfg: ArchConfig) -> None:
+    """Raise ``EncoderConfigError`` unless the attention kernel is odd and
+    positive, and no wider than twice the image's larger side less one.
+
+    The attention conv pads the feature map by half its kernel, so every
+    border tap of a wider kernel meets only the zero padding of a map as
+    large as the image, and the map is never larger than the image."""
+    dbdl.validate_attention_kernel(cfg.attention_kernel_size)
+    limit = 2 * max(cfg.image_height, cfg.image_width) - 1
+    if cfg.attention_kernel_size > limit:
+        raise encoder.EncoderConfigError(
+            f"attention kernel size {cfg.attention_kernel_size} exceeds {limit}, the "
+            f"widest whose border taps can reach the feature map of a "
+            f"{cfg.image_height}x{cfg.image_width} image"
+        )
+
+
 def build_model(cfg: ModelConfig) -> ModelState:
     """Deterministic construction: one rng stream, fixed draw order."""
     rng = np.random.default_rng([cfg.seed, 0])

@@ -24,9 +24,10 @@ every ``eval_every``-th epoch (for the retrieval report).
 A steady-state step allocates none of its large arrays afresh.  ``train``
 runs every epoch in one ``diffcore.Workspace``, passed to ``epoch``: each
 taped conv's ``cols`` comes from it and goes back as backward releases the
-conv's node, a tapeless conv of the test-split extraction returns its buffer
-at once, and ``unit_pixels`` converts every pixel batch, the steps' and the
-extraction's, into the one buffer the workspace keeps for a batch's shape.
+conv's node, a tapeless conv of the test-split extraction borrows one of
+the buffers the steps gave back (the workspace lends by size) and returns
+it at once, and ``unit_pixels`` converts every pixel batch, the steps' and
+the extraction's, into the one buffer the workspace keeps.
 So a step after the first epoch takes almost no page faults, whether or not
 glibc malloc trimmed the heap in between.  The buffers go when ``train``
 returns or raises.  ``eval`` extracts in a workspace of its own, gone before
@@ -131,7 +132,7 @@ class TrainConfig(model_mod.ArchConfig):
         encoder.validate_architecture(
             tuple(self.widths), tuple(self.strides), self.kernel_size
         )
-        dbdl.validate_attention_kernel(self.attention_kernel_size)
+        model_mod.check_attention_kernel(self)
 
     def model_config(self, num_identities: int, num_clothing_classes: int) -> model_mod.ModelConfig:
         return kvconfig.project(self, model_mod.ModelConfig, num_identities=num_identities,

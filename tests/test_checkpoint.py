@@ -243,6 +243,23 @@ class TestSaveRestore:
         with pytest.raises(CheckpointError, match=f"parameter {name}: stored shape"):
             restore(loaded, dataclasses.replace(SMALL, **{field: value}))
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"attention_kernel_size": 10**5 + 1}, "attention kernel size 100001 exceeds 31, "),
+        ({"attention_kernel_size": 10**5 + 1, "image_height": 10**9},
+         "image side 1000000000 exceeds 1024"),
+    ])
+    def test_single_branch_attention_kernel_is_bounded_before_the_model_is_built(
+            self, monkeypatch, changes, message):
+        # no record of a single-branch checkpoint holds the attention weights,
+        # which build_model draws all the same
+        def refuse(cfg):
+            raise AssertionError("build_model ran before the size check")
+
+        loaded = deserialize(serialize("", collect_arrays(small_state(), None)))
+        monkeypatch.setattr(model, "build_model", refuse)
+        with pytest.raises(CheckpointError, match=message):
+            restore(loaded, dataclasses.replace(SMALL, use_dbdl=False, **changes))
+
     def test_restore_copies_do_not_alias(self):
         state = small_state()
         loaded = deserialize(serialize("", collect_arrays(state, None)))

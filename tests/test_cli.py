@@ -497,6 +497,25 @@ class TestEval:
         assert "invalid checkpoint" in err and "heads.id.weight" in err
         assert not out.exists()
 
+    def test_single_branch_block_with_a_huge_attention_kernel_is_invalid_checkpoint(
+            self, tmp_path, capsys):
+        # no record of a use_dbdl = false checkpoint holds the attention
+        # weights, yet the model draws them
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        loaded = ckpt.load_raw(checkpoint)
+        text = re.sub(r"attention_kernel_size = \d+", "attention_kernel_size = 100001",
+                      loaded.config_text).replace("use_dbdl = true", "use_dbdl = false")
+        assert "use_dbdl = false" in text and "100001" in text
+        checkpoint.write_bytes(ckpt.serialize(text, loaded.arrays))
+        out = tmp_path / "eval"
+        rc = main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                   "--out", str(out)] + EVAL_GOLDEN_FLAGS)
+        assert rc == EXIT_IO_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "invalid checkpoint" in err
+        assert "attention kernel size 100001 exceeds 31" in err and "16x8 image" in err
+        assert not out.exists()
+
     def test_huge_finite_weights_are_config_error(self, tmp_path, capsys):
         # every squared embedding norm overflows, which would make every
         # embedding zero and every distance a tie

@@ -879,11 +879,11 @@ class TestBackwardReleasesTheTape:
 
 
 class _Ledger(dc.Workspace):
-    """A workspace that logs every buffer it lends and gets back."""
+    """A workspace that logs every buffer it lends, gets back and keeps."""
 
     def __init__(self):
         super().__init__()
-        self.taken, self.given = [], []
+        self.taken, self.given, self.kept_views = [], [], []
 
     def take(self, shape):
         buffer = super().take(shape)
@@ -893,6 +893,16 @@ class _Ledger(dc.Workspace):
     def give(self, buffer):
         self.given.append(buffer)
         super().give(buffer)
+
+    def kept(self, shape):
+        view = super().kept(shape)
+        self.kept_views.append(view)
+        return view
+
+
+def _owner(view):
+    """The array that owns ``view``'s memory."""
+    return view if view.base is None else view.base
 
 
 def _same(a, b):
@@ -959,18 +969,107 @@ class TestWorkspace:
             with dc.Workspace() as workspace:
                 assert dc.current_workspace() is workspace
                 kept = workspace.kept((2, 3))
-                assert workspace.kept((2, 3)) is kept
+                assert kept.shape == (2, 3) and kept.flags.c_contiguous
+                smaller = workspace.kept((5,))
+                assert smaller.shape == (5,) and np.shares_memory(smaller, kept)
+                assert np.shares_memory(workspace.kept((2, 3)), kept)
                 lent = workspace.take((2, 3))
-                assert lent is not kept
+                assert not np.shares_memory(lent, kept)
                 workspace.give(lent)
+                larger = workspace.kept((3, 3))  # replaces the kept buffer
+                assert larger.shape == (3, 3) and not np.shares_memory(larger, kept)
                 with pytest.raises(dc.TapeError, match="already active"):
                     with dc.Workspace():
                         pass
                 assert dc.current_workspace() is workspace
                 raise RuntimeError("inside")
         assert dc.current_workspace() is None
-        assert workspace.take((2, 3)) is not lent  # leaving dropped the idle buffer
-        assert workspace.kept((2, 3)) is not kept
+        # leaving dropped the idle and the kept buffer
+        assert not np.shares_memory(workspace.take((2, 3)), lent)
+        assert not np.shares_memory(workspace.kept((2, 3)), larger)
+
+    def test_take_lends_the_smallest_idle_buffer_that_holds_the_shape(self):
+        workspace = dc.Workspace()
+        small, large = workspace.take((2, 3)), workspace.take((4, 5))
+        workspace.give(large)
+        workspace.give(small)
+        loan = workspace.take((5,))
+        assert loan.shape == (5,) and _owner(loan) is small
+        assert _owner(workspace.take((3, 4))) is large
+        workspace.give(loan)
+        # no idle buffer holds 7 values: the too-small one goes
+        fresh = workspace.take((7,))
+        assert not np.shares_memory(fresh, small)
+        workspace.give(fresh)
+        assert _owner(workspace.take((6,))) is _owner(fresh)
+
+    @given(st.lists(st.tuples(
+        st.booleans(),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
+        st.integers(0, 2**16),
+    ), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_outstanding_loans_never_share_memory(self, calls):
+        workspace, out = dc.Workspace(), []
+        for give, shape, pick in calls:
+            if give and out:
+                workspace.give(out.pop(pick % len(out)))
+                continue
+            loan = workspace.take(shape)
+            assert loan.shape == shape and loan.dtype == np.float64
+            assert loan.flags.c_contiguous
+            assert not any(np.shares_memory(loan, other) for other in out)
+            out.append(loan)
+
+
+class TestWorkspaceInTrainAndEval:
+    """By-size lending across a training step and an extraction."""
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        from piareid import synthbench
+
+        # 4 test identities of 8 images per modality: two 32-image batches
+        return synthbench.generate_dataset(synthbench.GenConfig(
+            n_identities=8, images_per_identity_per_modality=8, image_height=16,
+            image_width=8, split_ratio="1:1", seed=2,
+        ), tmp_path_factory.mktemp("workspace_data"))
+
+    def test_extraction_after_a_train_step_allocates_nothing(self, manifest):
+        from piareid import evalkit, trainer
+
+        cfg = trainer.TrainConfig(
+            epochs=2, stage2_start_epoch=2, ids_per_batch=4, instances_per_modality=8,
+            eval_every=0, image_height=16, image_width=8, widths=(4, 4),
+            strides=(2, 1), attention_kernel_size=3,
+        )
+        run = trainer.TrainRun(manifest, cfg)
+        with _Ledger() as ledger:
+            run.epoch(manifest, ledger)  # steps only: no probe or eval in epoch 0
+            assert len(ledger.taken) == 3  # both backbone convs' and the attention's cols
+            lent = {id(_owner(b)) for b in ledger.taken}
+            kept = _owner(ledger.kept_views[-1])
+            ledger.taken.clear()
+            ledger.kept_views.clear()
+            evalkit.test_feature_table(manifest, run.state, ledger)
+            assert len(ledger.taken) == 6  # two batches of three convs
+            assert all(id(_owner(b)) in lent for b in ledger.taken)
+            assert len(ledger.kept_views) == 2
+            assert all(_owner(v) is kept for v in ledger.kept_views)
+
+    def test_eval_alone_keeps_one_buffer_sized_for_the_largest_cols(self, manifest):
+        from piareid import evalkit, model
+
+        state = model.build_model(model.ModelConfig(
+            image_height=16, image_width=8, widths=(4, 4), strides=(2, 1),
+            attention_kernel_size=3, num_identities=4, num_clothing_classes=8,
+        ))
+        with _Ledger() as ledger:
+            evalkit.test_feature_table(manifest, state, ledger)
+            sizes = [b.size for b in ledger.taken]
+            assert len(set(sizes)) == 3  # conv0's, conv1's and the attention's
+            assert len(ledger._idle) == 1
+            assert _owner(ledger._idle[0]).size == max(sizes)
 
 
 class TestValidation:

@@ -113,6 +113,7 @@ def resized_config_blocks(draw):
         "attention_kernel_size": draw(_SIZE),
         "num_identities": draw(_SIZE),
         "num_clothing_classes": draw(_SIZE),
+        "use_dbdl": draw(st.booleans()),
     }
     for name in draw(st.sets(st.sampled_from(sorted(sizes)), max_size=4)):
         del sizes[name]
@@ -138,6 +139,7 @@ class TestCheckpoint:
     @example(_resized())
     @example(_resized(num_identities=10**15))
     @example(_resized(widths=(4,)))
+    @example(_resized(use_dbdl=False, attention_kernel_size=10**5 + 1))
     @FUZZ
     def test_restore_builds_only_the_model_the_records_hold(self, blob):
         loaded = checkpoint.deserialize(blob)
@@ -146,6 +148,12 @@ class TestCheckpoint:
         # a ValueError) for an architecture that fits the records but not itself
         restored = parsed_or_none(ValueError, checkpoint.restore, loaded, cfg)
         if restored is not None:
+            if not cfg.use_dbdl:
+                # no record holds the attention weights or the clothing head;
+                # 31 = 2 * 16 - 1, the widest kernel for the small model's image
+                assert cfg.attention_kernel_size <= 31
+                cfg = dataclasses.replace(cfg, use_dbdl=True, attention_kernel_size=3,
+                                          num_clothing_classes=4)
             assert cfg == _SMALL_MODEL
 
 

@@ -174,6 +174,19 @@ class TestExtraction:
         for joined, chunked in zip(whole, split):
             assert np.allclose(joined, chunked, atol=1e-12)
 
+    def test_two_32_image_batches_give_the_bits_of_one_64_image_batch(self):
+        # evalkit extracts 32 images at a time; at the default architecture
+        # that keeps the embeddings of 64-image batches bit for bit
+        cfg = model.ModelConfig()
+        state = model.build_model(cfg)
+        rng = np.random.default_rng(3)
+        batch = rng.integers(0, 256, (64, 3, cfg.image_height, cfg.image_width)) / 255.0
+        with dc.Workspace():
+            whole = model.extract_embeddings(state, [batch])
+            halves = model.extract_embeddings(state, [batch[:32], batch[32:]])
+        for joined, chunked in zip(whole, halves):
+            assert np.array_equal(joined, chunked)
+
     def test_matches_forward(self):
         state = model.build_model(SMALL)
         batch = pixels(3)

@@ -71,6 +71,7 @@ class TestTrainConfig:
             {"use_orth": True, "use_dbdl": False},
             {"eval_every": -1},
             {"seed": -1},
+            {"attention_kernel_size": 129},  # wider than 2 * 64 - 1
         ],
     )
     def test_rejects_bad_values(self, overrides):
