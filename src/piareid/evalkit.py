@@ -13,11 +13,13 @@ Queries whose identity never appears in the gallery are dropped and counted.
 the test split, one ``EVAL_BATCH`` of images decoded from their files at a
 time into the kept buffer of the ``diffcore.Workspace`` its caller must
 pass, and copies each row's identity, clothing and modality label onto the
-``FeatureTable``.  Every later step (``protocol_from_table``, ``evaluate``)
-takes only the table, so the manifest, and the workspace the extraction
-ran in, can be let go before any distance is made.  ``check_protocol``
-raises a protocol's ``ProtocolError`` from the labels alone, before any
-extraction.
+``FeatureTable``.  Each batch's identity embeddings are written in place
+into one [n, D] array.  The clothing embeddings are kept only when the
+caller asks: ``train``'s probe of |cos(f, f_c)| does, ``eval`` does not.
+Every later step (``protocol_from_table``, ``evaluate``) takes only the
+table, so the manifest, and the workspace the extraction ran in, can be
+let go before any distance is made.  ``check_protocol`` raises a
+protocol's ``ProtocolError`` from the labels alone, before any extraction.
 
 ``EVAL_BATCH`` is 32, half a training batch, because every per-batch array
 of the extraction (the pixels, each conv's padded input, ``cols`` and
@@ -37,6 +39,8 @@ positives and sums its distances, the second makes each block again and
 sums the squared deviations from those means.  The sums are
 ``PairwiseSum`` streams, which add values in numpy's own pairwise order, so
 each statistic equals numpy's mean or std over the whole matrix bit for bit.
+A block's positive and negative distances reach them ``GATHER_ROWS`` rows at
+a time, so no copy of a whole block's negatives is made.
 A further ranking of a direction (the clothes-changing one, say) masks its
 gallery items inside the first pass's blocks.  Eval memory is O(ROW_BLOCK·G),
 not O(Q·G).
@@ -61,6 +65,10 @@ EVAL_BATCH = 32
 # query rows whose distances to the gallery exist at once while a direction
 # is ranked and summarised
 ROW_BLOCK = 128
+# rows of a block whose positive or negative distances are gathered at a
+# time into a PairwiseSum: a whole block's negatives would be a copy nearly
+# the size of the block
+GATHER_ROWS = 16
 # values a PairwiseSum holds and reduces at a time, a node of numpy's
 # pairwise tree: 64 KB, since 2**16-value buffers left train_full's peak
 # RSS up to 1 MB higher
@@ -72,7 +80,8 @@ class ProtocolError(ValueError):
 
 
 class NonFiniteEmbeddingError(ProtocolError):
-    """Raised when a test image's identity embedding cannot be ranked."""
+    """Raised when a test image's identity or clothing embedding is not
+    finite, or its squared L2 norm overflows."""
 
 
 @dataclass
@@ -132,9 +141,10 @@ def _test_labels(manifest: Manifest) -> tuple[list[int], np.ndarray, np.ndarray,
 @dataclass
 class FeatureTable:
     """The test split's labels and identity embeddings, and its clothing
-    embeddings when the model has the dual branch.  Entry i of every array
-    belongs to manifest row ``row_indices[i]``; the table needs no manifest,
-    so a caller can drop the manifest once the table is built."""
+    embeddings when its caller asked for them and the model has the dual
+    branch (``None`` otherwise).  Entry i of every array belongs to manifest
+    row ``row_indices[i]``; the table needs no manifest, so a caller can drop
+    the manifest once the table is built."""
     row_indices: list[int]
     identities: np.ndarray           # [n]
     clothing: np.ndarray             # [n]
@@ -143,27 +153,42 @@ class FeatureTable:
     clothing_features: np.ndarray | None
 
 
-def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
-                       workspace: dc.Workspace) -> FeatureTable:
-    """Embed the test split, its pixel batches in ``workspace``'s kept
-    buffer (``train``'s, or the one ``eval`` opens for the extraction).
-    Raises ``NonFiniteEmbeddingError``, naming the first such image, when an
-    identity embedding or its squared L2 norm is not finite:
-    ``normalize_rows`` would turn it into zeros, and every distance into a
-    tie."""
-    rows, identities, clothing, modalities = _test_labels(manifest)
-    features, clothing_features = model_mod.extract_embeddings(
-        state, _batches_of(manifest, rows, workspace))
+def _check_finite(manifest: Manifest, rows: list[int], embeddings: np.ndarray,
+                  use: str) -> None:
+    """Raise ``NonFiniteEmbeddingError``, naming the first image and what
+    could not be done with its embedding (``use``), when any row of
+    ``embeddings`` or its squared L2 norm is not finite."""
     with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(np.square(features).sum(axis=1)))
+        bad = np.flatnonzero(~np.isfinite(np.square(embeddings).sum(axis=1)))
     if bad.size:
-        problem = ("its squared L2 norm overflows" if np.isfinite(features[bad[0]]).all()
+        problem = ("its squared L2 norm overflows" if np.isfinite(embeddings[bad[0]]).all()
                    else "it holds non-finite values")
         raise NonFiniteEmbeddingError(
-            f"{manifest.base_dir / manifest.rows[rows[bad[0]]].path}: cannot rank the "
-            f"identity embedding: {problem} ({bad.size} of {len(rows)} test images)"
+            f"{manifest.base_dir / manifest.rows[rows[bad[0]]].path}: cannot {use}: "
+            f"{problem} ({bad.size} of {len(rows)} test images)"
         )
-    return FeatureTable(rows, identities, clothing, modalities, features, clothing_features)
+
+
+def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
+                       workspace: dc.Workspace, clothing: bool = False) -> FeatureTable:
+    """Embed the test split, its pixel batches in ``workspace``'s kept
+    buffer (``train``'s, or the one ``eval`` opens for the extraction), and
+    keep the clothing embeddings only when ``clothing`` asks for them: the
+    ranking reads the identity ones alone.
+
+    Raises ``NonFiniteEmbeddingError``, naming the first such image and the
+    branch, when a kept embedding or its squared L2 norm is not finite:
+    ``normalize_rows`` would turn an identity embedding into zeros, and every
+    distance into a tie, and a clothing one would make the logged
+    |cos(f, f_c)| NaN."""
+    rows, identities, clothing_labels, modalities = _test_labels(manifest)
+    features, clothing_features = model_mod.extract_embeddings(
+        state, _batches_of(manifest, rows, workspace), len(rows), clothing=clothing)
+    _check_finite(manifest, rows, features, "rank the identity embedding")
+    if clothing_features is not None:
+        _check_finite(manifest, rows, clothing_features, "probe the clothing embedding")
+    return FeatureTable(rows, identities, clothing_labels, modalities, features,
+                        clothing_features)
 
 
 def _protocol_positions(identities: np.ndarray, modalities: np.ndarray,
@@ -339,13 +364,13 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
 
     Pass 1 makes each block's distances and its identity mask ``same``,
     ranks the block's positives with ``rank``, and streams its positive and
-    its negative distances, in row-major order, into one ``PairwiseSum``
-    each.  Pass 2 makes each block again, by the same call, and streams the
-    squared deviations from those means.  So the statistics equal numpy's
-    ``.mean()`` and ``.std()`` of ``distances[same]`` and
-    ``distances[~same]`` of the whole matrix bit for bit.  A further
-    ranking of a direction (the clothes-changing one, say) masks its
-    gallery items inside pass 1's blocks.  The retrieval set's arrays are
+    its negative distances, in row-major order and ``GATHER_ROWS`` rows at a
+    time, into one ``PairwiseSum`` each.  Pass 2 makes each block again, by
+    the same call, and streams the squared deviations from those means.  So
+    the statistics equal numpy's ``.mean()`` and ``.std()`` of
+    ``distances[same]`` and ``distances[~same]`` of the whole matrix bit for
+    bit.  A further ranking of a direction (the clothes-changing one, say)
+    masks its gallery items inside pass 1's blocks.  The retrieval set's arrays are
     not modified.
     """
     query_ids, gallery_ids = retrieval.query_identities, retrieval.gallery_identities
@@ -372,6 +397,12 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
             yield (start, distance_matrix(retrieval, rows, buffer[: rows.stop - start]),
                    gallery_codes == query_codes[rows, None])
 
+    def gathers(distances: np.ndarray, same: np.ndarray):
+        """A block's distances and mask, ``GATHER_ROWS`` rows at a time."""
+        for start in range(0, same.shape[0], GATHER_ROWS):
+            part = slice(start, start + GATHER_ROWS)
+            yield distances[part], same[part]
+
     sums = [PairwiseSum(num_positive), PairwiseSum(num_query * num_gallery - num_positive)]
     # filled in place: small arrays kept across the blocks' large temporaries
     # fragment the heap, which left train_full's peak RSS higher
@@ -382,15 +413,17 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
         hits = slice(filled, filled + block_rows.size)
         rows[hits], ranks[hits] = block_rows + start, block_ranks
         filled = hits.stop
-        sums[0].add(distances[same])
-        sums[1].add(distances[~same])
+        for values, mask in gathers(distances, same):
+            sums[0].add(values[mask])
+            sums[1].add(values[~mask])
     means = [s.total() / s.size if s.size else 0.0 for s in sums]
     sums = [PairwiseSum(s.size) for s in sums]  # now of the squared deviations
     for _, distances, same in blocks():
-        for stream, mask, mean in zip(sums, (same, ~same), means):
-            deviations = distances[mask]
-            deviations -= mean
-            stream.add(np.square(deviations, out=deviations))
+        for values, mask in gathers(distances, same):
+            for stream, picked, mean in zip(sums, (mask, ~mask), means):
+                deviations = values[picked]
+                deviations -= mean
+                stream.add(np.square(deviations, out=deviations))
     stds = [float(np.sqrt(s.total() / s.size)) if s.size else 0.0 for s in sums]
     curve = cmc_curve(rows, ranks, num_query, num_gallery)
 

@@ -161,17 +161,25 @@ def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
     return f, f_c, masks
 
 
-def extract_embeddings(model: ModelState, pixel_batches) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eval-mode (f, f_c) for an iterable of [N,3,H,W] arrays; f_c is None
-    without the dual branch."""
-    f_chunks, fc_chunks = [], []
+def extract_embeddings(model: ModelState, pixel_batches, count: int, *,
+                       clothing: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eval-mode (f, f_c) of the ``count`` images in an iterable of
+    [N,3,H,W] arrays, each batch's rows written in place into [count, D]
+    arrays made up front.  f_c is None unless ``clothing`` is asked for and
+    the model has the dual branch; without it, each batch's f_c is still
+    made by ``forward_embeddings``, then dropped.  Raises ``ValueError`` when
+    the batches hold other than ``count`` images."""
+    dim = model.cfg.embedding_dim
+    features = np.empty((count, dim))
+    clothing_features = np.empty((count, dim)) if clothing and model.cfg.use_dbdl else None
+    filled = 0
     for batch in pixel_batches:
         f, f_c, _ = forward_embeddings(model, dc.constant(batch), training=False)
-        f_chunks.append(f.data)
-        if f_c is not None:
-            fc_chunks.append(f_c.data)
-
-    def stacked(chunks: list[np.ndarray]) -> np.ndarray:
-        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, model.cfg.embedding_dim))
-
-    return stacked(f_chunks), stacked(fc_chunks) if model.cfg.use_dbdl else None
+        rows = slice(filled, filled + f.shape[0])
+        features[rows] = f.data
+        if clothing_features is not None:
+            clothing_features[rows] = f_c.data
+        filled = rows.stop
+    if filled != count:
+        raise ValueError(f"{filled} images embedded, {count} expected")
+    return features, clothing_features

@@ -487,8 +487,12 @@ def _csv_fields(path: Path, number: int, line: str) -> list[str]:
 def load_manifest(path) -> Manifest:
     """Read and validate a manifest; ``path`` is the csv or its directory.
 
-    Every row path must be relative and, once its ``..`` parts are folded
-    away, stay inside the manifest's directory.
+    The lines (``str.splitlines``) are parsed in one pass and each is let go
+    once parsed; the first line that is neither blank nor a ``#`` comment is
+    the header.  Errors name the file and the line.  Every row path must be
+    relative and, once its ``..`` parts are folded away, stay inside the
+    manifest's directory.  Each row's ``split`` is ``SPLIT_TRAIN`` or
+    ``SPLIT_TEST`` itself, not a copy.
     """
     path = Path(path)
     if path.is_dir():
@@ -499,27 +503,26 @@ def load_manifest(path) -> Manifest:
     base = str(base_dir)
     rows: list[ManifestRow] = []
     fingerprint = ""
+    header_seen = False
     try:
         lines = path.read_bytes().decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
-    data_lines: list[tuple[int, str]] = []
-    for number, line in enumerate(lines, start=1):
+    lines.reverse()  # popped from the end, first line first
+    for number in range(1, len(lines) + 1):
+        line = lines.pop()
         if line.startswith("#"):
             if line.startswith("# fingerprint="):
                 fingerprint = line.split("=", 1)[1].strip()
             continue
-        if line.strip():
-            data_lines.append((number, line))
-    if not data_lines:
-        raise ManifestError(f"{path}: empty manifest")
-    header = _csv_fields(path, *data_lines[0])
-    if header != MANIFEST_HEADER:
-        raise ManifestError(
-            f"{path}:{data_lines[0][0]}: header {header} != {MANIFEST_HEADER}"
-        )
-    for number, line in data_lines[1:]:
+        if not line.strip():
+            continue
         record = _csv_fields(path, number, line)
+        if not header_seen:
+            if record != MANIFEST_HEADER:
+                raise ManifestError(f"{path}:{number}: header {record} != {MANIFEST_HEADER}")
+            header_seen = True
+            continue
         if len(record) != 5:
             raise ManifestError(f"{path}:{number}: expected 5 columns, got {len(record)}")
         rel, identity_s, clothing_s, modality, split = record
@@ -537,7 +540,10 @@ def load_manifest(path) -> Manifest:
             raise ManifestError(f"{path}:{number}: image path {rel!r} leaves the dataset")
         if not os.path.isfile(os.path.join(base, rel)):
             raise ManifestError(f"{path}:{number}: missing image {rel}")
-        rows.append(ManifestRow(rel, identity, clothing, modality, split))
+        rows.append(ManifestRow(rel, identity, clothing, modality,
+                                SPLIT_TRAIN if split == SPLIT_TRAIN else SPLIT_TEST))
+    if not header_seen:
+        raise ManifestError(f"{path}: empty manifest")
     if not rows:
         raise ManifestError(f"{path}: no data rows")
     identities = np.unique([row.identity for row in rows])

@@ -449,7 +449,8 @@ class TrainRun:
         probe_due = cfg.use_dbdl and epoch == min(cfg.stage2_start_epoch, cfg.epochs) - 1
         eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
         if probe_due or eval_due:
-            table = evalkit.test_feature_table(manifest, self.state, workspace)
+            # the clothing embeddings only for the probe
+            table = evalkit.test_feature_table(manifest, self.state, workspace, probe_due)
             if probe_due:
                 record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
                                                              table.clothing_features)

@@ -249,8 +249,8 @@ class TestTrain:
                                                        monkeypatch):
         extract = model.extract_embeddings
 
-        def overflowing(state, batches):
-            features, clothing_features = extract(state, batches)
+        def overflowing(state, batches, count, **kwargs):
+            features, clothing_features = extract(state, batches, count, **kwargs)
             return features * 1e300, clothing_features
 
         monkeypatch.setattr(model, "extract_embeddings", overflowing)
@@ -260,6 +260,31 @@ class TestTrain:
         assert rc == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert "Traceback" not in err and "squared L2 norm overflows" in err
+        assert not run.exists()
+
+    def test_non_finite_clothing_embedding_is_config_error(self, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        # only the probe epoch's |cos(f, f_c)| reads the clothing embeddings;
+        # a NaN there must stop the run, not reach the log as NaN
+        extract = model.extract_embeddings
+
+        def spoiled(*args, **kwargs):
+            features, clothing_features = extract(*args, **kwargs)
+            if clothing_features is not None:
+                clothing_features = clothing_features * np.nan
+            return features, clothing_features
+
+        monkeypatch.setattr(model, "extract_embeddings", spoiled)
+        data = workspace / "data"
+        manifest = synthbench.load_manifest(data)
+        first = manifest.rows[manifest.rows_for_split(synthbench.SPLIT_TEST)[0]]
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(data), "--out", str(run)] + TINY_TRAIN)
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{data / first.path}: cannot probe the clothing embedding: it holds " \
+               f"non-finite values" in err
         assert not run.exists()
 
     def test_collapsed_embedding_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -557,6 +582,21 @@ class TestEval:
                      "--out", str(tmp_path / "eval"), "--direction", "both"]
                     + EVAL_GOLDEN_FLAGS) == EXIT_OK
         assert len(loaded) == 1 and alive_at_ranking == [False, False]
+
+    def test_builds_no_clothing_embeddings(self, workspace, tmp_path, monkeypatch):
+        # the ranking reads the identity embeddings alone, so the dual-branch
+        # checkpoint's clothing embeddings are not kept
+        tables = []
+        evaluate = evalkit.evaluate
+        monkeypatch.setattr(evalkit, "evaluate", lambda table, *args: (
+            tables.append(table) or evaluate(table, *args)))
+        assert main(["eval", "--config", str(workspace / "run" / "run_config.txt"),
+                     "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+                     "--data-dir", str(workspace / "data"),
+                     "--out", str(tmp_path / "eval")]) == EXIT_OK
+        [table] = tables
+        assert table.clothing_features is None
+        assert table.features.shape[0] == len(table.row_indices) > 0
 
     def test_image_size_mismatch_is_config_error(self, workspace, tmp_path, capsys):
         # the checkpoint's model takes 16x8 images; this dataset holds 32x16

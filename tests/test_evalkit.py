@@ -473,8 +473,9 @@ class TestReportFromSet:
 
     def test_peak_memory_is_a_few_row_blocks(self):
         # tracemalloc sees numpy's buffers: one [ROW_BLOCK, G] distance block,
-        # its masks and gathered values and PairwiseSum's nodes stay under
-        # four blocks, where a whole [Q, G] matrix would be about eight
+        # its mask, the values gathered GATHER_ROWS rows at a time and
+        # PairwiseSum's nodes stay under two blocks, where a whole [Q, G]
+        # matrix would be about eight
         size = 1000
         rng = np.random.default_rng(9)
         gallery_ids = np.repeat(np.arange(size // 4), 4)
@@ -487,7 +488,7 @@ class TestReportFromSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start <= 4 * evalkit.ROW_BLOCK * size * 8
+        assert peak - start <= 2 * evalkit.ROW_BLOCK * size * 8
 
     @given(num_query=st.integers(1, evalkit.ROW_BLOCK), num_gallery=st.integers(1, 300),
            dim=st.integers(1, 8), levels=st.integers(0, 2), labels=st.integers(1, 8),
@@ -673,8 +674,8 @@ class TestFeatureTable:
         extract = evalkit.model_mod.extract_embeddings
         bad = 3  # the fourth test image
 
-        def spoiled(state, batches):
-            features, clothing_features = extract(state, batches)
+        def spoiled(state, batches, count, **kwargs):
+            features, clothing_features = extract(state, batches, count, **kwargs)
             features[bad:, 0] = value
             return features, clothing_features
 
@@ -686,3 +687,33 @@ class TestFeatureTable:
         message = str(caught.value)
         assert str(tiny_manifest.base_dir / first.path) in message and what in message
         assert isinstance(caught.value, ProtocolError)
+
+    def test_clothing_embeddings_only_on_request(self, tiny_manifest, tiny_state):
+        with dc.Workspace() as workspace:
+            plain = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
+            probed = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace,
+                                                clothing=True)
+        assert plain.clothing_features is None
+        assert probed.clothing_features.shape == probed.features.shape
+        assert np.array_equal(plain.features, probed.features)
+
+    def test_rejects_a_non_finite_clothing_embedding_it_keeps(self, tiny_manifest,
+                                                              tiny_state, monkeypatch):
+        extract = evalkit.model_mod.extract_embeddings
+        bad = 2  # the third test image
+
+        def spoiled(*args, **kwargs):
+            features, clothing_features = extract(*args, **kwargs)
+            if clothing_features is not None:
+                clothing_features[bad:, 1] = np.inf
+            return features, clothing_features
+
+        monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", spoiled)
+        with dc.Workspace() as workspace:
+            evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
+            with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
+                evalkit.test_feature_table(tiny_manifest, tiny_state, workspace,
+                                           clothing=True)
+        first = tiny_manifest.rows[tiny_manifest.rows_for_split("test")[bad]]
+        assert str(caught.value).startswith(
+            f"{tiny_manifest.base_dir / first.path}: cannot probe the clothing embedding")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,8 +171,8 @@ class TestExtraction:
     def test_batching_is_transparent(self):
         state = model.build_model(SMALL)
         batch = pixels(6)
-        whole = model.extract_embeddings(state, [batch])
-        split = model.extract_embeddings(state, [batch[:2], batch[2:]])
+        whole = model.extract_embeddings(state, [batch], 6)
+        split = model.extract_embeddings(state, [batch[:2], batch[2:]], 6)
         for joined, chunked in zip(whole, split):
             assert np.allclose(joined, chunked, atol=1e-12)
 
@@ -182,33 +184,62 @@ class TestExtraction:
         rng = np.random.default_rng(3)
         batch = rng.integers(0, 256, (64, 3, cfg.image_height, cfg.image_width)) / 255.0
         with dc.Workspace():
-            whole = model.extract_embeddings(state, [batch])
-            halves = model.extract_embeddings(state, [batch[:32], batch[32:]])
+            whole = model.extract_embeddings(state, [batch], 64)
+            halves = model.extract_embeddings(state, [batch[:32], batch[32:]], 64)
         for joined, chunked in zip(whole, halves):
             assert np.array_equal(joined, chunked)
 
     def test_matches_forward(self):
         state = model.build_model(SMALL)
         batch = pixels(3)
-        via_extract, fc_via_extract = model.extract_embeddings(state, [batch])
+        via_extract, fc_via_extract = model.extract_embeddings(state, [batch], 3)
         f, f_c, _ = model.forward_embeddings(state, dc.constant(batch), training=False)
         assert np.array_equal(via_extract, f.data)
         assert np.array_equal(fc_via_extract, f_c.data)
 
     def test_empty_iterable(self):
         state = model.build_model(SMALL)
-        f, f_c = model.extract_embeddings(state, [])
+        f, f_c = model.extract_embeddings(state, [], 0)
         assert f.shape == f_c.shape == (0, SMALL.embedding_dim)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_a_count_other_than_the_images_raises(self, count):
+        state = model.build_model(SMALL)
+        with pytest.raises(ValueError):
+            model.extract_embeddings(state, [pixels(3)], count)
 
     def test_branch_extraction_pairs(self):
         state = model.build_model(SMALL)
-        f, f_c = model.extract_embeddings(state, [pixels(3)])
+        f, f_c = model.extract_embeddings(state, [pixels(3)], 3)
         assert f.shape == f_c.shape == (3, SMALL.embedding_dim)
 
     def test_single_branch_has_no_clothing_features(self):
         import dataclasses
 
         state = model.build_model(dataclasses.replace(SMALL, use_dbdl=False))
-        f, f_c = model.extract_embeddings(state, [pixels(2)])
+        f, f_c = model.extract_embeddings(state, [pixels(2)], 2)
         assert f.shape == (2, SMALL.embedding_dim)
         assert f_c is None
+
+    def test_peak_memory_beyond_the_result_does_not_grow_with_the_batches(self):
+        # each batch's rows go straight into the returned arrays, so what the
+        # extraction holds beyond them is one batch's transients; a 1x1 image
+        # makes those small beside a batch's 128-wide embeddings
+        cfg = model.ModelConfig(image_height=1, image_width=1, widths=(64,), strides=(1,),
+                                kernel_size=1, attention_kernel_size=1)
+        state = model.build_model(cfg)
+        batch = np.random.default_rng(0).random((32, 3, 1, 1))
+
+        def peak_beyond_result(batches):
+            tracemalloc.start()
+            try:
+                f, f_c = model.extract_embeddings(
+                    state, (batch for _ in range(batches)), batches * len(batch))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - f.nbytes - f_c.nbytes
+
+        batch_embeddings = 2 * len(batch) * cfg.embedding_dim * 8
+        peak_beyond_result(16)  # warm numpy's and the interpreter's caches
+        assert peak_beyond_result(16) < peak_beyond_result(4) + batch_embeddings

@@ -656,6 +656,47 @@ class TestLoadManifestErrors:
         with pytest.raises(ManifestError, match="empty manifest"):
             load_manifest(tmp_path)
 
+    def test_comments_and_blank_lines_only(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("\n# fingerprint=abc\n \r\n\x0c# no rows\n\n")
+        with pytest.raises(ManifestError, match="empty manifest"):
+            load_manifest(tmp_path)
+
+    def test_header_alone(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("# c\npath,identity,clothing,modality,split\n")
+        with pytest.raises(ManifestError, match="no data rows"):
+            load_manifest(tmp_path)
+
+    def test_header_after_comments_and_blank_lines(self, tmp_path):
+        manifest = generate_dataset(GenConfig(**TINY), tmp_path)
+        path = tmp_path / "manifest.csv"
+        path.write_text("\n# a note\n  \n" + path.read_text())
+        loaded = load_manifest(tmp_path)
+        assert loaded.rows == manifest.rows and loaded.fingerprint == manifest.fingerprint
+
+    def test_bad_header_names_its_line(self, tmp_path):
+        # \x0b ends a line for str.splitlines: the header is line 4
+        (tmp_path / "manifest.csv").write_text("# c\n\n\x0ba,b,c\n")
+        with pytest.raises(ManifestError, match=r"manifest\.csv:4: header \['a', 'b', 'c'\]"):
+            load_manifest(tmp_path)
+
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path):
+        generate_dataset(GenConfig(**TINY), tmp_path)
+        path = tmp_path / "manifest.csv"
+        lines = path.read_text().splitlines()
+        # str.splitlines ends a line at \r\n, \x0c and \u2028 too: three blank
+        # lines, then the bad row
+        path.write_text("\n".join(lines) + "\n\r\n\x0c\u2028" + lines[1].replace(",V,", ",X,")
+                        + "\n")
+        with pytest.raises(ManifestError, match=rf"manifest\.csv:{len(lines) + 4}: bad modality"):
+            load_manifest(tmp_path)
+
+    def test_splits_are_the_shared_constants(self, tmp_path):
+        generate_dataset(GenConfig(**TINY), tmp_path)
+        rows = load_manifest(tmp_path).rows
+        assert all(row.split is synthbench.SPLIT_TRAIN or row.split is synthbench.SPLIT_TEST
+                   for row in rows)
+        assert {row.split for row in rows} == {synthbench.SPLIT_TRAIN, synthbench.SPLIT_TEST}
+
     def test_bad_column_count(self, tmp_path):
         (tmp_path / "manifest.csv").write_text(
             "path,identity,clothing,modality,split\nx.ppm,0,0,V\n"

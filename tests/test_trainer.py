@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from piareid import (bpl, checkpoint, config, diffcore as dc, encoder, evalkit,
+from piareid import (bpl, checkpoint, config, dbdl, diffcore as dc, encoder, evalkit,
                      synthbench, trainer)
 from piareid.trainer import (
     AdamState,
@@ -448,6 +448,29 @@ class TestTrainLoop:
                                                    **config.ABLATION_PRESETS[preset]))
         assert len(calls) == passes
         assert [("eval" in r) for r in result.epoch_records] == [bool(eval_every)] * 2
+
+    def test_clothing_embeddings_only_for_the_probe(self, manifest, monkeypatch):
+        # both epochs evaluate; only epoch 0's pass, which the probe shares,
+        # keeps f_c, and the probe reads the |cos(f, f_c)| of a full
+        # extraction with that epoch's weights
+        kept, states = [], []
+        extract = evalkit.model_mod.extract_embeddings
+
+        def recorded(state, *args, **kwargs):
+            features, clothing_features = extract(state, *args, **kwargs)
+            kept.append(clothing_features is not None)
+            states.append(copy.deepcopy(state))
+            return features, clothing_features
+
+        monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", recorded)
+        result = train(manifest, tiny_train_config(eval_every=1))
+        monkeypatch.undo()
+        assert kept == [True, False]
+        assert [("val_abs_cos" in r) for r in result.epoch_records] == [True, False]
+        with dc.Workspace() as workspace:
+            table = evalkit.test_feature_table(manifest, states[0], workspace, clothing=True)
+        assert result.epoch_records[0]["val_abs_cos"] == dbdl.mean_abs_cosine(
+            table.features, table.clothing_features)
 
     def test_undersized_image_pool_raises(self, manifest):
         with pytest.raises(InsufficientSamplesError):
