@@ -17,7 +17,8 @@ Exit codes: 0 success; 1 a ``gradcheck`` row over its tolerance.  Any other
 code comes from the ``_EXIT_CODES`` table, which ``main`` consults for every
 typed error a command raises, printing the error's own message after
 ``error:``.  2 is a configuration error: ``ConfigError``, ``GenConfigError``,
-``CheckSuiteError``, ``TrainerError``, ``ProtocolError`` (which covers a
+``CheckSuiteError``, ``TrainerError`` (which covers a non-finite loss term
+or parameter in training), ``ProtocolError`` (which covers a
 non-finite test-image embedding), ``ShapeMismatchError`` (the dataset's
 images do not fit the model), ``EncoderConfigError`` and
 ``DegenerateFeatureError`` (an embedding row fell below the norm guard
@@ -206,8 +207,8 @@ def _cmd_eval(args) -> int:
     state = _load_checkpoint(cfg)
     directions = evalkit.DIRECTIONS if args.direction == "both" else (args.direction,)
     # The extraction runs in a workspace of its own, which lets go of its
-    # buffers, like the manifest no name holds, before any [Q, G] distance
-    # buffer exists.
+    # buffers, like the manifest no name holds, before the one [ROW_BLOCK, G]
+    # distance block exists.
     with dc.Workspace() as workspace:
         table = evalkit.test_feature_table(
             synthbench.load_manifest(Path(cfg.data_dir)), state, workspace)

@@ -1,12 +1,15 @@
 """Cross-modality retrieval evaluation: protocol assembly, cosine-distance
-ranking with stable tie-breaks, CMC and mAP, and matched/mismatched
-distance statistics, all packaged into a JSON-serializable report.
+ranking with stable tie-breaks, and CMC, mAP and mINP, all packaged into a
+JSON-serializable report.
 
-Distance is 1 - cosine on L2-normalized identity embeddings.  CMC and mAP
-need only where each same-identity gallery item (a positive) lands, so no
-full [Q, G] ordering is built: one value sort per query row places each
+Distance is 1 - cosine on L2-normalized identity embeddings.  CMC, mAP and
+mINP need only where each same-identity gallery item (a positive) lands, so
+no full [Q, G] ordering is built: one value sort per query row places each
 positive by binary search, and equal distances go to the lower gallery
 index, so a positive's rank is its position in a stable argsort of the row.
+mINP, the mean inverse negative penalty that visible-infrared ReID reports
+beside Rank-k and mAP, scores each query by its hardest positive: the
+number of positives over the rank of the last one.
 Queries whose identity never appears in the gallery are dropped and counted.
 
 ``test_feature_table`` is the one step that reads the manifest: it embeds
@@ -34,16 +37,11 @@ last bits.
 
 No direction's [Q, G] distances exist at once.  ``report_from_set`` makes
 them one block of ``ROW_BLOCK`` query rows at a time, into one reused
-[ROW_BLOCK, G] buffer, in two passes: the first ranks each block's
-positives and sums its distances, the second makes each block again and
-sums the squared deviations from those means.  The sums are
-``PairwiseSum`` streams, which add values in numpy's own pairwise order, so
-each statistic equals numpy's mean or std over the whole matrix bit for bit.
-A block's positive and negative distances reach them ``GATHER_ROWS`` rows at
-a time, so no copy of a whole block's negatives is made.
-A further ranking of a direction (the clothes-changing one, say) masks its
-gallery items inside the first pass's blocks.  Eval memory is O(ROW_BLOCK·G),
-not O(Q·G).
+[ROW_BLOCK, G] buffer, in one pass: each block is made once, ranked, and
+overwritten by the next.  A further ranking of a direction (the
+clothes-changing one, say) can mask its gallery items in each block in
+place, once the general ranking has read the block.  Eval memory is
+O(ROW_BLOCK·G), not O(Q·G).
 """
 
 from __future__ import annotations
@@ -63,16 +61,8 @@ DIRECTIONS = (DIRECTION_V2I, DIRECTION_I2V)
 
 EVAL_BATCH = 32
 # query rows whose distances to the gallery exist at once while a direction
-# is ranked and summarised
+# is ranked
 ROW_BLOCK = 128
-# rows of a block whose positive or negative distances are gathered at a
-# time into a PairwiseSum: a whole block's negatives would be a copy nearly
-# the size of the block
-GATHER_ROWS = 16
-# values a PairwiseSum holds and reduces at a time, a node of numpy's
-# pairwise tree: 64 KB, since 2**16-value buffers left train_full's peak
-# RSS up to 1 MB higher
-SUM_NODE = 1 << 13
 
 
 class ProtocolError(ValueError):
@@ -105,11 +95,8 @@ class EvalReport:
     rank10: float
     rank20: float
     mean_ap: float
+    mean_inp: float
     cmc: list[float] = field(default_factory=list)
-    pos_dist_mean: float = 0.0
-    pos_dist_std: float = 0.0
-    neg_dist_mean: float = 0.0
-    neg_dist_std: float = 0.0
 
     def to_dict(self) -> dict:
         """The fields by name; ``cmc`` is the report's own list, not a copy."""
@@ -241,7 +228,6 @@ def distance_matrix(retrieval: RetrievalSet, rows: slice = slice(None),
     OpenBLAS picks its kernel path from the operands' shapes, so the last
     bits of a block's product follow that block's own call: they can differ
     from the same rows of the whole [Q, G] product (by at most about 1e-14).
-    A caller that needs a block twice makes it twice with the same call.
     """
     products = np.matmul(retrieval.query_features[rows], retrieval.gallery_features.T,
                          out=out)
@@ -297,81 +283,23 @@ def mean_ap(rows: np.ndarray, ranks: np.ndarray, num_query: int) -> float:
     return float(ap.mean())
 
 
-class PairwiseSum:
-    """``np.add.reduce`` of ``size`` float64 values that arrive in order, in
-    chunks of any size, bit for bit, while at most ``SUM_NODE`` of them are
-    held.
-
-    numpy sums a contiguous float64 array with one pairwise tree: a node of
-    more than 128 values splits at ``n2 = n//2 - (n//2) % 8`` and adds its
-    two halves' sums.  So a node of at most ``SUM_NODE`` values is exactly
-    one ``np.add.reduce`` of those values: the stream reduces each such node
-    straight from a chunk that holds all of it, or else from a buffer it
-    fills across chunks, and adds the node sums up the same splits.
-    ``np.add.reduce`` starts from +0.0, which can only turn a node sum of
-    -0.0 into +0.0; the total is the same either way.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._nodes: list[int] = []  # the tree's nodes of at most SUM_NODE values
-        pending = [size]
-        while pending:
-            n = pending.pop()
-            if n <= SUM_NODE:
-                self._nodes.append(n)
-            else:
-                half = n // 2 - (n // 2) % 8
-                pending += [n - half, half]  # the left half is reduced first
-        self._sums: list[np.float64] = []
-        self._buffer = np.empty(max(self._nodes))
-        self._filled = 0
-
-    def add(self, values: np.ndarray) -> None:
-        """Append the 1-D ``values`` to the stream."""
-        while values.size:
-            node = self._nodes[len(self._sums)]
-            if not self._filled and values.size >= node:  # a whole node: no copy
-                self._sums.append(np.add.reduce(values[:node]))
-                values = values[node:]
-                continue
-            taken = values[: node - self._filled]
-            self._buffer[self._filled : self._filled + taken.size] = taken
-            self._filled += taken.size
-            values = values[taken.size :]
-            if self._filled == node:
-                self._sums.append(np.add.reduce(self._buffer[:node]))
-                self._filled = 0
-
-    def total(self) -> float:
-        """The sum of all ``size`` values, once every one has been added."""
-        if not self.size:
-            return 0.0
-        sums = iter(self._sums)
-
-        def node(n: int):
-            if n <= SUM_NODE:
-                return next(sums)
-            half = n // 2 - (n // 2) % 8
-            return node(half) + node(n - half)
-
-        return float(node(self.size))
+def mean_inp(rows: np.ndarray, ranks: np.ndarray, num_query: int) -> float:
+    """Mean over queries of INP, the number of positives over the 1-based rank
+    of the last one (0 without hits): the precision at the hardest positive."""
+    counts = np.bincount(rows, minlength=num_query)
+    last = np.zeros(num_query, dtype=np.intp)
+    np.maximum.at(last, rows, ranks + 1)
+    inp = np.divide(counts, last, out=np.zeros(num_query), where=counts > 0)
+    return float(inp.mean())
 
 
 def report_from_set(retrieval: RetrievalSet) -> EvalReport:
     """The report of one direction, made from its distances one block of
     ``ROW_BLOCK`` query rows at a time, so no [Q, G] array exists.
 
-    Pass 1 makes each block's distances and its identity mask ``same``,
-    ranks the block's positives with ``rank``, and streams its positive and
-    its negative distances, in row-major order and ``GATHER_ROWS`` rows at a
-    time, into one ``PairwiseSum`` each.  Pass 2 makes each block again, by
-    the same call, and streams the squared deviations from those means.  So
-    the statistics equal numpy's ``.mean()`` and ``.std()`` of
-    ``distances[same]`` and ``distances[~same]`` of the whole matrix bit for
-    bit.  A further ranking of a direction (the clothes-changing one, say)
-    masks its gallery items inside pass 1's blocks.  The retrieval set's arrays are
-    not modified.
+    Each block's distances and identity mask are made once, and ``rank``
+    places the block's positives; CMC, mAP and mINP are all read from those
+    ranks.  The retrieval set's arrays are not modified.
     """
     query_ids, gallery_ids = retrieval.query_identities, retrieval.gallery_identities
     num_query, num_gallery = query_ids.size, gallery_ids.size
@@ -389,42 +317,17 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
     code = np.min_scalar_type(labels.size)
     gallery_codes, query_codes = gallery_codes.astype(code), query_codes.astype(code)
     buffer = np.empty((min(ROW_BLOCK, num_query), num_gallery))
-
-    def blocks():
-        """Each block's first query row, distances and identity mask."""
-        for start in range(0, num_query, ROW_BLOCK):
-            rows = slice(start, min(start + ROW_BLOCK, num_query))
-            yield (start, distance_matrix(retrieval, rows, buffer[: rows.stop - start]),
-                   gallery_codes == query_codes[rows, None])
-
-    def gathers(distances: np.ndarray, same: np.ndarray):
-        """A block's distances and mask, ``GATHER_ROWS`` rows at a time."""
-        for start in range(0, same.shape[0], GATHER_ROWS):
-            part = slice(start, start + GATHER_ROWS)
-            yield distances[part], same[part]
-
-    sums = [PairwiseSum(num_positive), PairwiseSum(num_query * num_gallery - num_positive)]
     # filled in place: small arrays kept across the blocks' large temporaries
     # fragment the heap, which left train_full's peak RSS higher
     rows, ranks = np.empty(num_positive, np.intp), np.empty(num_positive, np.intp)
     filled = 0
-    for start, distances, same in blocks():
-        block_rows, block_ranks = rank(distances, same)
+    for start in range(0, num_query, ROW_BLOCK):
+        block = slice(start, min(start + ROW_BLOCK, num_query))
+        distances = distance_matrix(retrieval, block, buffer[: block.stop - start])
+        block_rows, block_ranks = rank(distances, gallery_codes == query_codes[block, None])
         hits = slice(filled, filled + block_rows.size)
         rows[hits], ranks[hits] = block_rows + start, block_ranks
         filled = hits.stop
-        for values, mask in gathers(distances, same):
-            sums[0].add(values[mask])
-            sums[1].add(values[~mask])
-    means = [s.total() / s.size if s.size else 0.0 for s in sums]
-    sums = [PairwiseSum(s.size) for s in sums]  # now of the squared deviations
-    for _, distances, same in blocks():
-        for values, mask in gathers(distances, same):
-            for stream, picked, mean in zip(sums, (mask, ~mask), means):
-                deviations = values[picked]
-                deviations -= mean
-                stream.add(np.square(deviations, out=deviations))
-    stds = [float(np.sqrt(s.total() / s.size)) if s.size else 0.0 for s in sums]
     curve = cmc_curve(rows, ranks, num_query, num_gallery)
 
     def rank_at(k: int) -> float:
@@ -440,11 +343,8 @@ def report_from_set(retrieval: RetrievalSet) -> EvalReport:
         rank10=rank_at(10),
         rank20=rank_at(20),
         mean_ap=mean_ap(rows, ranks, num_query),
+        mean_inp=mean_inp(rows, ranks, num_query),
         cmc=[float(v) for v in curve],
-        pos_dist_mean=means[0],
-        pos_dist_std=stds[0],
-        neg_dist_mean=means[1],
-        neg_dist_std=stds[1],
     )
 
 

@@ -16,7 +16,8 @@ model, bank, Adam moments, rng, sampler queues, label remaps and epoch
 records.  Building it does every check and the set-up, ``epoch`` runs the
 next epoch and ``finish`` writes the output files; ``train`` is that loop.
 ``_step`` runs one batch on a tape of its own: forward, ``bpl.absorb_batch``
-when a prototype term is on in Stage II, the terms, backward, ``adam_step``.
+when a prototype term is on in Stage II, the terms, backward, ``adam_step``,
+and it stops the run on the first term or parameter that is not finite.
 An epoch extracts the test split at most once: in the last Stage-I epoch of
 a dual-branch model (for ``val_abs_cos``, the mean |cos(f, f_c)|) and in
 every ``eval_every``-th epoch (for the retrieval report).
@@ -69,6 +70,11 @@ class InsufficientSamplesError(TrainerError):
 
 class MissingGradientError(TrainerError):
     """An optimizer step found a parameter without a gradient."""
+
+
+class NonFiniteTrainingError(TrainerError):
+    """A step's loss term, or a parameter after its optimizer update, is not
+    finite."""
 
 
 @dataclass(frozen=True)
@@ -478,8 +484,13 @@ def _step(run: TrainRun, pixels: np.ndarray, y_id: np.ndarray, y_clothing: np.nd
 
     Backward frees the step's own tape as it walks it, so nothing of the step
     but those scalars and the run's weights, Adam moments and bank outlives it.
+
+    Raises ``NonFiniteTrainingError`` on the first loss term (before
+    backward) or parameter (after ``adam_step``) that is not finite, naming
+    it and the epoch and iteration, so a run that blew up writes nothing.
     """
     cfg, state, bank = run.config, run.state, run.bank
+    epoch = len(run.epoch_records)
     with dc.Tape() as tape:
         f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
         batch = bpl.ModalityBatch(f, y_id, is_visible)
@@ -487,11 +498,22 @@ def _step(run: TrainRun, pixels: np.ndarray, y_id: np.ndarray, y_clothing: np.nd
             bpl.absorb_batch(bank, batch)
         total, terms = stage_objective(cfg, stage, f, f_c, state.heads, y_id, y_clothing,
                                        batch, bank)
+    report = LossReport.from_terms(epoch, iteration, stage, lr, total, terms)
+    where = f"at epoch {epoch} iteration {iteration}"
+    # the terms before their total, which any non-finite term makes non-finite
+    for name in (*(term.name for term in fields(StageTerms)), "total"):
+        value = getattr(report, name)
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteTrainingError(f"loss term {name} is {value} {where}")
     dc.backward(total, tape)
     params = state.named_parameters()
     adam_step(params, run.adam, lr)
     dc.zero_grads(params.values())
-    return LossReport.from_terms(len(run.epoch_records), iteration, stage, lr, total, terms)
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NonFiniteTrainingError(
+                f"parameter {name} is not finite after the optimizer step {where}")
+    return report
 
 
 def train(manifest: Manifest, cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainRun:

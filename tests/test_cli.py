@@ -11,6 +11,8 @@ import re
 import shutil
 import struct
 import weakref
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from piareid.cli import (
     EXIT_OK,
     main,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TINY_DATA = [
     "--n-identities", "4",
@@ -287,6 +291,29 @@ class TestTrain:
                f"non-finite values" in err
         assert not run.exists()
 
+    def test_non_finite_parameter_is_config_error(self, workspace, tmp_path, capsys,
+                                                  monkeypatch):
+        # a weight that turns NaN in the last step stops the run before any
+        # output is written
+        adam_step, steps = trainer.adam_step, []
+
+        def spoiling(params, state, lr):
+            adam_step(params, state, lr)
+            steps.append(1)
+            if len(steps) == 4:  # epoch 1, iteration 1
+                params["heads.id.weight"].data.flat[0] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", spoiling)
+        run = tmp_path / "r"
+        rc = main(["train", "--data-dir", str(workspace / "data"), "--out", str(run)]
+                  + TINY_TRAIN)
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("error: parameter heads.id.weight is not finite after the optimizer step "
+                "at epoch 1 iteration 1") in err
+        assert not run.exists()
+
     def test_collapsed_embedding_is_config_error(self, tmp_path, capsys, monkeypatch):
         # perfbench's tiny train_full run, with every training forward zeroing
         # row 0 of f, which the orthogonality loss refuses at the first step
@@ -375,8 +402,8 @@ class TestReproduce:
 
 
 #: sha256 of the eval reports of a seeded, untrained model on an 8-identity
-#: dataset (``EVAL_GOLDEN_FLAGS``, seed 0), computed before positives were
-#: ranked without a full ordering.
+#: dataset (``EVAL_GOLDEN_FLAGS``, seed 0), computed when the report traded
+#: its distance statistics for ``mean_inp``; every other field kept its bytes.
 EVAL_GOLDEN_FLAGS = [
     "--n-identities", "8", "--images-per-identity-per-modality", "4",
     "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
@@ -384,14 +411,15 @@ EVAL_GOLDEN_FLAGS = [
     "--seed", "0",
 ]
 EVAL_GOLDEN_SHA256 = {
-    "eval_v2i.json": "5ff9eaf83b2e78ec13335eb06e76a81999e6b66a6b4ee6e58c5ade97dab3da6d",
-    "eval_i2v.json": "6504de57189a2d2eee14df8190c0ea9cde8af52b740840844d9fb692aada5181",
+    "eval_v2i.json": "a0c9d74919fb322b8ae4f05d1fd8d67238d25d4c29ca30dea20f14f486af0f22",
+    "eval_i2v.json": "b1f7086be76be1aa4ecd78436ad52658f111bb0b8449b024deae1815532c1200",
 }
 
 #: sha256 of the train outputs at perfbench's tiny train_full flags
 #: (``TRAIN_GOLDEN_DATA`` for ``gen-data``, plus ``TRAIN_GOLDEN_CALL`` for
-#: ``train``, seed 0), computed while the pixel cache still held float64
-#: copies of the images.
+#: ``train``, seed 0).  ``checkpoint.bin``'s digest dates from when the pixel
+#: cache still held float64 copies of the images; the log's, which embeds
+#: each epoch's eval report, from when that report gained ``mean_inp``.
 TRAIN_GOLDEN_DATA = [
     "--n-identities", "8", "--images-per-identity-per-modality", "4",
     "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1",
@@ -404,7 +432,7 @@ TRAIN_GOLDEN_CALL = [
 ]
 TRAIN_GOLDEN_SHA256 = {
     "checkpoint.bin": "a7c2bb4b2135e4ffa9286296984f1de07b40e2c097116b405c1bb7f8c5e0251c",
-    "train_log.jsonl": "4499b8ff19228198fbcaf3ede941d16126ee0e7df89b2e8a7e284eb19e7164c5",
+    "train_log.jsonl": "c5079ef36b1faea11ae0fe773541c4eacc372a5a490a35852fffafaa70e4a5de",
 }
 
 
@@ -451,6 +479,24 @@ class TestEval:
             assert 0.0 <= report["rank1"] <= 1.0
             assert 0.0 <= report["mean_ap"] <= 1.0
             assert report["num_query"] > 0
+
+    def test_reports_pass_the_benchmark_gate(self, tmp_path, monkeypatch):
+        # perfbench's gate checks every eval report it times; a report it
+        # rejects would turn each benchmark sample into a failed operation.
+        # This reads perfbench/gate.py and changes nothing in it.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import gate
+
+        data, checkpoint = _untrained_eval_inputs(tmp_path)
+        out = tmp_path / "eval"
+        assert main(["eval", "--data-dir", str(data), "--checkpoint", str(checkpoint),
+                     "--out", str(out), "--direction", "both"]
+                    + EVAL_GOLDEN_FLAGS) == EXIT_OK
+        rows, _ = gate.read_manifest_rows(data)
+        for direction in evalkit.DIRECTIONS:
+            report = json.loads((out / f"eval_{direction}.json").read_text())
+            assert list(report) == [f.name for f in fields(evalkit.EvalReport)]
+            assert gate.check_eval_report(report, rows) == [], direction
 
     def test_reports_match_golden_digests(self, tmp_path):
         data, checkpoint = _untrained_eval_inputs(tmp_path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,12 +17,12 @@ from piareid.diffcore import normalize_rows
 from piareid.evalkit import (
     EvalReport,
     FeatureTable,
-    PairwiseSum,
     ProtocolError,
     RetrievalSet,
     cmc_curve,
     distance_matrix,
     mean_ap,
+    mean_inp,
     protocol_from_table,
     rank,
     report_from_set,
@@ -64,6 +66,25 @@ def oracle_map(orderings, query_ids, gallery_ids) -> float:
     return float(np.mean(rows))
 
 
+def oracle_inp(hit_row) -> float:
+    """Hits over the 1-based position of the last hit (0 without hits)."""
+    hits = 0
+    last = 0
+    for position, is_hit in enumerate(hit_row, start=1):
+        if is_hit:
+            hits += 1
+            last = position
+    return hits / last if hits else 0.0
+
+
+def oracle_minp(orderings, query_ids, gallery_ids) -> float:
+    rows = [
+        oracle_inp(gallery_ids[orderings[q]] == query_ids[q])
+        for q in range(orderings.shape[0])
+    ]
+    return float(np.mean(rows))
+
+
 def frozen_rank(distances, same):
     """The whole-matrix ``rank``: one stable position per positive pair."""
     rows, cols = np.nonzero(same)
@@ -84,15 +105,12 @@ def frozen_rank(distances, same):
 
 def frozen_report_from_set(retrieval):
     """``report_from_set`` as it was with one [Q, G] distance matrix per
-    direction: one matmul, one ranking, and numpy's mean and std of the
-    positive and the negative distances (which the in-place summary it used
-    equalled bit for bit)."""
+    direction: one matmul and one ranking of the whole matrix."""
     same = retrieval.gallery_identities[None, :] == retrieval.query_identities[:, None]
     num_query, num_gallery = same.shape
     assert same.any(axis=1).all()
     distances = 1.0 - retrieval.query_features @ retrieval.gallery_features.T
     rows, ranks = frozen_rank(distances, same)
-    positive, negative = distances[same], distances[~same]
     curve = cmc_curve(rows, ranks, num_query, num_gallery)
 
     def rank_at(k):
@@ -108,11 +126,8 @@ def frozen_report_from_set(retrieval):
         rank10=rank_at(10),
         rank20=rank_at(20),
         mean_ap=mean_ap(rows, ranks, num_query),
+        mean_inp=mean_inp(rows, ranks, num_query),
         cmc=[float(v) for v in curve],
-        pos_dist_mean=float(positive.mean()),
-        pos_dist_std=float(positive.std()),
-        neg_dist_mean=float(negative.mean()) if negative.size else 0.0,
-        neg_dist_std=float(negative.std()) if negative.size else 0.0,
     )
 
 
@@ -127,6 +142,10 @@ def cmc_of(orderings, query_ids, gallery_ids):
 
 def map_of(orderings, query_ids, gallery_ids):
     return mean_ap(*positives(orderings, query_ids, gallery_ids), orderings.shape[0])
+
+
+def minp_of(orderings, query_ids, gallery_ids):
+    return mean_inp(*positives(orderings, query_ids, gallery_ids), orderings.shape[0])
 
 
 def random_instance(rng):
@@ -222,6 +241,80 @@ class TestMeanAp:
                                          rel=1e-12, abs=0.0)
 
 
+def _row_inp(hit_row) -> float:
+    """INP of one ranked boolean row, through ``mean_inp`` of its one query."""
+    return mean_inp(*np.nonzero(np.asarray(hit_row)[None, :]), 1)
+
+
+class TestMeanInp:
+    def test_matches_oracle_exactly_on_500_instances(self):
+        rng = np.random.default_rng(25)
+        for _ in range(500):
+            orderings, query_ids, gallery_ids = random_instance(rng)
+            assert minp_of(orderings, query_ids, gallery_ids) == oracle_minp(
+                orderings, query_ids, gallery_ids)
+
+    def test_matches_oracle_on_random_rows(self):
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            row = rng.random(int(rng.integers(1, 9))) < 0.4
+            assert _row_inp(row) == oracle_inp(row)
+
+    def test_single_positive_at_rank_r(self):
+        for r in range(8):
+            row = np.zeros(8, dtype=bool)
+            row[r] = True
+            assert _row_inp(row) == 1.0 / (r + 1)
+
+    def test_positives_filling_the_top_ranks_read_one(self):
+        for hits in range(1, 6):
+            assert _row_inp(np.arange(8) < hits) == 1.0
+
+    def test_hardest_positive_sets_it(self):
+        # hits at positions 1, 2 and 6: three positives over six places
+        assert _row_inp([True, True, False, False, False, True]) == 0.5
+
+    def test_no_hits_is_zero(self):
+        assert _row_inp(np.zeros(4, dtype=bool)) == 0.0
+        # a query without positives counts as 0 in the mean
+        assert mean_inp(np.array([0]), np.array([1]), 2) == 0.25
+
+    def test_ties_go_to_the_lower_gallery_index(self):
+        # gallery 0 and 1 tie at distance 0; the positive placed after the
+        # tied negative reads 1/2, the one placed before it reads 1
+        gallery = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert report_from_set(make_set([[1.0, 0.0]], [0], gallery, [1, 0, 2])
+                               ).mean_inp == 0.5
+        assert report_from_set(make_set([[1.0, 0.0]], [0], gallery, [0, 1, 2])
+                               ).mean_inp == 1.0
+
+    @given(num_query=st.integers(1, 6), num_gallery=st.integers(1, 10),
+           values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                           min_size=60, max_size=60),
+           single=st.booleans(), seed=st.integers(0, 2**16))
+    @example(num_query=2, num_gallery=3, values=[0.5] * 60, single=True, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_each_query_in_zero_one_and_single_positive_equals_ap(
+            self, num_query, num_gallery, values, single, seed):
+        # few distinct values tie often; each query has at least one positive,
+        # exactly one when `single`, and then INP = AP = 1/(rank + 1)
+        rng = np.random.default_rng(seed)
+        distances = np.array(values[: num_query * num_gallery]).reshape(
+            num_query, num_gallery)
+        same = np.zeros(distances.shape, dtype=bool)
+        same[np.arange(num_query), rng.integers(num_gallery, size=num_query)] = True
+        if not single:
+            same |= rng.random(distances.shape) < 0.4
+        rows, ranks = rank(distances, same)
+        per_query = [mean_inp(rows[rows == q] * 0, ranks[rows == q], 1)
+                     for q in range(num_query)]
+        assert all(0.0 < inp <= 1.0 for inp in per_query)
+        assert mean_inp(rows, ranks, num_query) == pytest.approx(
+            np.mean(per_query), rel=1e-12, abs=0.0)
+        if single:
+            assert mean_inp(rows, ranks, num_query) == mean_ap(rows, ranks, num_query)
+
+
 class TestNormalizeRows:
     def test_unit_norms(self):
         rng = np.random.default_rng(3)
@@ -312,118 +405,6 @@ class TestDistanceAndRank:
         assert ranks.tolist() == position[expected_rows, expected_cols].tolist()
 
 
-def stats_of(report):
-    """The report's distance statistics, as the bytes of each float64."""
-    names = ("pos_dist_mean", "pos_dist_std", "neg_dist_mean", "neg_dist_std")
-    return {name: np.float64(getattr(report, name)).tobytes() for name in names}
-
-
-class TestDistanceStats:
-    def test_hand_case(self):
-        # query matches gallery 0 exactly (distance 0) and is orthogonal to gallery 1
-        retrieval = make_set([[1.0, 0.0]], [5], [[1.0, 0.0], [0.0, 1.0]], [5, 6])
-        report = report_from_set(retrieval)
-        assert report.pos_dist_mean == pytest.approx(0.0, abs=1e-12)
-        assert report.neg_dist_mean == pytest.approx(1.0, abs=1e-12)
-        assert report.pos_dist_std == pytest.approx(0.0, abs=1e-12)
-        assert report.neg_dist_std == pytest.approx(0.0, abs=1e-12)
-
-    def test_no_negatives_reports_zero(self):
-        retrieval = make_set([[1.0, 0.0]], [5], [[0.0, 1.0]], [5])
-        report = report_from_set(retrieval)
-        assert report.neg_dist_mean == 0.0
-        assert report.neg_dist_std == 0.0
-
-    @given(num_query=st.integers(1, 300), num_gallery=st.integers(1, 300),
-           palette=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 2.0, np.nan]),
-                                      st.floats(0.0, 2.0)),
-                            min_size=1, max_size=6),
-           labels=st.integers(1, 6), splits=st.integers(1, 8),
-           seed=st.integers(0, 2**16))
-    @example(num_query=1, num_gallery=1, palette=[0.5], labels=1, splits=1, seed=0)
-    @example(num_query=30, num_gallery=40, palette=[0.1, 0.7], labels=1, splits=7, seed=1)
-    @example(num_query=256, num_gallery=256, palette=[-0.0, 0.3, 1.1], labels=6, splits=2,
-             seed=2)
-    @example(num_query=257, num_gallery=256, palette=[0.0, -0.0, 1.5], labels=5, splits=3,
-             seed=3)
-    @example(num_query=300, num_gallery=300, palette=[0.4, np.nan], labels=2, splits=8,
-             seed=4)
-    @settings(max_examples=150, deadline=None)
-    def test_equals_numpy_mean_and_std_bit_for_bit(self, num_query, num_gallery, palette,
-                                                   labels, splits, seed):
-        # the report's streamed statistics of a [Q, G] table of few distinct
-        # values, signed zeros and NaNs, made in one block of Q rows and in
-        # `splits` blocks; Q*G spans several of PairwiseSum's nodes, and
-        # labels=1 leaves no negatives
-        assert 300 * 300 > evalkit.SUM_NODE
-        rng = np.random.default_rng(seed)
-        table = np.array(palette)[rng.integers(len(palette), size=(num_query, num_gallery))]
-        gallery_ids = rng.integers(labels, size=num_gallery)
-        query_ids = gallery_ids[rng.integers(num_gallery, size=num_query)]
-        retrieval = make_set(np.ones((num_query, 1)), query_ids,
-                             np.ones((num_gallery, 1)), gallery_ids)
-        same = same_of(retrieval)
-        positives, negatives = table[same], table[~same]
-        expected = {
-            "pos_dist_mean": positives.mean(),
-            "pos_dist_std": positives.std(),
-            "neg_dist_mean": negatives.mean() if negatives.size else 0.0,
-            "neg_dist_std": negatives.std() if negatives.size else 0.0,
-        }
-        expected = {k: np.float64(v).tobytes() for k, v in expected.items()}
-
-        def served(retrieval, rows=slice(None), out=None):
-            out[...] = table[rows]
-            return out
-
-        def unranked(distances, same):  # the statistics do not read the ranks
-            rows = np.flatnonzero(same) // same.shape[1]
-            return rows, np.zeros_like(rows)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evalkit, "distance_matrix", served)
-            patch.setattr(evalkit, "rank", unranked)
-            for block in (num_query, -(-num_query // splits)):
-                patch.setattr(evalkit, "ROW_BLOCK", block)
-                assert stats_of(report_from_set(retrieval)) == expected, block
-
-
-class TestPairwiseSum:
-    @given(size=st.integers(0, 2 * evalkit.SUM_NODE + 5000),
-           palette=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 2.0, np.nan]),
-                                      st.floats(-1e3, 1e3)),
-                            min_size=1, max_size=6),
-           cuts=st.integers(0, 12), seed=st.integers(0, 2**16))
-    @example(size=0, palette=[1.0], cuts=0, seed=0)
-    @example(size=0, palette=[1.0], cuts=3, seed=0)
-    @example(size=10, palette=[-0.0], cuts=2, seed=1)
-    @example(size=evalkit.SUM_NODE, palette=[0.1, 0.3], cuts=1, seed=2)
-    @example(size=evalkit.SUM_NODE + 1, palette=[0.1, -0.0], cuts=4, seed=3)
-    @example(size=2 * evalkit.SUM_NODE + 9, palette=[0.7, 1e-3, 2.0], cuts=9, seed=4)
-    @example(size=3 * evalkit.SUM_NODE + 17, palette=[0.7, 1e-3, np.nan], cuts=5, seed=5)
-    @settings(max_examples=100, deadline=None)
-    def test_equals_numpy_add_reduce_byte_for_byte(self, size, palette, cuts, seed):
-        # values cut into chunks at random points, empty chunks included; then
-        # the deviation pass that the report's std makes: (v - mean) ** 2
-        rng = np.random.default_rng(seed)
-        values = np.array(palette)[rng.integers(len(palette), size=size)]
-        bounds = [0, *np.sort(rng.integers(0, size + 1, size=cuts)).tolist(), size]
-
-        def streamed(array):
-            stream = PairwiseSum(array.size)
-            for lo, hi in zip(bounds, bounds[1:]):
-                stream.add(array[lo:hi])
-            return np.float64(stream.total())
-
-        total = np.add.reduce(values)
-        assert streamed(values).tobytes() == total.tobytes()
-        if size:
-            squares = np.square(values - total / size)
-            assert streamed(squares).tobytes() == np.add.reduce(squares).tobytes()
-            std = np.sqrt(streamed(squares) / size)
-            assert std.tobytes() == values.std().tobytes()
-
-
 class TestReportFromSet:
     def test_report_consistent_with_metrics(self):
         rng = np.random.default_rng(6)
@@ -458,7 +439,7 @@ class TestReportFromSet:
             one_pass = [(start, min(start + block, num_query),
                          (min(block, num_query - start), 5))
                         for start in range(0, num_query, block)]
-            assert calls == one_pass * 2, num_query
+            assert calls == one_pass, num_query
 
     def test_leaves_the_retrieval_set_unchanged(self):
         rng = np.random.default_rng(8)
@@ -473,9 +454,8 @@ class TestReportFromSet:
 
     def test_peak_memory_is_a_few_row_blocks(self):
         # tracemalloc sees numpy's buffers: one [ROW_BLOCK, G] distance block,
-        # its mask, the values gathered GATHER_ROWS rows at a time and
-        # PairwiseSum's nodes stay under two blocks, where a whole [Q, G]
-        # matrix would be about eight
+        # its mask and one row's sorted copy stay under two blocks, where a
+        # whole [Q, G] matrix would be about eight
         size = 1000
         rng = np.random.default_rng(9)
         gallery_ids = np.repeat(np.arange(size // 4), 4)
@@ -517,14 +497,19 @@ class TestReportFromSet:
     def test_equals_the_whole_matrix_report_at_the_eval_large_shape(self):
         # eval_large ranks 1728 x 1728 with D = 64 and 12 positives per query;
         # there every 128-row block's product equals those rows of the whole
-        # product, so the blocked report is the same bytes
+        # product, so the blocked report is the same bytes.  The digest of
+        # rank1, cmc and mean_ap was taken from the two-pass report that also
+        # summed the distances: one pass leaves those bits alone.
         size, dim = 1728, 64
         rng = np.random.default_rng(10)
         gallery_ids = np.repeat(np.arange(size // 12), 12)
         retrieval = make_set(rng.normal(size=(size, dim)), rng.permutation(gallery_ids),
                              rng.normal(size=(size, dim)), gallery_ids)
-        assert report_from_set(retrieval).to_json() == frozen_report_from_set(
-            retrieval).to_json()
+        report = report_from_set(retrieval)
+        assert report.to_json() == frozen_report_from_set(retrieval).to_json()
+        ranked = json.dumps([report.rank1, report.cmc, report.mean_ap]).encode()
+        assert hashlib.sha256(ranked).hexdigest() == (
+            "b654280ed718074689369c473b39f10044e09ea5eefe6ecb8db1c8aa05d3250c")
 
     def test_rank_k_clips_to_gallery_size(self):
         # gallery smaller than 5: rank5/10/20 all collapse to the final CMC value
@@ -569,10 +554,10 @@ class TestReportFromSet:
         assert report.rank5 == curve[min(5, num_gallery) - 1]
         assert report.mean_ap == pytest.approx(
             oracle_map(orderings, query_ids, gallery_ids), rel=1e-12, abs=0.0)
+        assert report.mean_inp == pytest.approx(
+            oracle_minp(orderings, query_ids, gallery_ids), rel=1e-12, abs=0.0)
 
     def test_json_round_trip(self):
-        import json
-
         retrieval = make_set(np.eye(2), [0, 1], np.eye(2), [0, 1])
         report = report_from_set(retrieval)
         decoded = json.loads(report.to_json())
@@ -581,7 +566,6 @@ class TestReportFromSet:
 
     def test_json_is_every_field_in_order(self):
         import dataclasses
-        import json
 
         retrieval = make_set(np.eye(3), [0, 1, 2], np.eye(3)[::-1], [2, 1, 0])
         report = report_from_set(retrieval)

@@ -5,6 +5,7 @@ counts.  This reads ``perfbench/tracing.py`` and changes nothing in it."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,7 +39,7 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    from piareid import cli, synthbench
+    from piareid import cli, evalkit, synthbench
 
     rows_read = []
     raster_batch = synthbench.Manifest.raster_batch
@@ -57,6 +58,19 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     assert metrics["pnm.bytes_written"] == sum(
         (data / row.path).stat().st_size for row in manifest.rows)
     assert metrics["checkpoint.bytes"] == (run / "checkpoint.bin").stat().st_size
+    # each eval makes each direction's ROW_BLOCK distance blocks once
+    evals = sum("eval" in json.loads(line)
+                for line in (run / "train_log.jsonl").read_text().splitlines())
+    assert evals == 2
+    test = [manifest.rows[i] for i in manifest.rows_for_split(synthbench.SPLIT_TEST)]
+    blocks = 0
+    for query in (synthbench.VISIBLE, synthbench.INFRARED):
+        gallery_ids = {row.identity for row in test if row.modality != query}
+        num_query = sum(row.modality == query and row.identity in gallery_ids
+                        for row in test)
+        blocks += -(-num_query // evalkit.ROW_BLOCK)
+    assert blocks == 2
+    assert metrics["evalkit.distance_matrix_calls"] == blocks * evals
     names = [span[0] for span in tracer.spans]
     reads = [span for span in tracer.spans if span[0] == "pnm.read"]
     assert reads and all(names[parent] == "synthbench.load_pixels"

@@ -19,6 +19,7 @@ from piareid.trainer import (
     InsufficientSamplesError,
     LossReport,
     MissingGradientError,
+    NonFiniteTrainingError,
     StageTerms,
     TrainConfig,
     TrainRun,
@@ -479,6 +480,51 @@ class TestTrainLoop:
 
 
 # two iterations per epoch on this manifest, so each Stage-II epoch absorbs two batches
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_names_the_parameter_a_step_left_non_finite(self, manifest, tmp_path,
+                                                        monkeypatch, k):
+        # a NaN written into one weight after the k-th optimizer step (two
+        # steps per epoch) stops that step; no checkpoint or log is written
+        name = "backbone.conv1.weight"
+        steps = []
+
+        def spoiling(params, state, lr):
+            adam_step(params, state, lr)
+            steps.append(1)
+            if len(steps) == k:
+                params[name].data.flat[-1] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", spoiling)
+        with pytest.raises(NonFiniteTrainingError) as caught:
+            train(manifest, tiny_train_config(), out_dir=tmp_path)
+        assert str(caught.value) == (f"parameter {name} is not finite after the "
+                                     f"optimizer step at epoch {(k - 1) // 2} "
+                                     f"iteration {(k - 1) % 2}")
+        assert len(steps) == k
+        assert not (tmp_path / "checkpoint.bin").exists()
+        assert not (tmp_path / "train_log.jsonl").exists()
+
+    def test_names_a_non_finite_loss_term_before_backward(self, manifest, monkeypatch):
+        # a NaN intra_v makes the total NaN too; the term is named, and the
+        # step stops before its backward and optimizer update
+        intra_loss = bpl.intra_loss
+
+        def spoiled(*args, **kwargs):
+            intra_v, intra_i = intra_loss(*args, **kwargs)
+            return dc.mul(intra_v, dc.constant(np.array(np.nan))), intra_i
+
+        monkeypatch.setattr(bpl, "intra_loss", spoiled)
+        backward_calls = []
+        backward = dc.backward
+        monkeypatch.setattr(dc, "backward", lambda *args: (
+            backward_calls.append(1) or backward(*args)))
+        with pytest.raises(NonFiniteTrainingError,
+                           match=r"^loss term intra_v is nan at epoch 1 iteration 0$"):
+            train(manifest, tiny_train_config())
+        assert len(backward_calls) == 2  # Stage I's two steps
+
+
 @pytest.mark.parametrize("stage2_start_epoch, stages, probe_epoch, bank_iteration, initialized", [
     (0, (2, 2), None, 4, True),  # prototype stage from the start: no Stage-I end to probe
     (1, (1, 2), 0, 2, True),
