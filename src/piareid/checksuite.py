@@ -11,15 +11,17 @@ drawn jointly keep hand-written factories.  The draws keep inputs away from
 the kinks of relu, abs, max-pooling, and the absolute-cosine penalty so the
 two-sided difference quotient is a faithful oracle at the default step.
 ``stage1_loss`` and ``stage2_loss`` check the total of the trainer's own
-``stage_objective``, the one call a step makes.  Instances are seeded by
-check name, so editing the catalog redraws no other check's.
+``stage_objective``, the one call a step makes, from free embeddings;
+``pia_stage1`` and ``pia_stage2`` check it through a whole tiny model, from
+pixels, with every ``named_parameters()`` entry as an input.  Instances are
+seeded by check name, so editing the catalog redraws no other check's.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ from . import bpl
 from . import dbdl
 from . import diffcore as dc
 from . import encoder
+from . import model
 from . import trainer
 
 DEFAULT_CONFIGS = 20
@@ -209,6 +212,68 @@ def _stage_factory(stage: int):
     return factory
 
 
+#: The composed model's check: 8x4 crops through two conv blocks and a 3x3
+#: attention conv, a batch of 2 identities x 2 images in each modality.
+_PIA_MODEL = dict(image_height=8, image_width=4, widths=(2, 3), strides=(2, 1),
+                  attention_kernel_size=3, num_identities=2, num_clothing_classes=3)
+
+
+def _with_parameters(state: model.ModelState, params) -> model.ModelState:
+    """``state`` with its ``named_parameters()``, in order, replaced by ``params``."""
+    p = dict(zip(state.named_parameters(), params))
+    convs = range(len(state.backbone.weights))
+    return replace(
+        state,
+        backbone=replace(state.backbone,
+                         weights=[p[f"backbone.conv{i}.weight"] for i in convs],
+                         biases=[p[f"backbone.conv{i}.bias"] for i in convs]),
+        attention=dbdl.AttentionParams(p["attention.weight"], p["attention.bias"],
+                                       p["attention.lambda_raw"]),
+        bn_identity=replace(state.bn_identity, gamma=p["bn_identity.gamma"],
+                            beta=p["bn_identity.beta"]),
+        bn_clothing=replace(state.bn_clothing, gamma=p["bn_clothing.gamma"],
+                            beta=p["bn_clothing.beta"]),
+        heads=encoder.ClassifierHeads(p["heads.id.weight"], p["heads.id.bias"],
+                                      p["heads.clothing.weight"], p["heads.clothing.bias"]),
+    )
+
+
+def _pia_factory(stage: int):
+    """``stage_objective`` of one training batch, from pixels through the
+    model; stage 2 absorbs the batch into the bank once, outside ``build``,
+    so that ``build`` reads the bank without changing it."""
+    cfg = trainer.TrainConfig()
+
+    def factory(rng):
+        state = model.build_model(model.ModelConfig(**_PIA_MODEL,
+                                                    seed=int(rng.integers(2**31))))
+        # build_model's zero biases put a relu exactly on its kink wherever a
+        # conv's input window is all zero, as a dead patch of conv0 makes it;
+        # positive ones put it on the live side and keep every channel alive
+        for bias in state.backbone.biases:
+            bias.data[...] = rng.uniform(KINK_MARGIN, 0.3, size=bias.shape)
+        pixels = dc.constant(rng.uniform(size=(8, 3, 8, 4)))
+        y_id = np.tile(np.repeat(np.arange(2), 2), 2)
+        y_c = rng.integers(0, 3, size=8)
+        is_visible = np.repeat([True, False], 4)
+        bank = bpl.PrototypeBank.create(2, state.cfg.embedding_dim, alpha=cfg.alpha)
+        if stage == 2:
+            f = model.forward_embeddings(state, pixels, training=True)[0]
+            bpl.absorb_batch(bank, bpl.ModalityBatch(f, y_id, is_visible))
+
+        def build(params):
+            moved = _with_parameters(state, params)
+            f, f_c, _ = model.forward_embeddings(moved, pixels, training=True)
+            batch = bpl.ModalityBatch(f, y_id, is_visible)
+            return trainer.stage_objective(cfg, stage, f, f_c, moved.heads, y_id, y_c,
+                                           batch, bank)[0]
+
+        named = state.named_parameters()
+        return build, list(named.values()), list(named)
+
+    return factory
+
+
 # ---------------------------------------------------------------------------
 # catalog and runners
 
@@ -280,6 +345,9 @@ CATALOG: dict[str, Factory] = {
     "inter_loss": _make_proto_loss(bpl.inter_loss),
     "stage1_loss": _stage_factory(1),
     "stage2_loss": _stage_factory(2),
+    # the composed model
+    "pia_stage1": _pia_factory(1),
+    "pia_stage2": _pia_factory(2),
 }
 
 

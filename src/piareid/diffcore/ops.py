@@ -33,7 +33,9 @@ kind it serves with that kind's own math:
   - binary (``add``, ``sub``, ``mul``): the operands broadcast under numpy's
     rules; each input's gradient is summed back down to its shape
   - pointwise (``relu``, ``sigmoid``, ``abs``, ``scale``): the forward keeps
-    one array (or the scale factor) for the backward to multiply by
+    one array (or the scale factor) for the backward to multiply by; relu
+    and sigmoid keep their output, not their input, so a conv output that
+    feeds a relu is pinned by no node
 
 The six reduction kinds likewise come from two rules:
   - axis mean/sum (``mean``, ``sum``, ``channel_avg_pool`` over axis 1 with
@@ -206,6 +208,13 @@ def _scale_forward(x, attrs):
     return factor, x * factor
 
 
+def _relu_forward(x, attrs):
+    # NaN stays NaN; out > 0 wherever x > 0 and nowhere else, so keeping the
+    # output leaves the input to die with the caller's last reference
+    out = np.maximum(x, 0.0)
+    return out, out
+
+
 def _sigmoid_forward(x, attrs):
     out = 0.5 * (np.tanh(0.5 * x) + 1.0)
     return out, out
@@ -215,9 +224,7 @@ register("add")(lambda: _binary("add", np.add, lambda g, a, b: g, lambda g, a, b
 register("sub")(lambda: _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g))
 register("mul")(lambda: _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a))
 register("scale")(lambda: _pointwise(_scale_forward, lambda g, factor: g * factor))
-# NaN stays NaN through the forward
-register("relu")(lambda: _pointwise(lambda x, attrs: (x, np.maximum(x, 0.0)),
-                                    lambda g, x: g * (x > 0.0)))
+register("relu")(lambda: _pointwise(_relu_forward, lambda g, out: g * (out > 0.0)))
 register("sigmoid")(lambda: _pointwise(_sigmoid_forward, lambda g, out: g * out * (1.0 - out)))
 # subgradient 0 at exactly zero
 register("abs")(lambda: _pointwise(lambda x, attrs: (np.sign(x), np.abs(x)),

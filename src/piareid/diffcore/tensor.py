@@ -8,12 +8,23 @@ node list once, in reverse recording order, which is a valid topological
 order for any define-by-run graph.  Gradients of leaf tensors accumulate
 into ``Tensor.grad``; interior results never expose a ``grad``.
 
+A node keeps only what backward reads: its rule's saved arrays (``ctx``)
+and, per input, either the index of the earlier node of the same tape that
+made it or, for a leaf (a parameter, a constant, another tape's result), the
+``Tensor`` itself.  It holds no interior ``Tensor``: a result made on the
+tape records its node's index in ``Tensor.origin``, so an intermediate goes
+as soon as neither the caller nor some rule's ``ctx`` holds its array, during
+the forward.  A conv output that only feeds a relu dies there, since relu
+keeps its own output and conv keeps its ``cols``.  Nodes and gradients are
+found by index, never by ``id()``: CPython reuses the id of a dead
+intermediate for a later tensor.
+
 Once a node's backward rule has run, ``backward`` releases the node: its
-saved arrays (``ctx``), ``inputs`` and ``output`` are dropped, and any
-buffer its forward rule borrowed goes back to its workspace.  So the tape
-frees the step's activations as the walk goes, and it pins no constant's
-data afterwards; only each node's ``kind`` and ``backward_fn`` stay, so
-``len(tape)`` still counts the recorded nodes.
+``ctx``, ``inputs`` and ``output`` are dropped, and any buffer its forward
+rule borrowed goes back to its workspace.  So the tape frees what the
+forward kept as the walk goes, and it pins no constant's data afterwards;
+only each node's ``kind`` and ``backward_fn`` stay, so ``len(tape)`` still
+counts the recorded nodes.
 
 A forward rule reshapes through ``borrow_reshape``: when the reshape needs
 a copy and a ``Workspace`` is active (at most one is, per thread), the copy
@@ -56,15 +67,18 @@ class Tensor:
 
     ``data`` is always a ``numpy.float64`` array (0-d for scalars).  ``grad``
     stays ``None`` until a backward pass deposits into it; repeated backward
-    passes over fresh tapes accumulate.
+    passes over fresh tapes accumulate.  ``origin`` is ``(tape, index)`` of
+    the node that made the tensor on a tape, and ``None`` for a tensor no
+    tape recorded.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "origin")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.origin: tuple[Tape, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,7 +106,13 @@ def parameter(data) -> Tensor:
 
 
 class Node:
-    """One recorded primitive application."""
+    """One recorded primitive application, as backward needs it.
+
+    ``inputs`` holds one entry per input, in input order: the index on the
+    same tape of the node that made it, or else the ``Tensor`` itself (a
+    leaf).  ``output`` is the node's own index.  So a node pins no
+    intermediate: what stays of one is what its consumers' ``ctx`` hold.
+    """
 
     __slots__ = ("kind", "inputs", "output", "backward_fn", "ctx")
 
@@ -243,9 +263,19 @@ def record(kind: str, inputs: Sequence[Tensor], output: Tensor, backward_fn, ctx
     returns what its forward rule borrowed at once."""
     tape = current_tape()
     if tape is not None and output.requires_grad:
-        tape.nodes.append(Node(kind, tuple(inputs), output, backward_fn, ctx))
+        index = len(tape.nodes)
+        entries = tuple(tens if (at := _index_on(tens, tape)) is None else at
+                        for tens in inputs)
+        tape.nodes.append(Node(kind, entries, index, backward_fn, ctx))
+        output.origin = (tape, index)
     else:
         _give_back(ctx)
+
+
+def _index_on(tens: Tensor, tape: Tape) -> int | None:
+    """The index of the node of ``tape`` that made ``tens``, if one did."""
+    origin = tens.origin
+    return origin[1] if origin is not None and origin[0] is tape else None
 
 
 def backward(output: Tensor, tape: Tape) -> None:
@@ -265,32 +295,39 @@ def backward(output: Tensor, tape: Tape) -> None:
         )
     tape.consumed = True
 
-    produced = {id(node.output) for node in tape.nodes}
-    grads: dict[int, np.ndarray] = {id(output): np.ones((), dtype=np.float64)}
-    leaves: dict[int, Tensor] = {}
+    nodes = tape.nodes
+    seed = np.ones((), dtype=np.float64)
+    at = _index_on(output, tape)
+    grads: list[np.ndarray | None] = [None] * len(nodes)  # by the index of the maker
+    if at is not None:
+        grads[at] = seed
+    # by id(): each entry holds its tensor, so no other tensor takes that id
+    leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
 
-    for node in reversed(tape.nodes):
-        grad_out = grads.pop(id(node.output), None)
+    for index in range(len(nodes) - 1, -1, -1):
+        node = nodes[index]
+        grad_out, grads[index] = grads[index], None
         if grad_out is not None:
             input_grads = node.backward_fn(node.ctx, grad_out)
-            for tens, grad_in in zip(node.inputs, input_grads):
-                if grad_in is None or not tens.requires_grad:
+            for entry, grad_in in zip(node.inputs, input_grads):
+                if grad_in is None:
                     continue
-                key = id(tens)
-                if key not in produced:
-                    leaves[key] = tens
-                held = grads.get(key)
-                grads[key] = grad_in if held is None else held + grad_in
+                if isinstance(entry, int):
+                    held = grads[entry]
+                    grads[entry] = grad_in if held is None else held + grad_in
+                elif entry.requires_grad:
+                    held = leaves.get(id(entry))
+                    leaves[id(entry)] = (entry, grad_in if held is None else held[1] + grad_in)
         node.release()
 
     def deposit(tens: Tensor, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
         tens.grad = grad.copy() if tens.grad is None else tens.grad + grad
 
-    for key, tens in leaves.items():
-        deposit(tens, grads[key])
-    if id(output) not in produced and output.requires_grad:
-        deposit(output, grads[id(output)])
+    for tens, grad in leaves.values():
+        deposit(tens, grad)
+    if at is None and output.requires_grad:
+        deposit(output, seed)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -137,6 +137,8 @@ PINNED_TABLE = [
     ('inter_loss', '1.3334751306011679e-08', 'features'),
     ('stage1_loss', '3.4608307937550226e-08', 'f'),
     ('stage2_loss', '4.1847370208877024e-08', 'f_c'),
+    ('pia_stage1', '2.1524449562498065e-07', 'backbone.conv1.weight'),
+    ('pia_stage2', '3.973261005732286e-08', 'backbone.conv0.weight'),
 ]
 
 

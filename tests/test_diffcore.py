@@ -878,6 +878,74 @@ class TestBackwardReleasesTheTape:
         assert w.grad is not None and b.grad is not None
 
 
+class TestTapeKeepsOnlyWhatBackwardReads:
+    def test_conv_outputs_are_collectable_before_backward(self, rng):
+        # each conv output feeds only a relu, which keeps its own output, and
+        # the next conv keeps its cols: no node holds the conv outputs
+        x = dc.constant(rng.normal(size=(2, 3, 8, 6)))
+        w0, b0 = dc.parameter(rng.normal(size=(4, 3, 3, 3))), dc.parameter(rng.normal(size=4))
+        w1, b1 = dc.parameter(rng.normal(size=(5, 4, 3, 3))), dc.parameter(rng.normal(size=5))
+        conv_arrays = []
+        with dc.Tape() as tape:
+            h = dc.conv2d(x, w0, b0, padding=1)
+            conv_arrays += [weakref.ref(h.data), weakref.ref(_owner(h.data))]
+            h = dc.conv2d(dc.relu(h), w1, b1, padding=1)
+            conv_arrays += [weakref.ref(h.data), weakref.ref(_owner(h.data))]
+            loss = dc.tensor_sum(dc.relu(h))
+        del h
+        assert [ref() is None for ref in conv_arrays] == [True] * 4
+        # one entry per input, in order: a node's index, else the tensor
+        assert [n.kind for n in tape.nodes] == ["conv2d", "relu", "conv2d", "relu", "sum"]
+        assert tape.nodes[0].inputs == (x, w0, b0)
+        assert tape.nodes[2].inputs == (1, w1, b1)
+        assert [n.output for n in tape.nodes] == [0, 1, 2, 3, 4]
+        dc.backward(loss, tape)
+        assert all(t.grad is not None for t in (w0, b0, w1, b1))
+
+    def test_a_dead_intermediate_lends_its_id_to_a_later_constant(self):
+        # each scale's input dies as soon as scale has run, and CPython may
+        # put a later constant at its address; gradients must not notice
+        factors = np.random.default_rng(6).normal(size=(40, 3))
+        w = dc.parameter([0.5, -1.5, 2.0])
+
+        def grads(keep: bool):
+            w.grad = None
+            kept, died, constants = [], set(), set()
+            with dc.Tape() as tape:
+                total = dc.tensor_sum(w)
+                for factor in factors:
+                    const = dc.constant(factor)
+                    constants.add(id(const))
+                    mid = dc.mul(w, const)
+                    died.add(id(mid))
+                    if keep:
+                        kept += [const, mid]
+                    total = dc.add(total, dc.tensor_sum(dc.scale(mid, 3.0)))
+                    del const, mid
+            dc.backward(total, tape)
+            return w.grad, died & constants
+
+        kept_grad, shared = grads(keep=True)
+        assert not shared
+        grad, shared = grads(keep=False)
+        assert shared  # some constant did take a dead intermediate's id
+        assert grad.tobytes() == kept_grad.tobytes()
+        np.testing.assert_allclose(grad, 1.0 + 3.0 * factors.sum(axis=0))
+
+    def test_a_result_of_another_tape_is_a_leaf_there(self):
+        x = dc.parameter([1.0, 2.0])
+        with dc.Tape() as first:
+            y = dc.tensor_sum(dc.mul(x, x))
+        with dc.Tape() as second:
+            loss = dc.scale(y, 3.0)
+        assert second.nodes[0].inputs == (y,)
+        dc.backward(loss, second)
+        assert float(y.grad) == 3.0 and x.grad is None
+        dc.backward(y, first)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert float(y.grad) == 3.0
+
+
 class _Ledger(dc.Workspace):
     """A workspace that logs every buffer it lends, gets back and keeps."""
 

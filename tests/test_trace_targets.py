@@ -35,7 +35,8 @@ def test_every_traced_function_still_exists(monkeypatch):
 def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     # images_extracted reads FeatureTable.row_indices off test_feature_table's
     # result; the byte counts read the path argument of write_ppm and save;
-    # the cache hit ratio needs every decode nested in a load_pixels call
+    # the cache hit ratio needs every decode nested in a load_pixels call; the
+    # per-layer conv rows read the weight off each conv node's inputs
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -46,7 +47,7 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     monkeypatch.setattr(synthbench.Manifest, "raster_batch", lambda self, indices, flips=None: (
         rows_read.append(len(indices)) or raster_batch(self, indices, flips)))
     data, run = tmp_path / "data", tmp_path / "run"
-    tracer = tracing.Tracer({})
+    tracer = tracing.Tracer(tracing.conv_layer_names((4, 4), 3, 3))
     with tracer.installed():
         assert cli.main(["gen-data", "--out", str(data)] + TINY_DATA) == 0
         assert cli.main(["train", "--data-dir", str(data), "--out", str(run)]
@@ -79,3 +80,8 @@ def test_traced_counts_match_the_run(monkeypatch, tmp_path):
     assert len(reads) == names.count("synthbench.load_pixels") == sum(rows_read)
     assert sum(rows_read) > len(manifest)
     assert metrics["synthbench.pixel_cache_hit_ratio"] == 0
+    # the tiny model's convs, each timed by name in the forward and in backward
+    for layer in ("conv0", "conv1", "attn_conv"):
+        assert metrics[f"diffcore.{layer}.fwd_s"] > 0, layer
+        assert metrics[f"diffcore.{layer}.bwd_s"] > 0, layer
+    assert metrics["diffcore.conv2.bwd_s"] == 0
