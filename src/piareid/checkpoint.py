@@ -17,14 +17,15 @@ Layout (all integers little-endian):
 Tensor records cover model parameters, batch-norm running buffers, and the
 prototype bank (prototypes, init flags as 0/1, alpha, iteration).  Equal
 states serialize to equal bytes.  A malformed file raises ``CheckpointError``;
-so does a record that is missing, whose shape differs from what the
-configured model and bank expect, or that holds a non-finite value.  The
-fingerprint only guards the config block against corruption, so ``restore``
-checks the records whose size the block sets before it builds the model: a
-block claiming a huge model is refused without allocating it.  The model
-draws its attention weights even without the dual branch, whose checkpoint
-stores no record of them, so ``restore`` also bounds the image sides and,
-by them, the attention kernel (``model.check_attention_kernel``).
+so does a record that is missing, that the configured model and bank do not
+name, whose shape differs from what they expect, or that holds a non-finite
+value.  The fingerprint only guards the config block against corruption, so
+``restore`` checks the records whose size the block sets
+(``model.ModelConfig.weight_shapes``) before it builds the model: a block
+claiming a huge model is refused without allocating it.  The model draws its
+attention weights even without the dual branch, whose checkpoint stores no
+record of them, so ``restore`` also bounds the image sides and, by them, the
+attention kernel (``model.ModelConfig.validate``).
 """
 
 from __future__ import annotations
@@ -180,24 +181,31 @@ def _stored(loaded: LoadedCheckpoint, kind: str, name: str, like: np.ndarray) ->
 
 def restore(loaded: LoadedCheckpoint, cfg: model.ModelConfig) -> tuple[model.ModelState, bpl.PrototypeBank | None]:
     """Rebuild a model (and bank, if present) from loaded arrays."""
-    for name, shape in model.sized_weight_shapes(cfg).items():
-        _record(loaded, "parameter", name, shape)
+    for name, shape in cfg.weight_shapes().items():
+        if cfg.use_dbdl or name != "attention.weight":
+            _record(loaded, "parameter", name, shape)
     side = max(cfg.image_height, cfg.image_width)
     if side > synthbench.MAX_IMAGE_SIDE:
         raise CheckpointError(f"image side {side} exceeds {synthbench.MAX_IMAGE_SIDE}")
     try:
-        model.check_attention_kernel(cfg)
+        cfg.validate()
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
     state = model.build_model(cfg)
+    bank_like = {}
+    if any(name.startswith("bank.") for name in loaded.arrays):
+        bank_like = _bank_arrays(bpl.PrototypeBank.create(cfg.num_identities, cfg.embedding_dim))
+    named = {*state.named_parameters(), *state.named_buffers(), *bank_like}
+    for name in loaded.arrays:
+        if name not in named:
+            raise CheckpointError(f"record {name} is named by neither the model nor the bank")
     for name, tens in state.named_parameters().items():
         tens.data = _stored(loaded, "parameter", name, tens.data)
     for name, buf in state.named_buffers().items():
         buf[:] = _stored(loaded, "buffer", name, buf)
-    if not any(name.startswith("bank.") for name in loaded.arrays):
+    if not bank_like:
         return state, None
-    empty = bpl.PrototypeBank.create(cfg.num_identities, cfg.embedding_dim)
-    bank = {name: _stored(loaded, "bank record", name, like) for name, like in _bank_arrays(empty).items()}
+    bank = {name: _stored(loaded, "bank record", name, like) for name, like in bank_like.items()}
     return state, bpl.PrototypeBank(
         protos_v=bank["bank.protos_v"],
         protos_i=bank["bank.protos_i"],

@@ -19,9 +19,10 @@ seeded by check name, so editing the catalog redraws no other check's.
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,26 +219,6 @@ _PIA_MODEL = dict(image_height=8, image_width=4, widths=(2, 3), strides=(2, 1),
                   attention_kernel_size=3, num_identities=2, num_clothing_classes=3)
 
 
-def _with_parameters(state: model.ModelState, params) -> model.ModelState:
-    """``state`` with its ``named_parameters()``, in order, replaced by ``params``."""
-    p = dict(zip(state.named_parameters(), params))
-    convs = range(len(state.backbone.weights))
-    return replace(
-        state,
-        backbone=replace(state.backbone,
-                         weights=[p[f"backbone.conv{i}.weight"] for i in convs],
-                         biases=[p[f"backbone.conv{i}.bias"] for i in convs]),
-        attention=dbdl.AttentionParams(p["attention.weight"], p["attention.bias"],
-                                       p["attention.lambda_raw"]),
-        bn_identity=replace(state.bn_identity, gamma=p["bn_identity.gamma"],
-                            beta=p["bn_identity.beta"]),
-        bn_clothing=replace(state.bn_clothing, gamma=p["bn_clothing.gamma"],
-                            beta=p["bn_clothing.beta"]),
-        heads=encoder.ClassifierHeads(p["heads.id.weight"], p["heads.id.bias"],
-                                      p["heads.clothing.weight"], p["heads.clothing.bias"]),
-    )
-
-
 def _pia_factory(stage: int):
     """``stage_objective`` of one training batch, from pixels through the
     model; stage 2 absorbs the batch into the bank once, outside ``build``,
@@ -261,14 +242,20 @@ def _pia_factory(stage: int):
             f = model.forward_embeddings(state, pixels, training=True)[0]
             bpl.absorb_batch(bank, bpl.ModalityBatch(f, y_id, is_visible))
 
+        named = state.named_parameters()
+        buffers = {id(buf): buf for buf in state.named_buffers().values()}
+
         def build(params):
-            moved = _with_parameters(state, params)
+            # deepcopy takes a memo entry as the copy of its object: the copy
+            # holds ``params`` in place of the state's parameters and shares
+            # its batch-norm running arrays
+            memo = {**buffers, **{id(own): param for own, param in zip(named.values(), params)}}
+            moved = copy.deepcopy(state, memo)
             f, f_c, _ = model.forward_embeddings(moved, pixels, training=True)
             batch = bpl.ModalityBatch(f, y_id, is_visible)
             return trainer.stage_objective(cfg, stage, f, f_c, moved.heads, y_id, y_c,
                                            batch, bank)[0]
 
-        named = state.named_parameters()
         return build, list(named.values()), list(named)
 
     return factory

@@ -49,27 +49,6 @@ class MaskPair(NamedTuple):
     identity: Tensor
 
 
-def validate_attention_kernel(kernel_size: int) -> None:
-    if kernel_size % 2 != 1 or kernel_size < 1:
-        raise encoder.EncoderConfigError(
-            f"attention kernel size must be odd and positive, got {kernel_size}"
-        )
-
-
-def init_attention(rng: np.random.Generator,
-                   kernel_size: int = DEFAULT_ATTENTION_KERNEL) -> AttentionParams:
-    validate_attention_kernel(kernel_size)
-    fan = 2 * kernel_size * kernel_size
-    return AttentionParams(
-        weight=dc.parameter(encoder.uniform_init(
-            rng, (1, 2, kernel_size, kernel_size), fan, kernel_size * kernel_size
-        )),
-        bias=dc.parameter(np.zeros(1)),
-        # sigmoid(0) = 0.5: suppression starts at half strength
-        lambda_raw=dc.parameter(0.0),
-    )
-
-
 def clothing_mask(fmap: Tensor, attn: AttentionParams) -> Tensor:
     """Spatial attention maps [N,1,H',W'] in (0, 1), same H'xW' as the input."""
     descriptor = dc.concat(

@@ -1,10 +1,13 @@
 """Model assembly: encoder, attention, heads, and the batch-norm necks of the
 one embedding head (``encoder.embed``) in one state object with a stable
 parameter naming scheme; ``bn_clothing`` and the clothing head exist only
-with the dual branch (``use_dbdl``)."""
+with the dual branch (``use_dbdl``).  This module alone holds the
+architecture's rules (``ModelConfig.validate``) and the table of the weights
+the model draws (``ModelConfig.weight_shapes``)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,49 @@ class ArchConfig:
     attention_kernel_size: int = dbdl.DEFAULT_ATTENTION_KERNEL
     use_dbdl: bool = True
 
+    def validate(self) -> None:
+        """Raise ``EncoderConfigError`` for an architecture the model cannot have.
+
+        A conv block pads by half its odd kernel, so it maps a side h >= 1 to
+        (h - 1) // stride + 1 >= 1.  The attention conv pads the feature map,
+        never larger than the image, by half its kernel too: each border tap
+        of a kernel wider than the bound below meets only zero padding."""
+        widths, strides = tuple(self.widths), tuple(self.strides)
+        if len(widths) != len(strides):
+            raise encoder.EncoderConfigError(
+                f"widths {widths} and strides {strides} must have equal length"
+            )
+        if not widths:
+            raise encoder.EncoderConfigError("need at least one convolution block")
+        if any(w < 1 for w in widths):
+            raise encoder.EncoderConfigError(f"widths must be positive, got {widths}")
+        if self.kernel_size % 2 != 1 or self.kernel_size < 1:
+            raise encoder.EncoderConfigError(
+                f"kernel size must be odd and positive, got {self.kernel_size}"
+            )
+        if strides[-1] != 1:
+            raise encoder.EncoderConfigError(
+                f"final block stride must be 1 to preserve mask resolution, got {strides[-1]}"
+            )
+        if any(s < 1 for s in strides):
+            raise encoder.EncoderConfigError(f"strides must be positive, got {strides}")
+        if min(self.image_height, self.image_width) < 1:
+            raise encoder.EncoderConfigError(
+                f"image sides must be positive, got {self.image_height}x{self.image_width}"
+            )
+        k = self.attention_kernel_size
+        if k % 2 != 1 or k < 1:
+            raise encoder.EncoderConfigError(
+                f"attention kernel size must be odd and positive, got {k}"
+            )
+        limit = 2 * max(self.image_height, self.image_width) - 1
+        if k > limit:
+            raise encoder.EncoderConfigError(
+                f"attention kernel size {k} exceeds {limit}, the "
+                f"widest whose border taps can reach the feature map of a "
+                f"{self.image_height}x{self.image_width} image"
+            )
+
 
 @dataclass(frozen=True)
 class ModelConfig(ArchConfig):
@@ -38,6 +84,35 @@ class ModelConfig(ArchConfig):
     @property
     def embedding_dim(self) -> int:
         return encoder.embedding_dim(self.widths)
+
+    def validate(self) -> None:
+        """``ArchConfig.validate``, then each head's class count."""
+        super().validate()
+        if self.num_identities < 2:
+            raise encoder.EncoderConfigError(
+                f"identity head needs at least 2 classes, got {self.num_identities}"
+            )
+        if self.use_dbdl and self.num_clothing_classes < 2:
+            raise encoder.EncoderConfigError(
+                f"clothing head needs at least 2 classes, got {self.num_clothing_classes}"
+            )
+
+    def weight_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shapes of the weights ``build_model`` draws, in draw order.
+
+        Conv weights are [out, in, kh, kw], head weights [in, out].  The
+        attention weights are drawn even without the dual branch, whose
+        model does not name them, so that the heads' draws do not depend
+        on it."""
+        k, ka, dim = self.kernel_size, self.attention_kernel_size, self.embedding_dim
+        channels = (3, *self.widths)  # RGB; infrared is stored as three equal channels
+        shapes = {f"backbone.conv{i}.weight": (width, channels[i], k, k)
+                  for i, width in enumerate(self.widths)}
+        shapes["attention.weight"] = (1, 2, ka, ka)
+        shapes["heads.id.weight"] = (dim, self.num_identities)
+        if self.use_dbdl:
+            shapes["heads.clothing.weight"] = (dim, self.num_clothing_classes)
+        return shapes
 
 
 @dataclass
@@ -80,59 +155,41 @@ class ModelState:
         return buffers
 
 
-def sized_weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shapes of the weights that carry the config's sizes (conv,
-    attention and head weights), derived without allocating them."""
-    shapes = {}
-    prev = 3
-    for i, width in enumerate(cfg.widths):
-        shapes[f"backbone.conv{i}.weight"] = (width, prev, cfg.kernel_size, cfg.kernel_size)
-        prev = width
-    shapes["heads.id.weight"] = (cfg.embedding_dim, cfg.num_identities)
-    if cfg.use_dbdl:
-        k = cfg.attention_kernel_size
-        shapes["attention.weight"] = (1, 2, k, k)
-        shapes["heads.clothing.weight"] = (cfg.embedding_dim, cfg.num_clothing_classes)
-    return shapes
-
-
-def check_attention_kernel(cfg: ArchConfig) -> None:
-    """Raise ``EncoderConfigError`` unless the attention kernel is odd and
-    positive, and no wider than twice the image's larger side less one.
-
-    The attention conv pads the feature map by half its kernel, so every
-    border tap of a wider kernel meets only the zero padding of a map as
-    large as the image, and the map is never larger than the image."""
-    dbdl.validate_attention_kernel(cfg.attention_kernel_size)
-    limit = 2 * max(cfg.image_height, cfg.image_width) - 1
-    if cfg.attention_kernel_size > limit:
-        raise encoder.EncoderConfigError(
-            f"attention kernel size {cfg.attention_kernel_size} exceeds {limit}, the "
-            f"widest whose border taps can reach the feature map of a "
-            f"{cfg.image_height}x{cfg.image_width} image"
-        )
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)).  A 4-D [out, in, kh, kw]
+    shape has fans in*kh*kw and out*kh*kw, a 2-D [in, out] shape its dims:
+    either way they sum to (shape[0] + shape[1]) * prod(shape[2:])."""
+    half_width = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+    return dc.parameter(rng.uniform(-half_width, half_width, size=shape))
 
 
 def build_model(cfg: ModelConfig) -> ModelState:
-    """Deterministic construction: one rng stream, fixed draw order."""
+    """Deterministic construction: one rng stream, the weights drawn in
+    ``cfg.weight_shapes()`` order, zero biases."""
+    cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
-    backbone = encoder.init_encoder(
-        rng,
-        widths=cfg.widths,
-        strides=cfg.strides,
-        kernel_size=cfg.kernel_size,
-        input_hw=(cfg.image_height, cfg.image_width),
-    )
-    attention = dbdl.init_attention(rng, cfg.attention_kernel_size)
+    drawn = {name: _glorot(rng, shape) for name, shape in cfg.weight_shapes().items()}
     dim = cfg.embedding_dim
-    heads = encoder.init_heads(
-        rng, dim, cfg.num_identities,
-        cfg.num_clothing_classes if cfg.use_dbdl else None,
-    )
+    heads = encoder.ClassifierHeads(drawn["heads.id.weight"],
+                                    dc.parameter(np.zeros(cfg.num_identities)))
+    if cfg.use_dbdl:
+        heads.clothing_weight = drawn["heads.clothing.weight"]
+        heads.clothing_bias = dc.parameter(np.zeros(cfg.num_clothing_classes))
     return ModelState(
         cfg=cfg,
-        backbone=backbone,
-        attention=attention,
+        backbone=encoder.EncoderParams(
+            weights=[drawn[f"backbone.conv{i}.weight"] for i in range(len(cfg.widths))],
+            biases=[dc.parameter(np.zeros(width)) for width in cfg.widths],
+            strides=tuple(cfg.strides),
+            kernel_size=cfg.kernel_size,
+            input_hw=(cfg.image_height, cfg.image_width),
+        ),
+        attention=dbdl.AttentionParams(
+            weight=drawn["attention.weight"],
+            bias=dc.parameter(np.zeros(1)),
+            # sigmoid(0) = 0.5: suppression starts at half strength
+            lambda_raw=dc.parameter(0.0),
+        ),
         heads=heads,
         bn_identity=encoder.BatchNormState.create(dim),
         bn_clothing=encoder.BatchNormState.create(dim) if cfg.use_dbdl else None,

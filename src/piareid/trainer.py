@@ -135,10 +135,7 @@ class TrainConfig(model_mod.ArchConfig):
             raise ValueError("eval_every must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        encoder.validate_architecture(
-            tuple(self.widths), tuple(self.strides), self.kernel_size
-        )
-        model_mod.check_attention_kernel(self)
+        super().validate()
 
     def model_config(self, num_identities: int, num_clothing_classes: int) -> model_mod.ModelConfig:
         return kvconfig.project(self, model_mod.ModelConfig, num_identities=num_identities,

@@ -260,6 +260,22 @@ class TestSaveRestore:
         with pytest.raises(CheckpointError, match=message):
             restore(loaded, dataclasses.replace(SMALL, use_dbdl=False, **changes))
 
+    @pytest.mark.parametrize("changes, extra, name", [
+        ({"use_dbdl": False}, None, "attention.weight"),
+        ({"widths": (4,), "strides": (1,)}, None, "backbone.conv1.weight"),
+        ({}, "bank.extra", "bank.extra"),
+        ({}, "backbone.conv3.weight", "backbone.conv3.weight"),
+    ])
+    def test_records_the_model_and_bank_do_not_name_are_refused(self, changes, extra, name):
+        # a rewritten config block could otherwise restore a smaller model
+        # and drop the records it does not name without a word
+        arrays = collect_arrays(small_state(), small_bank())
+        if extra is not None:
+            arrays[extra] = np.zeros(2)
+        loaded = deserialize(serialize("", arrays))
+        with pytest.raises(CheckpointError, match=f"record {name} is named by neither"):
+            restore(loaded, dataclasses.replace(SMALL, **changes))
+
     def test_restore_copies_do_not_alias(self):
         state = small_state()
         loaded = deserialize(serialize("", collect_arrays(state, None)))

@@ -9,7 +9,7 @@ import pytest
 
 from piareid import dbdl
 from piareid import diffcore as dc
-from piareid import encoder
+from piareid import encoder, model
 
 
 @pytest.fixture
@@ -18,8 +18,17 @@ def rng():
 
 
 @pytest.fixture
-def attn(rng):
-    return dbdl.init_attention(rng, kernel_size=7)
+def attn():
+    return model.build_model(model.ModelConfig(attention_kernel_size=7)).attention
+
+
+def heads_of(dim, num_identities, num_clothing_classes=None):
+    """The heads ``build_model`` draws for a ``dim``-wide embedding; without
+    ``num_clothing_classes``, the single-branch model's."""
+    cfg = model.ModelConfig(widths=(dim // 2,), strides=(1,), num_identities=num_identities,
+                            num_clothing_classes=num_clothing_classes or 2,
+                            use_dbdl=num_clothing_classes is not None)
+    return model.build_model(cfg).heads
 
 
 def attention_logits_oracle(fmap, weight, bias):
@@ -196,7 +205,7 @@ class TestClassification:
             )
 
     def test_classification_loss_scores_both_heads(self, rng):
-        heads = encoder.init_heads(rng, dim=6, num_identities=4, num_clothing_classes=8)
+        heads = heads_of(6, 4, 8)
         f = dc.tensor(rng.normal(size=(5, 6)))
         f_c = dc.tensor(rng.normal(size=(5, 6)))
         y_id = rng.integers(0, 4, size=5)
@@ -212,7 +221,7 @@ class TestClassification:
         assert float(terms.ce_clothing.data) == pytest.approx(want_clothing, abs=1e-11)
 
     def test_requires_clothing_head(self, rng):
-        heads = encoder.init_heads(rng, dim=6, num_identities=4, num_clothing_classes=None)
+        heads = heads_of(6, 4)
         with pytest.raises(ValueError, match="clothing head"):
             dbdl.classification_loss(
                 dc.tensor(rng.normal(size=(2, 6))), dc.tensor(rng.normal(size=(2, 6))),
@@ -220,7 +229,7 @@ class TestClassification:
             )
 
     def test_gradients_vs_finite_differences(self, rng):
-        heads = encoder.init_heads(rng, dim=4, num_identities=3, num_clothing_classes=6)
+        heads = heads_of(4, 3, 6)
         f = dc.parameter(rng.normal(size=(4, 4)))
         f_c = dc.parameter(rng.normal(size=(4, 4)))
         y_id = rng.integers(0, 3, size=4)
@@ -244,10 +253,11 @@ class TestClassification:
 class TestAttentionGradientFlow:
     def test_stage_one_style_loss_reaches_every_parameter(self, rng, attn):
         """Masks, branches, and both heads all receive gradients."""
-        enc = encoder.init_encoder(
-            rng, widths=(4, 6, 6), strides=(4, 2, 1), kernel_size=3, input_hw=(32, 16)
-        )
-        heads = encoder.init_heads(rng, dim=12, num_identities=3, num_clothing_classes=6)
+        state = model.build_model(model.ModelConfig(
+            image_height=32, image_width=16, widths=(4, 6, 6), strides=(4, 2, 1),
+            kernel_size=3, num_identities=3, num_clothing_classes=6,
+        ))
+        enc, heads = state.backbone, state.heads
         pixels = dc.tensor(rng.random((6, 3, 32, 16)))
         y_id = rng.integers(0, 3, size=6)
         y_c = rng.integers(0, 6, size=6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from piareid import diffcore as dc
-from piareid import encoder
+from piareid import encoder, model
 
 
 @pytest.fixture
@@ -13,8 +13,8 @@ def rng():
 
 
 @pytest.fixture
-def params(rng):
-    return encoder.init_encoder(rng)
+def params():
+    return model.build_model(model.ModelConfig()).backbone
 
 
 class TestBackbone:
@@ -22,7 +22,6 @@ class TestBackbone:
         x = dc.tensor(rng.random((2, 3, 64, 32)))
         fmap = encoder.forward_backbone(x, params)
         assert fmap.shape == (2, 32, 8, 4)
-        assert params.feature_hw() == (8, 4)
 
     def test_rejects_unbatched_image(self, rng, params):
         with pytest.raises(dc.ShapeMismatchError, match=r"\[N,3,H,W\]"):
@@ -34,7 +33,8 @@ class TestBackbone:
         for s in params.strides:
             h = (h + 2 * params.padding - params.kernel_size) // s + 1
             w = (w + 2 * params.padding - params.kernel_size) // s + 1
-        assert (h, w) == (64 // 8, 32 // 8) == params.feature_hw()
+        fmap = encoder.forward_backbone(dc.tensor(np.zeros((1, 3, 64, 32))), params)
+        assert (h, w) == (64 // 8, 32 // 8) == fmap.shape[2:]
 
     def test_feature_map_nonnegative(self, rng, params):
         fmap = encoder.forward_backbone(
@@ -48,17 +48,17 @@ class TestBackbone:
                 dc.tensor(rng.random((1, 3, 32, 64))), params
             )
 
-    def test_rejects_final_stride_two(self, rng):
+    def test_rejects_final_stride_two(self):
         with pytest.raises(encoder.EncoderConfigError):
-            encoder.init_encoder(rng, strides=(4, 2, 2))
+            model.build_model(model.ModelConfig(strides=(4, 2, 2)))
 
-    def test_rejects_even_kernel(self, rng):
+    def test_rejects_even_kernel(self):
         with pytest.raises(encoder.EncoderConfigError):
-            encoder.init_encoder(rng, kernel_size=4)
+            model.build_model(model.ModelConfig(kernel_size=4))
 
     def test_init_is_seed_deterministic(self):
-        a = encoder.init_encoder(np.random.default_rng(3))
-        b = encoder.init_encoder(np.random.default_rng(3))
+        a = model.build_model(model.ModelConfig(seed=3)).backbone
+        b = model.build_model(model.ModelConfig(seed=3)).backbone
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa.data, wb.data)
 
@@ -118,13 +118,16 @@ class TestHeads:
         out = encoder.classify(dc.tensor(np.ones((2, 6))), heads.id_weight, heads.id_bias)
         np.testing.assert_allclose(out.data, -np.log(4.0), atol=1e-12)
 
-    def test_head_shapes(self, rng):
-        heads = encoder.init_heads(rng, dim=10, num_identities=8, num_clothing_classes=16)
+    def test_head_shapes(self):
+        # one block of width 5: a 10-dimensional embedding
+        heads = model.build_model(model.ModelConfig(
+            widths=(5,), strides=(1,), num_identities=8, num_clothing_classes=16)).heads
         assert heads.id_weight.shape == (10, 8)
         assert heads.clothing_weight.shape == (10, 16)
 
-    def test_clothing_head_optional(self, rng):
-        heads = encoder.init_heads(rng, dim=10, num_identities=8, num_clothing_classes=None)
+    def test_clothing_head_optional(self):
+        heads = model.build_model(model.ModelConfig(
+            widths=(5,), strides=(1,), num_identities=8, use_dbdl=False)).heads
         assert heads.clothing_weight is None and heads.clothing_bias is None
 
     def test_backbone_gradients_reach_first_block(self, rng, params):

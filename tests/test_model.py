@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from piareid import diffcore as dc, model
+from piareid import checkpoint, checksuite, config, diffcore as dc, encoder, model
 
 SMALL = model.ModelConfig(
     image_height=16,
@@ -89,6 +91,69 @@ class TestBuildModel:
     def test_lambda_raw_is_scalar(self):
         state = model.build_model(SMALL)
         assert state.named_parameters()["attention.lambda_raw"].data.shape == ()
+
+
+class TestModelDefinition:
+    # sha256 of each built model's checkpoint bytes.  The single-branch model
+    # draws the attention weights it does not name, so the heads' draws start
+    # where they do in the dual-branch model's stream.
+    @pytest.mark.parametrize("cfg, digest", [
+        pytest.param(model.ModelConfig(),
+                     "d84817a9eda2375490ac9ebe14aa3a949f31589222467b69aae093d375cbf107",
+                     id="default"),
+        pytest.param(model.ModelConfig(use_dbdl=False),
+                     "12692870d22e313962b0645b8876d6c055336ff6eb3afda97c0aeff988f8035f",
+                     id="single_branch"),
+        pytest.param(model.ModelConfig(**checksuite._PIA_MODEL),
+                     "6d763032de6928b01ae8cd346b1b2e4b98913c7e47fe5f050fd4f0d22098e111",
+                     id="pia"),
+    ])
+    def test_built_model_bits_are_pinned(self, cfg, digest):
+        blob = checkpoint.serialize(model.model_config_text(cfg),
+                                    checkpoint.collect_arrays(model.build_model(cfg), None))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("use_dbdl", [True, False])
+    def test_weight_shapes_are_the_built_weights(self, use_dbdl):
+        cfg = dataclasses.replace(SMALL, use_dbdl=use_dbdl)
+        state = model.build_model(cfg)
+        built = {**state.named_parameters(), "attention.weight": state.attention.weight}
+        assert cfg.weight_shapes() == {name: built[name].shape for name in cfg.weight_shapes()}
+
+
+RUN_FIELDS = {field.name for field in dataclasses.fields(config.RunConfig)}
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"strides": (2, 1)}, "must have equal length", id="unequal_lengths"),
+    pytest.param({"strides": (2, 2, 2)}, "final block stride must be 1", id="final_stride_2"),
+    pytest.param({"kernel_size": 4}, "kernel size must be odd", id="even_kernel"),
+    pytest.param({"attention_kernel_size": 4}, "attention kernel size must be odd",
+                 id="even_attention_kernel"),
+    pytest.param({"attention_kernel_size": 33}, "attention kernel size 33 exceeds 31",
+                 id="attention_kernel_too_wide"),
+    pytest.param({"image_width": 0}, "image sides must be positive", id="image_side_0"),
+    pytest.param({"num_identities": 1}, "identity head needs at least 2 classes",
+                 id="one_identity"),
+])
+def test_each_architecture_rule_holds_at_every_entry_point(monkeypatch, changes, message):
+    if set(changes) <= RUN_FIELDS:
+        arch = {field.name: getattr(SMALL, field.name)
+                for field in dataclasses.fields(model.ArchConfig)}
+        with pytest.raises(config.ConfigError):
+            config.RunConfig(**{**arch, **changes}).validate()
+    cfg = dataclasses.replace(SMALL, **changes)
+    with pytest.raises(encoder.EncoderConfigError, match=message):
+        model.build_model(cfg)
+
+    def refuse(cfg):
+        raise AssertionError("build_model ran before the architecture check")
+
+    loaded = checkpoint.deserialize(checkpoint.serialize(
+        "", checkpoint.collect_arrays(model.build_model(SMALL), None)))
+    monkeypatch.setattr(model, "build_model", refuse)
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.restore(loaded, cfg)
 
 
 class TestConfigText:

@@ -12,7 +12,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from piareid import (bpl, checkpoint, config, dbdl, diffcore as dc, encoder, evalkit,
+from piareid import (bpl, checkpoint, config, dbdl, diffcore as dc, evalkit, model,
                      synthbench, trainer)
 from piareid.trainer import (
     AdamState,
@@ -230,8 +230,9 @@ def objective_inputs(rng, n_ids=2, dim=6):
     what one ``stage_objective`` call reads."""
     f = dc.tensor(rng.normal(size=(2 * n_ids, dim)))
     f_c = dc.tensor(rng.normal(size=(2 * n_ids, dim)))
-    heads = encoder.init_heads(rng, dim=dim, num_identities=n_ids,
-                               num_clothing_classes=n_ids + 1)
+    heads = model.build_model(model.ModelConfig(
+        widths=(dim // 2,), strides=(1,), num_identities=n_ids,
+        num_clothing_classes=n_ids + 1)).heads
     y_id = np.tile(np.arange(n_ids), 2)
     batch = bpl.ModalityBatch(f, y_id, np.repeat([True, False], n_ids))
     bank = bpl.PrototypeBank.create(n_ids, dim)
