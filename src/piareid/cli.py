@@ -209,9 +209,8 @@ def _cmd_eval(args) -> int:
     # The extraction runs in a workspace of its own, which lets go of its
     # buffers, like the manifest no name holds, before the one [ROW_BLOCK, G]
     # distance block exists.
-    with dc.Workspace() as workspace:
-        table = evalkit.test_feature_table(
-            synthbench.load_manifest(Path(cfg.data_dir)), state, workspace)
+    with dc.Workspace():
+        table = evalkit.test_feature_table(synthbench.load_manifest(Path(cfg.data_dir)), state)
     reports = evalkit.evaluate(table, directions)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,9 +239,9 @@ def _cmd_dump_attention(args) -> int:
     state = _load_checkpoint(cfg)
     if not state.cfg.use_dbdl:
         raise cfgmod.ConfigError("attention masks need the dual-branch model")
-    batch = synthbench.unit_pixels(pnm.read_ppm(Path(args.sample))[None])
+    batch = pnm.read_ppm(Path(args.sample))[None].transpose(0, 3, 1, 2)
     try:
-        _, _, masks = mdl.forward_embeddings(state, dc.constant(batch), training=False)
+        _, _, masks = mdl.forward_embeddings(state, dc.pixels(batch), training=False)
     except dc.ShapeMismatchError as exc:
         # the sample file, not the run's configuration, is at fault: exit 3
         raise pnm.PnmError(f"sample does not fit the model: {exc}") from exc

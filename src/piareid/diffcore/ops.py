@@ -19,12 +19,15 @@ Conventions:
     kernel tap at a time into a padded buffer of the same layout
   - ``cols`` is a strided view of the padded buffer whenever numpy can give
     one, because a matmul over those strides rounds otherwise than over a
-    contiguous copy; a needed copy comes from ``borrow_reshape``: inside a
-    workspace it goes into a view of the smallest idle workspace buffer that
-    holds it, lent by size, so one buffer serves every conv whose ``cols``
-    are never live at once; the buffer goes back when backward releases the
-    node (or at once, off the tape); outside a workspace it is numpy's own
-    copy
+    contiguous copy; a needed copy goes into a ``borrow`` loan: inside a
+    workspace a view of the smallest idle workspace buffer that holds it,
+    lent by size, so one buffer serves every conv whose ``cols`` are never
+    live at once; the buffer goes back when backward releases the node (or
+    at once, off the tape); outside a workspace a new array
+  - ``conv2d``'s input 0 alone may be a uint8 ``pixels`` batch, read as
+    v / 255 into ``cols`` with the bits a float64 input of the quotients
+    gives; those ``cols`` go back after the forward matmul, and the node
+    keeps the uint8 padded buffer, from which backward makes them again
   - reductions to a scalar produce a 0-d array
   - ties in max operations route the full gradient to the lowest index
 
@@ -60,7 +63,8 @@ from .tensor import (
     InvalidAttributeError,
     ShapeMismatchError,
     Tensor,
-    borrow_reshape,
+    borrow,
+    give_back,
     record,
 )
 
@@ -108,6 +112,9 @@ def apply(kind: str, inputs, **attrs) -> Tensor:
             raise InvalidAttributeError(
                 f"{kind}: input {pos} is {type(tens).__name__}, expected Tensor"
             )
+        if tens.data.dtype == np.uint8 and (kind, pos) != ("conv2d", 0):
+            raise InvalidAttributeError(
+                f"{kind}: input {pos} is a uint8 pixel batch, which only conv2d's input 0 reads")
     needs_grad = tuple(t.requires_grad for t in inputs)
     ctx: dict = {"needs_grad": needs_grad}
     arrays = [t.data for t in inputs]
@@ -235,18 +242,37 @@ register("abs")(lambda: _pointwise(lambda x, attrs: (np.sign(x), np.abs(x)),
 # convolution
 
 
+def _cols(ctx: dict, xp: np.ndarray, kernel, stride: int, shape) -> np.ndarray:
+    """The float64 cols ``shape`` of the channels-last padded buffer ``xp``: a
+    view of its windows when numpy gives one, else a copy into a ``borrow``
+    loan.  A uint8 ``xp`` is read as its values over 255, in the layout, so
+    with the matmul rounding, that a float ``xp`` of the quotients gets."""
+    windows = sliding_window_view(xp, kernel, axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
+    try:
+        view = windows.reshape(shape, copy=False)
+    except ValueError:
+        cols = borrow(ctx, shape)
+        if xp.dtype == np.uint8:
+            np.divide(windows, 255.0, out=cols.reshape(windows.shape))
+        else:
+            cols.reshape(windows.shape)[...] = windows
+        return cols
+    return _cols(ctx, xp / 255.0, kernel, stride, shape) if xp.dtype == np.uint8 else view
+
+
 @register("conv2d")
 def _conv2d():
     # Forward: write the input channels-last once into an uninitialised
-    # padded buffer whose four border strips alone are zeroed, take a strided
-    # window view of it and reshape that to cols [N*Ho*Wo, kh*kw*C_in], K
-    # ordered (kh, kw, C_in), copying once (into a workspace buffer inside a
-    # workspace) when no view fits; one matmul with the weight flattened in
-    # the same order.
-    # Backward: grad_w = g^T cols and, unless x needs no gradient (the pixel
-    # batch), each tap's g @ w_tap is added straight into its strided window
-    # of a channels-last padded buffer, so no [kh*kw, N*Ho*Wo, C_in] block of
-    # input gradients is ever built.
+    # padded buffer of its dtype whose four border strips alone are zeroed,
+    # and make cols [N*Ho*Wo, kh*kw*C_in] from its windows, K ordered
+    # (kh, kw, C_in) (``_cols``); one matmul with the weight flattened in the
+    # same order.  A uint8 pixel batch's cols go back at once: ctx keeps its
+    # uint8 padded buffer instead.
+    # Backward: grad_w = g^T cols (cols made again for a pixel batch) and,
+    # unless x needs no gradient, each tap's g @ w_tap is added straight into
+    # its strided window of a channels-last padded buffer, so no
+    # [kh*kw, N*Ho*Wo, C_in] block of input gradients is ever built.
     def forward(ctx, arrays, attrs):
         x, w, b = arrays
         stride = _require_int(attrs, "stride", "conv2d", 1)
@@ -275,16 +301,17 @@ def _conv2d():
         h_out = (h_pad - kh) // stride + 1
         w_out = (w_pad - kw) // stride + 1
 
-        xp = np.empty((n, h_pad, w_pad, c_in), dtype=np.float64)
-        xp[:, :padding] = xp[:, padding + height :] = 0.0
-        xp[:, :, :padding] = xp[:, :, padding + width :] = 0.0
+        xp = np.empty((n, h_pad, w_pad, c_in), dtype=x.dtype)
+        xp[:, :padding] = xp[:, padding + height :] = 0
+        xp[:, :, :padding] = xp[:, :, padding + width :] = 0
         xp[:, padding : padding + height, padding : padding + width] = x.transpose(0, 2, 3, 1)
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = borrow_reshape(ctx, windows.transpose(0, 1, 2, 4, 5, 3),
-                              (n * h_out * w_out, kh * kw * c_in))
+        cols = _cols(ctx, xp, (kh, kw), stride, (n * h_out * w_out, kh * kw * c_in))
         w_flat = w.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * c_in)
         out = cols @ w_flat.T
         out += b
+        if xp.dtype == np.uint8:  # keep the uint8 xp; backward makes cols again
+            give_back(ctx)
+            cols = xp
 
         ctx.update(
             cols=cols,
@@ -309,7 +336,10 @@ def _conv2d():
 
         g = grad.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         grad_b = g.sum(axis=0)
-        grad_w = (g.T @ ctx["cols"]).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
+        cols = ctx["cols"]
+        if cols.dtype == np.uint8:  # lent until the node is released
+            cols = _cols(ctx, cols, (kh, kw), stride, (n * h_out * w_out, kh * kw * c_in))
+        grad_w = (g.T @ cols).reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)
         if not ctx["needs_grad"][0]:
             return [None, grad_w, grad_b]
         taps = w_flat.reshape(c_out, kh, kw, c_in)

@@ -26,15 +26,15 @@ forward kept as the walk goes, and it pins no constant's data afterwards;
 only each node's ``kind`` and ``backward_fn`` stay, so ``len(tape)`` still
 counts the recorded nodes.
 
-A forward rule reshapes through ``borrow_reshape``: when the reshape needs
-a copy and a ``Workspace`` is active (at most one is, per thread), the copy
-goes into a loan from it, a view of one of its buffers.  The loan goes back
-to the workspace when its node is released, or at once when the application
-is not recorded, so no buffer is lent twice at a time.  The workspace lends
-by size, not shape: a loan takes the smallest idle buffer that holds it.  So
-the convs of a forward pass off the tape, each done with its ``cols`` before
-the next conv starts, share one buffer, the largest they need, and an
-extraction inside training borrows the buffers the training step gave back.
+A forward rule takes a scratch array from ``borrow``: while a ``Workspace``
+is active (at most one is, per thread), that is a loan from it, a view of
+one of its buffers.  The loan goes back when its node is released or its
+rule calls ``give_back``, or at once when the application is not recorded,
+so no buffer is lent twice at a time.  The workspace lends by size, not
+shape: a loan takes the smallest idle buffer that holds it.  So the convs
+of a forward pass off the tape, each done with its ``cols`` before the next
+conv starts, share one buffer, the largest they need, and an extraction
+inside training borrows the buffers the training step gave back.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ class TapeError(DiffcoreError, RuntimeError):
 class Tensor:
     """A float64 array plus gradient bookkeeping.
 
-    ``data`` is always a ``numpy.float64`` array (0-d for scalars).  ``grad``
-    stays ``None`` until a backward pass deposits into it; repeated backward
-    passes over fresh tapes accumulate.  ``origin`` is ``(tape, index)`` of
-    the node that made the tensor on a tape, and ``None`` for a tensor no
-    tape recorded.
+    ``data`` is a ``numpy.float64`` array (0-d for scalars), or, for a
+    ``pixels`` constant only, a uint8 image batch.  ``grad`` stays ``None``
+    until a backward pass deposits into it; repeated backward passes over
+    fresh tapes accumulate.  ``origin`` is ``(tape, index)`` of the node that
+    made the tensor on a tape, and ``None`` for a tensor no tape recorded.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "origin")
@@ -105,6 +105,17 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def pixels(rasters: np.ndarray) -> Tensor:
+    """A constant over ``rasters``, a uint8 ``[N, C, H, W]`` image batch,
+    not copied: ``conv2d`` reads each value v as v / 255."""
+    if rasters.dtype != np.uint8 or rasters.ndim != 4:
+        raise InvalidAttributeError(
+            f"pixels must be a uint8 [N, C, H, W] array, got {rasters.dtype} {rasters.shape}")
+    out = constant(0.0)
+    out.data = rasters
+    return out
+
+
 class Node:
     """One recorded primitive application, as backward needs it.
 
@@ -125,7 +136,7 @@ class Node:
 
     def release(self) -> None:
         """Drop the saved arrays and return the borrowed buffers."""
-        _give_back(self.ctx)
+        give_back(self.ctx)
         self.ctx = self.inputs = self.output = None
 
 
@@ -148,18 +159,13 @@ class Workspace:
     buffer is that big, all of them are too small, so it drops them and
     lends a fresh uninitialised one.  ``give`` takes a loan back and makes
     its buffer idle again.  Buffers whose loans never overlap in time thus
-    end up as one buffer, the largest of them.
-
-    ``kept(shape)`` returns a view of the one buffer the workspace keeps
-    apart from those it lends, replaced only when a larger shape asks for
-    it: a caller must be done with what it last wrote there.  Entering
-    while another workspace is active raises ``TapeError``; leaving the
-    context drops every buffer it holds.
+    end up as one buffer, the largest of them.  Entering while another
+    workspace is active raises ``TapeError``; leaving the context drops
+    every buffer it holds.
     """
 
     def __init__(self):
         self._idle: list[np.ndarray] = []  # loans given back
-        self._kept: np.ndarray | None = None  # the last view kept() returned
 
     def take(self, shape) -> np.ndarray:
         size = math.prod(shape)
@@ -174,12 +180,6 @@ class Workspace:
             return np.empty(shape, dtype=np.float64)
         return _view(self._idle.pop(best), shape)
 
-    def kept(self, shape) -> np.ndarray:
-        if self._kept is None or _owner(self._kept).size < math.prod(shape):
-            self._kept = np.empty(shape, dtype=np.float64)
-        self._kept = _view(self._kept, shape)
-        return self._kept
-
     def give(self, loan: np.ndarray) -> None:
         self._idle.append(loan)
 
@@ -191,7 +191,6 @@ class Workspace:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._idle.clear()
-        self._kept = None
         _ACTIVE.workspace = None
 
 
@@ -210,29 +209,19 @@ def _view(loan: np.ndarray, shape) -> np.ndarray:
     return _owner(loan).reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def borrow_reshape(ctx: dict, array: np.ndarray, shape) -> np.ndarray:
-    """``array.reshape(shape)`` for the forward rule that owns ``ctx``.
-
-    With no active workspace this is numpy's ``reshape``: a view when one
-    fits, else a new copy.  Inside a workspace the view is taken whenever
-    numpy can give one, and only a needed copy is written into a loan from
-    the workspace (``Workspace.take``), which gets it back when ``ctx`` is
-    released.
-    """
+def borrow(ctx: dict, shape) -> np.ndarray:
+    """An uninitialised float64 ``shape`` array for the rule that owns ``ctx``:
+    a loan from the active workspace (see ``give_back``), or a new array."""
     workspace = current_workspace()
     if workspace is None:
-        return array.reshape(shape)
-    try:
-        return array.reshape(shape, copy=False)
-    except ValueError:
-        pass
+        return np.empty(shape, dtype=np.float64)
     buffer = workspace.take(shape)
     ctx.setdefault("borrowed", []).append((workspace, buffer))
-    buffer.reshape(array.shape)[...] = array
     return buffer
 
 
-def _give_back(ctx: dict) -> None:
+def give_back(ctx: dict) -> None:
+    """Return the loans ``borrow`` made for ``ctx`` to their workspace."""
     for workspace, buffer in ctx.pop("borrowed", ()):
         workspace.give(buffer)
 
@@ -269,7 +258,7 @@ def record(kind: str, inputs: Sequence[Tensor], output: Tensor, backward_fn, ctx
         tape.nodes.append(Node(kind, entries, index, backward_fn, ctx))
         output.origin = (tape, index)
     else:
-        _give_back(ctx)
+        give_back(ctx)
 
 
 def _index_on(tens: Tensor, tape: Tape) -> int | None:

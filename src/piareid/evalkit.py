@@ -13,9 +13,9 @@ number of positives over the rank of the last one.
 Queries whose identity never appears in the gallery are dropped and counted.
 
 ``test_feature_table`` is the one step that reads the manifest: it embeds
-the test split, one ``EVAL_BATCH`` of images decoded from their files at a
-time into the kept buffer of the ``diffcore.Workspace`` its caller must
-pass, and copies each row's identity, clothing and modality label onto the
+the test split, one ``EVAL_BATCH`` of uint8 images decoded from their files
+at a time, inside the ``diffcore.Workspace`` its caller opened, and copies
+each row's identity, clothing and modality label onto the
 ``FeatureTable``.  Each batch's identity embeddings are written in place
 into one [n, D] array.  The clothing embeddings are kept only when the
 caller asks: ``train``'s probe of |cos(f, f_c)| does, ``eval`` does not.
@@ -25,8 +25,8 @@ let go before any distance is made.  ``check_protocol`` raises a
 protocol's ``ProtocolError`` from the labels alone, before any extraction.
 
 ``EVAL_BATCH`` is 32, half a training batch, because every per-batch array
-of the extraction (the pixels, each conv's padded input, ``cols`` and
-output) scales with it, and the workspace lends by size: inside ``train``
+of the extraction (the uint8 pixels, each conv's padded input, ``cols``
+and output) scales with it, and the workspace lends by size: inside ``train``
 the extraction's loans all fit in the buffers the steps gave back, and
 ``eval`` keeps one ``cols`` buffer, the largest conv's.  Eval mode treats
 each image on its own, and at the default architecture two 32-image batches
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import model as model_mod
-from .synthbench import INFRARED, Manifest, SPLIT_TEST, VISIBLE, unit_pixels
+from .synthbench import INFRARED, Manifest, SPLIT_TEST, VISIBLE
 
 DIRECTION_V2I = "v2i"
 DIRECTION_I2V = "i2v"
@@ -106,13 +106,11 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def _batches_of(manifest: Manifest, row_indices: list[int], workspace: dc.Workspace):
-    """The rows' float64 pixel batches, each from one ``raster_batch`` that
-    decodes its rows from their files, and each written into ``workspace``'s
-    kept buffer, over the batch before it."""
+def _batches_of(manifest: Manifest, row_indices: list[int]):
+    """The rows' uint8 [N, 3, H, W] pixel batches: each the transposed view
+    of one ``raster_batch``, which decodes its rows from their files."""
     for start in range(0, len(row_indices), EVAL_BATCH):
-        rasters = manifest.raster_batch(row_indices[start : start + EVAL_BATCH])
-        yield unit_pixels(rasters, workspace.kept(rasters.shape))
+        yield manifest.raster_batch(row_indices[start : start + EVAL_BATCH]).transpose(0, 3, 1, 2)
 
 
 def _test_labels(manifest: Manifest) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
@@ -156,12 +154,12 @@ def _check_finite(manifest: Manifest, rows: list[int], embeddings: np.ndarray,
         )
 
 
-def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
-                       workspace: dc.Workspace, clothing: bool = False) -> FeatureTable:
-    """Embed the test split, its pixel batches in ``workspace``'s kept
-    buffer (``train``'s, or the one ``eval`` opens for the extraction), and
-    keep the clothing embeddings only when ``clothing`` asks for them: the
-    ranking reads the identity ones alone.
+def test_feature_table(manifest: Manifest, state: model_mod.ModelState, *,
+                       clothing: bool = False) -> FeatureTable:
+    """Embed the test split, in the active ``diffcore.Workspace`` if any
+    (``train``'s, or the one ``eval`` opens for the extraction), and keep the
+    clothing embeddings only when ``clothing`` asks for them: the ranking
+    reads the identity ones alone.
 
     Raises ``NonFiniteEmbeddingError``, naming the first such image and the
     branch, when a kept embedding or its squared L2 norm is not finite:
@@ -170,7 +168,7 @@ def test_feature_table(manifest: Manifest, state: model_mod.ModelState,
     |cos(f, f_c)| NaN."""
     rows, identities, clothing_labels, modalities = _test_labels(manifest)
     features, clothing_features = model_mod.extract_embeddings(
-        state, _batches_of(manifest, rows, workspace), len(rows), clothing=clothing)
+        state, _batches_of(manifest, rows), len(rows), clothing=clothing)
     _check_finite(manifest, rows, features, "rank the identity embedding")
     if clothing_features is not None:
         _check_finite(manifest, rows, clothing_features, "probe the clothing embedding")

@@ -220,18 +220,18 @@ def forward_embeddings(model: ModelState, pixels: Tensor, *, training: bool):
 
 def extract_embeddings(model: ModelState, pixel_batches, count: int, *,
                        clothing: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eval-mode (f, f_c) of the ``count`` images in an iterable of
-    [N,3,H,W] arrays, each batch's rows written in place into [count, D]
-    arrays made up front.  f_c is None unless ``clothing`` is asked for and
-    the model has the dual branch; without it, each batch's f_c is still
-    made by ``forward_embeddings``, then dropped.  Raises ``ValueError`` when
-    the batches hold other than ``count`` images."""
+    """Eval-mode (f, f_c) of the ``count`` images in an iterable of uint8
+    [N,3,H,W] arrays (``diffcore.pixels``), each batch's rows written in
+    place into [count, D] arrays made up front.  f_c is None unless
+    ``clothing`` is asked for and the model has the dual branch; without it,
+    each batch's f_c is still made by ``forward_embeddings``, then dropped.
+    Raises ``ValueError`` when the batches hold other than ``count`` images."""
     dim = model.cfg.embedding_dim
     features = np.empty((count, dim))
     clothing_features = np.empty((count, dim)) if clothing and model.cfg.use_dbdl else None
     filled = 0
     for batch in pixel_batches:
-        f, f_c, _ = forward_embeddings(model, dc.constant(batch), training=False)
+        f, f_c, _ = forward_embeddings(model, dc.pixels(batch), training=False)
         rows = slice(filled, filled + f.shape[0])
         features[rows] = f.data
         if clothing_features is not None:

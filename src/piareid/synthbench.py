@@ -343,20 +343,6 @@ def _outfit_for(cfg: GenConfig, modality: str, image_index: int) -> int:
 # dataset and manifest
 
 
-def unit_pixels(rasters: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """uint8 ``[N, H, W, 3]`` rasters as float64 ``[N, 3, H, W]`` in [0, 1].
-
-    One division straight from uint8, so the result is the only float64
-    buffer; it keeps the rasters' channels-last memory order.  Given ``out``,
-    a float64 array of the rasters' shape, the division writes there instead
-    and returns its ``[N, 3, H, W]`` transposed view: the same values in the
-    same memory order, with no new array.
-    """
-    if out is not None:
-        out = out.transpose(0, 3, 1, 2)
-    return np.divide(rasters.transpose(0, 3, 1, 2), 255.0, out=out, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class ManifestRow:
     path: str
@@ -373,8 +359,9 @@ class Manifest:
     file, and ``raster_batch`` copies each decoded row straight into its
     slot of the batch it returns, so pixel memory is one batch, not the
     dataset.  The manifest remembers only the first decoded image's path and
-    shape, which every later image must share.  The dataset's pixels become
-    float64 only through ``unit_pixels``, one ``raster_batch`` at a time.
+    shape, which every later image must share.  The pixels stay uint8 up to
+    the model: ``diffcore.pixels`` wraps a ``raster_batch``'s transposed
+    view, and the first conv reads each value v as v / 255.
     """
 
     def __init__(self, base_dir: Path, rows: list[ManifestRow], fingerprint: str):
@@ -414,7 +401,8 @@ class Manifest:
 
         Each row is decoded by ``load_pixels`` and copied straight into its
         slot.  ``flips``, a boolean mask over ``indices``, then mirrors those
-        slots left to right.  ``unit_pixels`` converts the result to float64.
+        slots left to right.  Its ``[N, 3, H, W]`` transposed view is the
+        model's input (``diffcore.pixels``).
         """
         rasters = None
         for slot, index in enumerate(indices):

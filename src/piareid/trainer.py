@@ -23,12 +23,12 @@ a dual-branch model (for ``val_abs_cos``, the mean |cos(f, f_c)|) and in
 every ``eval_every``-th epoch (for the retrieval report).
 
 A steady-state step allocates none of its large arrays afresh.  ``train``
-runs every epoch in one ``diffcore.Workspace``, passed to ``epoch``: each
-taped conv's ``cols`` comes from it and goes back as backward releases the
-conv's node, a tapeless conv of the test-split extraction borrows one of
-the buffers the steps gave back (the workspace lends by size) and returns
-it at once, and ``unit_pixels`` converts every pixel batch, the steps' and
-the extraction's, into the one buffer the workspace keeps.
+runs every epoch in one ``diffcore.Workspace``: each taped conv's ``cols``
+comes from it and goes back as backward releases the conv's node (conv0's
+also between its forward matmul and ``grad_w``), and a tapeless conv of the
+test-split extraction borrows one of the buffers the steps gave back (the
+workspace lends by size) and returns it at once.  Every pixel batch stays
+uint8, as ``raster_batch`` made it, up to conv0's ``cols``.
 So a step after the first epoch takes almost no page faults, whether or not
 glibc malloc trimmed the heap in between.  The buffers go when ``train``
 returns or raises.  ``eval`` extracts in a workspace of its own, gone before
@@ -49,7 +49,7 @@ from . import bpl, checkpoint, dbdl, encoder, evalkit, fileio, kvconfig
 from . import diffcore as dc
 from . import model as model_mod
 from .diffcore import Tensor
-from .synthbench import Manifest, SPLIT_TRAIN, VISIBLE, unit_pixels
+from .synthbench import Manifest, SPLIT_TRAIN, VISIBLE
 
 DEFAULT_BASE_LR = 3.5e-4
 DEFAULT_LR_DECAY = 0.1
@@ -427,7 +427,7 @@ class TrainRun:
         self.rng = np.random.default_rng([cfg.seed, 1])
         self.epoch_records: list[dict] = []
 
-    def epoch(self, manifest: Manifest, workspace: dc.Workspace) -> None:
+    def epoch(self, manifest: Manifest) -> None:
         """Run the next epoch's steps, then its probe and eval, and append its record."""
         cfg, epoch, sampler, rng = self.config, len(self.epoch_records), self.sampler, self.rng
         stage = 2 if epoch >= cfg.stage2_start_epoch else 1
@@ -436,8 +436,7 @@ class TrainRun:
         for iteration, group in enumerate(sampler.epoch_identity_schedule(rng)):
             rows, raw_ids, is_visible = sampler.assemble(group, rng)
             flips = rng.random(len(rows)) < cfg.flip_probability
-            rasters = manifest.raster_batch(rows, flips)
-            pixels = unit_pixels(rasters, workspace.kept(rasters.shape))
+            pixels = manifest.raster_batch(rows, flips).transpose(0, 3, 1, 2)
             y_id = np.array([self.id_remap[i] for i in raw_ids])
             y_clothing = np.array([self.clothing_remap[manifest.rows[i].clothing] for i in rows])
             reports.append(_step(self, pixels, y_id, y_clothing, is_visible, iteration, stage, lr))
@@ -453,7 +452,7 @@ class TrainRun:
         eval_due = cfg.eval_every and (epoch + 1) % cfg.eval_every == 0
         if probe_due or eval_due:
             # the clothing embeddings only for the probe
-            table = evalkit.test_feature_table(manifest, self.state, workspace, probe_due)
+            table = evalkit.test_feature_table(manifest, self.state, clothing=probe_due)
             if probe_due:
                 record["val_abs_cos"] = dbdl.mean_abs_cosine(table.features,
                                                              table.clothing_features)
@@ -477,7 +476,8 @@ class TrainRun:
 
 def _step(run: TrainRun, pixels: np.ndarray, y_id: np.ndarray, y_clothing: np.ndarray,
           is_visible: np.ndarray, iteration: int, stage: int, lr: float) -> LossReport:
-    """One optimizer step of ``run``'s current epoch; returns its logged scalars.
+    """One optimizer step of ``run``'s current epoch over the uint8
+    [N, 3, H, W] ``pixels``; returns its logged scalars.
 
     Backward frees the step's own tape as it walks it, so nothing of the step
     but those scalars and the run's weights, Adam moments and bank outlives it.
@@ -489,7 +489,7 @@ def _step(run: TrainRun, pixels: np.ndarray, y_id: np.ndarray, y_clothing: np.nd
     cfg, state, bank = run.config, run.state, run.bank
     epoch = len(run.epoch_records)
     with dc.Tape() as tape:
-        f, f_c, _ = model_mod.forward_embeddings(state, dc.constant(pixels), training=True)
+        f, f_c, _ = model_mod.forward_embeddings(state, dc.pixels(pixels), training=True)
         batch = bpl.ModalityBatch(f, y_id, is_visible)
         if stage == 2 and (cfg.use_intra or cfg.use_inter):
             bpl.absorb_batch(bank, batch)
@@ -518,9 +518,9 @@ def train(manifest: Manifest, cfg: TrainConfig, out_dir: str | Path | None = Non
     ``finish`` into ``out_dir`` when given.  Identical manifest + config
     reproduce the run bit-for-bit."""
     run = TrainRun(manifest, cfg)
-    with dc.Workspace() as workspace:
+    with dc.Workspace():
         for _ in range(cfg.epochs):
-            run.epoch(manifest, workspace)
+            run.epoch(manifest)
     if out_dir is not None:
         run.finish(out_dir)
     return run

@@ -386,19 +386,19 @@ class TestReproduce:
         assert main(["train", "--out", str(tmp_path / "d")] + flags) == EXIT_OK
         assert outputs(tmp_path / "a") == outputs(tmp_path / "d")
 
-        # eval's extraction runs in a workspace of its own, handed to it and
-        # active only for the extraction
+        # eval's extraction runs in a workspace of its own, active only for
+        # the extraction
         active = []
         extract = evalkit.test_feature_table
         monkeypatch.setattr(evalkit, "test_feature_table", lambda *args: (
-            active.append((args[2:], dc.current_workspace())) or extract(*args)))
+            active.append(dc.current_workspace()) or extract(*args)))
         assert dc.current_workspace() is None
         assert main(["eval", "--config", str(tmp_path / "a" / "run_config.txt"),
                      "--checkpoint", str(tmp_path / "a" / "checkpoint.bin"),
                      "--out", str(tmp_path / "eval")]) == EXIT_OK
         assert dc.current_workspace() is None
-        [((given,), current)] = active
-        assert isinstance(current, dc.Workspace) and given is current
+        [current] = active
+        assert isinstance(current, dc.Workspace)
 
 
 #: sha256 of the eval reports of a seeded, untrained model on an 8-identity
@@ -885,6 +885,15 @@ class TestGradcheck:
         assert table != checksuite.run_all(["linear"], configs=1, seed=0).format_table()
 
 
+#: sha256 of the masks ``TestDumpAttention`` writes for the module's tiny
+#: run, taken while the sample was still read as a float64 batch: reading it
+#: as uint8 pixels changed no byte.
+DUMP_ATTENTION_SHA256 = {
+    "m_c.pgm": "c66fe740f17663bca46ffc3c115f798042056f537ef537cd00b186490b431ba5",
+    "m_id.pgm": "e35ad507e3abb0141b5ca42b28946c9d41025249820e4cf3b2ac9db3595c3011",
+}
+
+
 class TestDumpAttention:
     def test_writes_masks(self, workspace, tmp_path, capsys):
         sample = workspace / "data" / "images" / "V" / "0000" / "000.ppm"
@@ -901,6 +910,8 @@ class TestDumpAttention:
         identity = pnm.decode_pgm((out / "m_id.pgm").read_bytes())
         assert clothing.shape == identity.shape
         assert clothing.dtype == np.uint8
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in DUMP_ATTENTION_SHA256} == DUMP_ATTENTION_SHA256
 
     def test_requires_dual_branch_checkpoint(self, workspace, tmp_path, capsys):
         data = workspace / "data"

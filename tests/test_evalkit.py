@@ -640,8 +640,8 @@ def tiny_state():
 
 class TestFeatureTable:
     def test_labels_equal_the_manifest_test_rows(self, tiny_manifest, tiny_state):
-        with dc.Workspace() as workspace:
-            table = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
+        with dc.Workspace():
+            table = evalkit.test_feature_table(tiny_manifest, tiny_state)
         rows = tiny_manifest.rows_for_split("test")
         picked = [tiny_manifest.rows[i] for i in rows]
         assert table.row_indices == rows
@@ -664,19 +664,18 @@ class TestFeatureTable:
             return features, clothing_features
 
         monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", spoiled)
-        with dc.Workspace() as workspace:
+        with dc.Workspace():
             with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
-                evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
+                evalkit.test_feature_table(tiny_manifest, tiny_state)
         first = tiny_manifest.rows[tiny_manifest.rows_for_split("test")[bad]]
         message = str(caught.value)
         assert str(tiny_manifest.base_dir / first.path) in message and what in message
         assert isinstance(caught.value, ProtocolError)
 
     def test_clothing_embeddings_only_on_request(self, tiny_manifest, tiny_state):
-        with dc.Workspace() as workspace:
-            plain = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
-            probed = evalkit.test_feature_table(tiny_manifest, tiny_state, workspace,
-                                                clothing=True)
+        with dc.Workspace():
+            plain = evalkit.test_feature_table(tiny_manifest, tiny_state)
+            probed = evalkit.test_feature_table(tiny_manifest, tiny_state, clothing=True)
         assert plain.clothing_features is None
         assert probed.clothing_features.shape == probed.features.shape
         assert np.array_equal(plain.features, probed.features)
@@ -693,10 +692,10 @@ class TestFeatureTable:
             return features, clothing_features
 
         monkeypatch.setattr(evalkit.model_mod, "extract_embeddings", spoiled)
-        with dc.Workspace() as workspace:
-            evalkit.test_feature_table(tiny_manifest, tiny_state, workspace)
+        with dc.Workspace():
+            evalkit.test_feature_table(tiny_manifest, tiny_state)
             with pytest.raises(evalkit.NonFiniteEmbeddingError) as caught:
-                evalkit.test_feature_table(tiny_manifest, tiny_state, workspace,
+                evalkit.test_feature_table(tiny_manifest, tiny_state,
                                            clothing=True)
         first = tiny_manifest.rows[tiny_manifest.rows_for_split("test")[bad]]
         assert str(caught.value).startswith(

@@ -1,9 +1,14 @@
 """Readers of outside input, fuzzed: every input either parses or raises the
-reading module's own error, never another exception."""
+reading module's own error, never another exception.  Valid runs, fuzzed:
+every configuration drawn runs ``gen-data``, ``train`` and ``eval`` to a
+documented exit code and writes the same bytes twice."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -12,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from piareid import checkpoint, kvconfig, model, pnm, synthbench
+from piareid import checkpoint, cli, config, kvconfig, model, pnm, synthbench
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -220,3 +225,88 @@ class TestKvconfig:
         if pairs is not None:
             for key, value in pairs.items():
                 assert key and key == key.strip() and "#" not in key + value
+
+
+# ---------------------------------------------------------------------------
+# valid runs end to end
+
+#: perfbench's tiny sizes: 8 identities of 4 images per modality, 16x8 crops
+_RUN_DATA = ["--n-identities", "8", "--images-per-identity-per-modality", "4",
+             "--image-height", "16", "--image-width", "8", "--split-ratio", "1:1"]
+#: two epochs, the second in the prototype stage, each with an eval
+_RUN_TRAIN = ["--epochs", "2", "--stage2-start", "1", "--eval-every", "1",
+              "--ids-per-batch", "2", "--instances-per-modality", "2"]
+_RUN_OUTPUTS = ("checkpoint.bin", "train_log.jsonl", "eval_v2i.json", "eval_i2v.json")
+_EXIT_CODES = (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_IO_ERROR)
+
+
+@st.composite
+def run_flags(draw):
+    """The gen-data and the train flags of a valid configuration."""
+    blocks = draw(st.integers(1, 2))
+    data = _RUN_DATA + [
+        "--clothing-modality-coupling", draw(st.sampled_from(["coupled", "decoupled"])),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    return data, data + _RUN_TRAIN + [
+        "--widths", ",".join(["4"] * blocks),
+        # the last block keeps stride 1
+        "--strides", ",".join([str(draw(st.sampled_from([1, 2, 4])))] * (blocks - 1) + ["1"]),
+        "--kernel-size", str(draw(st.sampled_from([1, 3, 5]))),
+        "--attention-kernel-size", str(draw(st.sampled_from([1, 3, 5, 7]))),
+        "--ablation", draw(st.sampled_from(sorted(config.ABLATION_PRESETS))),
+        "--flip-probability", str(draw(st.sampled_from([0.0, 0.5, 1.0]))),
+        "--base-lr", f"1e{draw(st.integers(-6, 4))}",
+    ]
+
+
+def _main(argv) -> tuple[int, str]:
+    """``cli.main(argv)``'s exit code and standard error; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    text = err.getvalue()
+    assert code in _EXIT_CODES, (argv, code)
+    if code != cli.EXIT_OK:
+        # numpy's overflow warnings may come first
+        assert text.splitlines()[-1].startswith("error: ") and "Traceback" not in text
+    return code, text
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON output")
+
+
+class TestValidRuns:
+    def _train_and_eval(self, data: Path, out: Path, train_flags) -> tuple:
+        """The exit codes and the output bytes of one train and its eval."""
+        code, _ = _main(["train", "--data-dir", str(data), "--out", str(out), *train_flags])
+        if code != cli.EXIT_OK:
+            assert not (out / "checkpoint.bin").exists()
+            assert not (out / "train_log.jsonl").exists()
+            return (code,)
+        eval_code, _ = _main(["eval", "--config", str(out / "run_config.txt"),
+                              "--checkpoint", str(out / "checkpoint.bin"),
+                              "--out", str(out), "--direction", "both"])
+        files = {name: (out / name).read_bytes() for name in _RUN_OUTPUTS
+                 if (out / name).exists()}
+        for name, text in files.items():
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=_refuse_constant)
+            elif name.endswith(".jsonl"):
+                for line in text.splitlines():
+                    json.loads(line, parse_constant=_refuse_constant)
+        return code, eval_code, files
+
+    @given(run_flags())
+    # a rate whose first steps overflow: train exits 2 and writes nothing
+    @example((_RUN_DATA, _RUN_DATA + _RUN_TRAIN + ["--base-lr", "1e300"]))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_exits_with_a_documented_code_and_repeats_its_bytes(self, flags):
+        data_flags, train_flags = flags
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            assert _main(["gen-data", "--out", str(root / "data"), *data_flags])[0] == 0
+            first, second = (self._train_and_eval(root / "data", root / name, train_flags)
+                             for name in ("a", "b"))
+        assert first == second

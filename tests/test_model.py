@@ -28,6 +28,12 @@ def pixels(n=2, seed=0):
     return rng.random((n, 3, SMALL.image_height, SMALL.image_width))
 
 
+def rasters(n=2, seed=0):
+    """A uint8 batch, the input ``extract_embeddings`` reads."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, (n, 3, SMALL.image_height, SMALL.image_width), dtype=np.uint8)
+
+
 class TestBuildModel:
     def test_same_seed_same_parameters(self):
         a = model.build_model(SMALL)
@@ -235,7 +241,7 @@ class TestForward:
 class TestExtraction:
     def test_batching_is_transparent(self):
         state = model.build_model(SMALL)
-        batch = pixels(6)
+        batch = rasters(6)
         whole = model.extract_embeddings(state, [batch], 6)
         split = model.extract_embeddings(state, [batch[:2], batch[2:]], 6)
         for joined, chunked in zip(whole, split):
@@ -247,7 +253,7 @@ class TestExtraction:
         cfg = model.ModelConfig()
         state = model.build_model(cfg)
         rng = np.random.default_rng(3)
-        batch = rng.integers(0, 256, (64, 3, cfg.image_height, cfg.image_width)) / 255.0
+        batch = rng.integers(0, 256, (64, 3, cfg.image_height, cfg.image_width), dtype=np.uint8)
         with dc.Workspace():
             whole = model.extract_embeddings(state, [batch], 64)
             halves = model.extract_embeddings(state, [batch[:32], batch[32:]], 64)
@@ -256,9 +262,9 @@ class TestExtraction:
 
     def test_matches_forward(self):
         state = model.build_model(SMALL)
-        batch = pixels(3)
+        batch = rasters(3)
         via_extract, fc_via_extract = model.extract_embeddings(state, [batch], 3)
-        f, f_c, _ = model.forward_embeddings(state, dc.constant(batch), training=False)
+        f, f_c, _ = model.forward_embeddings(state, dc.pixels(batch), training=False)
         assert np.array_equal(via_extract, f.data)
         assert np.array_equal(fc_via_extract, f_c.data)
 
@@ -271,18 +277,18 @@ class TestExtraction:
     def test_a_count_other_than_the_images_raises(self, count):
         state = model.build_model(SMALL)
         with pytest.raises(ValueError):
-            model.extract_embeddings(state, [pixels(3)], count)
+            model.extract_embeddings(state, [rasters(3)], count)
 
     def test_branch_extraction_pairs(self):
         state = model.build_model(SMALL)
-        f, f_c = model.extract_embeddings(state, [pixels(3)], 3)
+        f, f_c = model.extract_embeddings(state, [rasters(3)], 3)
         assert f.shape == f_c.shape == (3, SMALL.embedding_dim)
 
     def test_single_branch_has_no_clothing_features(self):
         import dataclasses
 
         state = model.build_model(dataclasses.replace(SMALL, use_dbdl=False))
-        f, f_c = model.extract_embeddings(state, [pixels(2)], 2)
+        f, f_c = model.extract_embeddings(state, [rasters(2)], 2)
         assert f.shape == (2, SMALL.embedding_dim)
         assert f_c is None
 
@@ -293,7 +299,7 @@ class TestExtraction:
         cfg = model.ModelConfig(image_height=1, image_width=1, widths=(64,), strides=(1,),
                                 kernel_size=1, attention_kernel_size=1)
         state = model.build_model(cfg)
-        batch = np.random.default_rng(0).random((32, 3, 1, 1))
+        batch = np.random.default_rng(0).integers(0, 256, (32, 3, 1, 1), dtype=np.uint8)
 
         def peak_beyond_result(batches):
             tracemalloc.start()

@@ -426,7 +426,7 @@ class TestGenerateDataset:
 
     def test_pixels_round_trip_through_ppm(self, dataset):
         cfg, manifest, _ = dataset
-        pixels = synthbench.unit_pixels(manifest.raster_batch([0]))[0]
+        pixels = manifest.raster_batch([0])[0].transpose(2, 0, 1) / 255.0
         assert pixels.shape == (3, cfg.image_height, cfg.image_width)
         rendered = render(cfg, manifest.rows[0].identity, 0, "V", 0)
         # files hold the 8-bit quantization of the float render
@@ -475,48 +475,39 @@ class TestGenerateDataset:
     def test_pixel_batch_scales_the_file_rasters(self, dataset):
         _, manifest, out = dataset
         rows = [0, 3, len(manifest) - 1, 3]
-        batch = synthbench.unit_pixels(manifest.raster_batch(rows))
+        rasters = manifest.raster_batch(rows)
+        batch = rasters.transpose(0, 3, 1, 2) / 255.0
         expected = np.stack([
             pnm.read_ppm(out / manifest.rows[i].path).astype(np.float64)
             .transpose(2, 0, 1) / 255.0
             for i in rows
         ])
-        assert batch.dtype == np.float64
+        assert rasters.dtype == np.uint8
         assert np.array_equal(batch, expected)
         # channels-last memory, which conv2d's im2col reads without a copy
-        assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert rasters.flags.c_contiguous
 
     def test_pixel_batch_flips_the_gathered_rows(self, dataset):
         _, manifest, _ = dataset
         rows = [0, 3, len(manifest) - 1, 3]
         flips = np.array([True, False, True, True])
         views = [manifest.load_pixels(i).copy() for i in rows]
-        expected = synthbench.unit_pixels(manifest.raster_batch(rows))
+        expected = manifest.raster_batch(rows).transpose(0, 3, 1, 2) / 255.0
         expected[flips] = expected[flips][..., ::-1]
-        batch = synthbench.unit_pixels(manifest.raster_batch(rows, flips))
-        assert np.array_equal(batch, expected)
-        assert batch.transpose(0, 2, 3, 1).flags.c_contiguous
+        rasters = manifest.raster_batch(rows, flips)
+        assert np.array_equal(rasters.transpose(0, 3, 1, 2) / 255.0, expected)
+        assert rasters.flags.c_contiguous
         # the duplicate row 3 is flipped once and kept once; its file is not
         for i, view in zip(rows, views):
             assert np.array_equal(manifest.load_pixels(i), view)
 
-    def test_unit_pixels_into_a_given_buffer(self, dataset):
-        _, manifest, _ = dataset
-        rows = [0, 3, len(manifest) - 1]
-        rasters = manifest.raster_batch(rows)
-        out = np.full(rasters.shape, np.nan)
-        batch = synthbench.unit_pixels(rasters, out)
-        expected = synthbench.unit_pixels(manifest.raster_batch(rows))
-        assert batch.base is out and batch.strides == expected.strides
-        assert np.array_equal(batch, expected)
-
     def test_cached_rasters_are_read_only(self, dataset):
         _, manifest, _ = dataset
-        before = synthbench.unit_pixels(manifest.raster_batch([0]))
+        before = manifest.raster_batch([0]) / 255.0
         raster = manifest.load_pixels(0)
         with pytest.raises(ValueError, match="read-only"):
             raster[0, 0, 0] = 255 - raster[0, 0, 0]
-        assert np.array_equal(synthbench.unit_pixels(manifest.raster_batch([0])), before)
+        assert np.array_equal(manifest.raster_batch([0]) / 255.0, before)
 
     def test_load_manifest_round_trip(self, dataset):
         cfg, manifest, out = dataset
@@ -619,10 +610,10 @@ class TestGenerateDataset:
         odd = tmp_path / manifest.rows[-1].path
         pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
         # the first raster fixes the size
-        synthbench.unit_pixels(manifest.raster_batch([0, 1]))
+        manifest.raster_batch([0, 1])
         with pytest.raises(ManifestError) as caught:
             # a later batch
-            synthbench.unit_pixels(manifest.raster_batch([2, len(manifest) - 1]))
+            manifest.raster_batch([2, len(manifest) - 1])
         message = str(caught.value)
         assert str(odd) in message and str(tmp_path / manifest.rows[0].path) in message
         assert f"{cfg.image_height + 2}x{cfg.image_width}" in message
@@ -633,9 +624,9 @@ class TestGenerateDataset:
         odd = tmp_path / manifest.rows[-1].path
         pnm.write_ppm(odd, np.zeros((cfg.image_height + 2, cfg.image_width, 3), np.uint8))
         # row 5 is decoded first and fixes the size
-        synthbench.unit_pixels(manifest.raster_batch([5, 0]))
+        manifest.raster_batch([5, 0])
         with pytest.raises(ManifestError) as caught:
-            synthbench.unit_pixels(manifest.raster_batch([len(manifest) - 1]))
+            manifest.raster_batch([len(manifest) - 1])
         message = str(caught.value)
         assert str(odd) in message and str(tmp_path / manifest.rows[5].path) in message
         assert f"{cfg.image_height + 2}x{cfg.image_width}" in message

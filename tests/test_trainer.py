@@ -442,9 +442,9 @@ class TestTrainLoop:
         calls = []
         extract = evalkit.test_feature_table
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return extract(*args)
+            return extract(*args, **kwargs)
 
         monkeypatch.setattr(evalkit, "test_feature_table", counted)
         result = train(manifest, tiny_train_config(eval_every=eval_every,
@@ -470,8 +470,8 @@ class TestTrainLoop:
         monkeypatch.undo()
         assert kept == [True, False]
         assert [("val_abs_cos" in r) for r in result.epoch_records] == [True, False]
-        with dc.Workspace() as workspace:
-            table = evalkit.test_feature_table(manifest, states[0], workspace, clothing=True)
+        with dc.Workspace():
+            table = evalkit.test_feature_table(manifest, states[0], clothing=True)
         assert result.epoch_records[0]["val_abs_cos"] == dbdl.mean_abs_cosine(
             table.features, table.clothing_features)
 
@@ -530,8 +530,8 @@ class TestNonFiniteGuard:
 class TestStepMemory:
     def test_a_step_frees_conv_and_relu_intermediates_during_the_forward(
             self, tmp_path_factory):
-        # 8 images of 64x32 through the default 16/32/32 backbone, off any
-        # workspace, after a warm-up step has made the Adam moments: the
+        # 8 uint8 images of 64x32 through the default 16/32/32 backbone, off
+        # any workspace, after a warm-up step has made the Adam moments: the
         # traced peak of a stage-II step read 2.50 MB when every tape node
         # held its input and output tensors until backward, and 2.14 MB once
         # a conv output that only feeds a relu dies in the forward
@@ -543,8 +543,8 @@ class TestStepMemory:
         rng = np.random.default_rng(0)
         rows, raw_ids, is_visible = run.sampler.assemble(
             run.sampler.epoch_identity_schedule(rng)[0], rng)
-        pixels = synthbench.unit_pixels(manifest.raster_batch(rows))
-        assert pixels.shape == (8, 3, 64, 32)
+        pixels = manifest.raster_batch(rows).transpose(0, 3, 1, 2)
+        assert pixels.shape == (8, 3, 64, 32) and pixels.dtype == np.uint8
         y_id = np.array([run.id_remap[i] for i in raw_ids])
         y_clothing = np.array([run.clothing_remap[manifest.rows[i].clothing] for i in rows])
         step = lambda stage: trainer._step(run, pixels, y_id, y_clothing, is_visible, 0,
@@ -593,14 +593,14 @@ def test_deep_copy_after_epoch_k_continues_bit_exactly(manifest, resume_outputs,
     The original runs to the end first, so any loop state kept outside the
     run object would already have moved on when the copy continues."""
     run = TrainRun(manifest, tiny_train_config(epochs=RESUME_EPOCHS, eval_every=2))
-    with dc.Workspace() as workspace:
+    with dc.Workspace():
         for _ in range(k + 1):
-            run.epoch(manifest, workspace)
+            run.epoch(manifest)
     twin = copy.deepcopy(run)
     for name, each in (("original", run), ("copy", twin)):
-        with dc.Workspace() as workspace:
+        with dc.Workspace():
             while len(each.epoch_records) < RESUME_EPOCHS:
-                each.epoch(manifest, workspace)
+                each.epoch(manifest)
         each.finish(tmp_path / name)
         for file, expected in resume_outputs.items():
             assert (tmp_path / name / file).read_bytes() == expected, (name, file)
